@@ -17,8 +17,7 @@ from .geometry import (FiniteMetricFiber, GridNet, ProductGenerator, SamplePlan,
                        uncovered_samples)
 from .curvature import (ComparisonConfig, FourPointConfig, ModelPoint,
                         comparison_config, curvature_bound_scan, diameter_bound,
-                        four_point_check, geodesic_tau_oracle, model_ell,
-                        model_point, model_tau)
+                        four_point_check, model_ell, model_point, model_tau)
 from .measured import (AtomicMeasure, MeasuredNet, atomic_measure, dirac,
                        induce_net_measure, measured_limit_builder, pushforward,
                        uniform_measure, weak_gap)

@@ -88,6 +88,18 @@ def order_relation(c: CausalSet) -> np.ndarray:
     return space.causal.copy()
 
 
+def _transitive_reduction(strict: np.ndarray) -> list[tuple[int, int]]:
+    """Cover pairs of a strict order: related pairs with nothing in between.
+
+    Two-step paths are counted by a float32 matmul: a sum of non-negative
+    terms is positive exactly when some path exists, whereas a uint8 count
+    wraps at 256 intermediates and would report such pairs as covers.
+    """
+    s = strict.astype(np.float32)
+    two_step = (s @ s) > 0
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~two_step)]
+
+
 def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
              seed: int):
     """Uniform seeded sample of the product region with the induced order.
@@ -105,12 +117,9 @@ def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
     sites = rng.integers(0, gen.fiber.n, size=count)
     points: list[Point] = [(float(t), int(s)) for t, s in zip(ts, sites)]
 
-    ell = _ell_matrix(gen, points)
-    strict = np.isfinite(ell)
+    strict = np.isfinite(_ell_matrix(gen, points))
     np.fill_diagonal(strict, False)
-    # covers = strict relation minus two-step compositions (transitive reduction)
-    two_step = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    covers = [(int(a), int(b)) for a, b in np.argwhere(strict & ~two_step)]
+    covers = _transitive_reduction(strict)
     labels = [f"e{k}|{point_label(gen, p)}" for k, p in enumerate(points)]
     causet = build_causet(labels, covers)
     site_map = {k: points[k] for k in range(count)}
@@ -186,8 +195,7 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
         # order induced by B on the same transported sites
         strict_b = np.isfinite(space_b.ell)
         np.fill_diagonal(strict_b, False)
-        two = (strict_b.astype(np.uint8) @ strict_b.astype(np.uint8)) > 0
-        covers_b = [(int(a), int(b)) for a, b in np.argwhere(strict_b & ~two)]
+        covers_b = _transitive_reduction(strict_b)
         chain_b = chain_ell(build_causet(causet.elements, covers_b))
         _, chain_dis = min_distortion(chain_a, chain_b, mode="heuristic", seed=sub_seed)
 

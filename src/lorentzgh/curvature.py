@@ -11,10 +11,12 @@ curvature is -K). Model charts (universal covers):
   K < 0   expanding cover, chart (t, theta) with
           ds^2 = -dt^2 + r^2 cosh^2(t/r) dtheta^2,  r = 1/sqrt(-K)
 
-Causality is flat in conformal coordinates (time vs gudermannian of the
-other coordinate); time separations come from the quadric bilinear form in
-cancellation-free form, cross-validated against geodesic shooting in the
-test suite.
+For K != 0 the plane is a quadric in R^{2,1} (anti-de Sitter for K > 0, de
+Sitter for K < 0). Causality is flat in conformal coordinates (time vs
+gudermannian of the other coordinate); time separations come from the
+quadric bilinear form in cancellation-free form, and comparison points are
+placed on the quadric in closed form. Both are cross-validated against
+geodesic shooting in the test suite.
 """
 
 from __future__ import annotations
@@ -122,42 +124,6 @@ def _time_axis_point(K: float, tau: float) -> ModelPoint:
     return model_point(K, tau / r, 0.0)
 
 
-def _interval_residuals(K: float, y: ModelPoint, x: ModelPoint,
-                        t_yz: float, t_xz: float):
-    """Smooth residual system for the z placement (solved in chart coords)."""
-    if K == 0:
-        def res(u, v):
-            return (u * u - v * v - t_yz * t_yz,
-                    (u - x.coords[0]) ** 2 - v * v - t_xz * t_xz)
-        return res
-    if K < 0:
-        # expanding chart (t, theta): bilinear form via cosh of t/r
-        r = 1.0 / math.sqrt(-K)
-        ay = y.coords[0] / r
-        ax = x.coords[0] / r
-
-        def res(u, v):
-            a = u / r
-            qy = math.cosh(ay) * math.cosh(a) * math.cos(v - y.coords[1]) \
-                - math.sinh(ay) * math.sinh(a)
-            qx = math.cosh(ax) * math.cosh(a) * math.cos(v - x.coords[1]) \
-                - math.sinh(ax) * math.sinh(a)
-            return (qy - math.cosh(t_yz / r), qx - math.cosh(t_xz / r))
-        return res
-    # refocusing chart (T, rho)
-    r = 1.0 / math.sqrt(K)
-    Ty, ry_ = y.coords
-    Tx, rx_ = x.coords
-
-    def res(u, v):
-        qy = math.cosh(ry_) * math.cosh(v) * math.cos(u - Ty) \
-            - math.sinh(ry_) * math.sinh(v)
-        qx = math.cosh(rx_) * math.cosh(v) * math.cos(u - Tx) \
-            - math.sinh(rx_) * math.sinh(v)
-        return (qy - math.cos(t_yz / r), qx - math.cos(t_xz / r))
-    return res
-
-
 def _flat_z(a: float, t_yz: float, t_xz: float) -> tuple[float, float]:
     """Closed-form Minkowski placement (positive-side branch)."""
     t = (a * a + t_yz * t_yz - t_xz * t_xz) / (2 * a)
@@ -171,132 +137,42 @@ def _flat_z(a: float, t_yz: float, t_xz: float) -> tuple[float, float]:
     return t, math.sqrt(under)
 
 
-def _solve_z(K: float, y: ModelPoint, x: ModelPoint, t_yx: float,
-             t_yz: float, t_xz: float, tol: float = 1e-10) -> ModelPoint:
-    """Place z with tau(y,z) = t_yz, tau(x,z) = t_xz on the positive side."""
+def _solve_z(K: float, t_yx: float, t_yz: float, t_xz: float) -> ModelPoint:
+    """Place z with tau(y,z) = t_yz, tau(x,z) = t_xz on the positive side.
+
+    y is the chart origin, x is at chart time a = t_yx/r on the axis, and
+    s = t_yz/r, w = t_xz/r; sh, ch are sinh, cosh for K < 0 and sin, cos for
+    K > 0. On the unit quadric, (t, theta) is the point (sinh(t/r),
+    cosh(t/r) cos(theta), cosh(t/r) sin(theta)) and (T, rho) is the point
+    (cosh(rho) cos(T), cosh(rho) sin(T), sinh(rho)). tau(y,z) fixes the
+    coordinate paired with y to ch(s), tau(x,z) the other time-like one to
+    sh(s) + lo with lo = (ch(s - a) - ch(w)) / sh(a), kept in product form
+    so small t_xz does not cancel; the reverse triangle makes lo >= 0. The
+    quadric leaves the third coordinate +-sqrt(lo (lo + 2 sh(s))): the
+    positive root is z, the negative its mirror. atan2 reads the angle back
+    on the branch with dT <= pi for K > 0, the regime `model_ell` measures.
+    """
     collinear = abs(t_yz - (t_yx + t_xz)) <= 1e-12 * max(1.0, t_yz)
     if collinear:
         return _time_axis_point(K, t_yz)
     if t_yz < t_yx + t_xz - 1e-12:
         raise Unrealizable("tau_yz < tau_yx + tau_xz",
                            "reverse triangle fails in the model")
-    tf, xf = _flat_z(t_yx, t_yz, t_xz)
     if K == 0:
-        return model_point(0.0, tf, xf)
-    res = _interval_residuals(K, y, x, t_yz, t_xz)
+        return model_point(0.0, *_flat_z(t_yx, t_yz, t_xz))
+    r = 1.0 / math.sqrt(abs(K))
+    a, s, w = t_yx / r, t_yz / r, t_xz / r
+    sh = math.sinh if K < 0 else math.sin
+    lo = 2.0 * sh((s - a + w) / 2.0) * sh((s - a - w) / 2.0) / sh(a)
+    sh_s = sh(s)
+    z2 = math.sqrt(max(lo * (lo + 2.0 * sh_s), 0.0))
     if K < 0:
-        r = 1.0 / math.sqrt(-K)
-        inits = [(tf, xf / (r * math.cosh(tf / (2 * r)))), (tf, xf / r), (tf, 0.5 * xf / r)]
+        u, v = r * math.asinh(sh_s + lo), math.atan2(z2, math.cosh(s))
     else:
-        r = 1.0 / math.sqrt(K)
-        inits = [(tf / r, xf / r), (tf / r, 0.5 * xf / r), (tf / r, 1.5 * xf / r)]
-    def safe_res(u, v):
-        try:
-            f = res(u, v)
-        except OverflowError:
-            return None
-        if not (math.isfinite(f[0]) and math.isfinite(f[1])):
-            return None
-        return f
-
-    h = 1e-7
-    for u0, v0 in inits:
-        u, v = u0, max(v0, 1e-9)
-        ok = False
-        for _ in range(80):
-            f = safe_res(u, v)
-            if f is None:
-                break
-            f1, f2 = f
-            norm = math.hypot(f1, f2)
-            if norm < tol / 10:
-                ok = True
-                break
-            # numerical Jacobian, central differences
-            rp, rm = safe_res(u + h, v), safe_res(u - h, v)
-            cp, cm = safe_res(u, v + h), safe_res(u, v - h)
-            if None in (rp, rm, cp, cm):
-                break
-            j11 = (rp[0] - rm[0]) / (2 * h)
-            j12 = (cp[0] - cm[0]) / (2 * h)
-            j21 = (rp[1] - rm[1]) / (2 * h)
-            j22 = (cp[1] - cm[1]) / (2 * h)
-            det = j11 * j22 - j12 * j21
-            if abs(det) < 1e-300:
-                break
-            du = (f1 * j22 - f2 * j12) / det
-            dv = (j11 * f2 - j21 * f1) / det
-            step = 1.0
-            while step > 1e-6:
-                n = safe_res(u - step * du, v - step * dv)
-                if n is not None and math.hypot(*n) < norm:
-                    u, v = u - step * du, v - step * dv
-                    break
-                step /= 2
-            else:
-                break
-        if ok:
-            z = model_point(K, u, abs(v))
-            try:
-                if model_ell(K, y, z) == NEG_INF or model_ell(K, x, z) == NEG_INF:
-                    continue  # converged to a spurious non-causal branch
-            except ChartDomain:
-                continue  # spurious branch past the conjugate locus
-            return _polish_tau(K, y, x, z, t_yz, t_xz, tol)
-    raise SolverDiverged(f"comparison placement did not converge for K={K}")
-
-
-def _polish_tau(K: float, y: ModelPoint, x: ModelPoint, z: ModelPoint,
-                t_yz: float, t_xz: float, tol: float) -> ModelPoint:
-    """Newton steps on the tau residuals themselves.
-
-    The interval-form solve leaves tau residuals above tol when a side is
-    small (the arccos/arccosh derivative blows up), so finish in tau space.
-    """
-    u, v = z.coords
-    h = 1e-8
-
-    def res(uu, vv):
-        zz = model_point(K, uu, vv)
-        try:
-            a = model_ell(K, y, zz)
-            b = model_ell(K, x, zz)
-        except ChartDomain:
-            return None
-        if a == NEG_INF or b == NEG_INF:
-            return None
-        return (a - t_yz, b - t_xz)
-
-    for _ in range(30):
-        f = res(u, v)
-        if f is None:
-            break
-        norm = math.hypot(*f)
-        if norm < tol / 10:
-            break
-        rp, rm = res(u + h, v), res(u - h, v)
-        cp, cm = res(u, v + h), res(u, v - h)
-        if None in (rp, rm, cp, cm):
-            break
-        j11 = (rp[0] - rm[0]) / (2 * h)
-        j12 = (cp[0] - cm[0]) / (2 * h)
-        j21 = (rp[1] - rm[1]) / (2 * h)
-        j22 = (cp[1] - cm[1]) / (2 * h)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            break
-        du = (f[0] * j22 - f[1] * j12) / det
-        dv = (j11 * f[1] - j21 * f[0]) / det
-        step = 1.0
-        while step > 1e-6:
-            nf = res(u - step * du, v - step * dv)
-            if nf is not None and math.hypot(*nf) < norm:
-                u, v = u - step * du, v - step * dv
-                break
-            step /= 2
-        else:
-            break
-    return model_point(K, u, abs(v))
+        u, v = math.atan2(sh_s + lo, math.cos(s)), math.asinh(z2)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ChartDomain(f"comparison placement overflows the chart for K={K}")
+    return model_point(K, u, v)
 
 
 @dataclass(frozen=True)
@@ -331,17 +207,19 @@ def comparison_config(K: float, sides: Sequence[float], tol: float = 1e-10) -> C
 
     y = model_point(K, 0.0, 0.0)
     x = _time_axis_point(K, t_yx)
-    z1 = _solve_z(K, y, x, t_yx, t_yz1, t_xz1, tol)
-    z2m = _solve_z(K, y, x, t_yx, t_yz2, t_xz2, tol)
-    z2 = model_point(K, z2m.coords[0], -z2m.coords[1])  # mirror to the opposite side
-
-    residual = max(
-        abs(model_tau(K, y, x) - t_yx),
-        abs(model_tau(K, y, z1) - t_yz1),
-        abs(model_tau(K, y, z2) - t_yz2),
-        abs(model_tau(K, x, z1) - t_xz1),
-        abs(model_tau(K, x, z2) - t_xz2),
-    )
+    try:
+        z1 = _solve_z(K, t_yx, t_yz1, t_xz1)
+        z2m = _solve_z(K, t_yx, t_yz2, t_xz2)
+        z2 = model_point(K, z2m.coords[0], -z2m.coords[1])  # mirror to the opposite side
+        residual = max(
+            abs(model_tau(K, y, x) - t_yx),
+            abs(model_tau(K, y, z1) - t_yz1),
+            abs(model_tau(K, y, z2) - t_yz2),
+            abs(model_tau(K, x, z1) - t_xz1),
+            abs(model_tau(K, x, z2) - t_xz2),
+        )
+    except OverflowError:
+        raise ChartDomain(f"comparison placement overflows the chart for K={K}") from None
     if residual > tol:
         raise SolverDiverged(f"comparison residual {residual:.3e} exceeds {tol:.1e}")
     return ComparisonConfig(y=y, x=x, z1=z1, z2=z2, residual=residual)
@@ -400,16 +278,17 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
     """
     rng = np.random.default_rng(seed)
     dk = diameter_bound(K)
-    ys = [i for i in range(space.n) if space.chron[i, :].any()]
+    has_future = space.chron.any(axis=1)
+    ys = np.flatnonzero(has_future)
     tested = 0
     violations = []
     attempts = 0
     max_attempts = max(budget * 20, 100)
-    while tested < budget and attempts < max_attempts and ys:
+    while tested < budget and attempts < max_attempts and ys.size:
         attempts += 1
         y = int(rng.choice(ys))
         xs = np.flatnonzero(space.chron[y, :])
-        xs = xs[[bool(space.chron[x, :].any()) for x in xs]]
+        xs = xs[has_future[xs]]
         if xs.size == 0:
             continue
         x = int(rng.choice(xs))
@@ -432,91 +311,3 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
         if not result["holds"]:
             violations.append({"points": cfg.points, "slack": result["slack"]})
     return {"violations": violations, "tested": tested}
-
-
-# ---------------------------------------------------------------------------
-# geodesic-shooting oracle (used by the tests to validate the closed forms)
-# ---------------------------------------------------------------------------
-
-
-def geodesic_tau_oracle(K: float, p: ModelPoint, q: ModelPoint) -> float:
-    """Proper time along the connecting timelike geodesic, by shooting.
-
-    Independent of the bilinear-form path: the expanding models (K < 0)
-    integrate the reduced quadrature in the time coordinate, the refocusing
-    models (K > 0) shoot the full geodesic ODE over the initial rapidity.
-    """
-    from scipy.integrate import quad, solve_ivp
-    from scipy.optimize import brentq
-
-    if K == 0:
-        dt = q.coords[0] - p.coords[0]
-        dx = q.coords[1] - p.coords[1]
-        return math.sqrt(dt * dt - dx * dx)
-
-    if K < 0:
-        r = 1.0 / math.sqrt(-K)
-        a1, a2 = p.coords[0] / r, q.coords[0] / r
-        dth = q.coords[1] - p.coords[1]
-        if a2 <= a1 and dth == 0:
-            return 0.0
-
-        def theta_gain(J):
-            val, _ = quad(lambda u: (J / math.cosh(u) ** 2)
-                          / math.sqrt(1 + J * J / math.cosh(u) ** 2), a1, a2,
-                          limit=200)
-            return val - dth
-
-        hi = 1.0
-        while theta_gain(hi) < 0:
-            hi *= 2
-            if hi > 1e8:
-                raise SolverDiverged("oracle shooting failed (expanding model)")
-        lo = -1.0
-        while theta_gain(lo) > 0:
-            lo *= 2
-            if lo < -1e8:
-                raise SolverDiverged("oracle shooting failed (expanding model)")
-        J = brentq(theta_gain, lo, hi, xtol=1e-14)
-        val, _ = quad(lambda u: 1.0 / math.sqrt(1 + J * J / math.cosh(u) ** 2),
-                      a1, a2, limit=200)
-        return r * val
-
-    r = 1.0 / math.sqrt(K)
-    T1, r1 = p.coords
-    T2, r2 = q.coords
-
-    def shoot(chi):
-        # unit timelike initial velocity: T' = cosh(chi)/cosh(rho), rho' = sinh(chi)
-        def rhs(_, state):
-            T, rho, Tp, rp = state
-            return [Tp, rp,
-                    -2 * math.tanh(rho) * Tp * rp,
-                    -math.cosh(rho) * math.sinh(rho) * Tp * Tp]
-
-        def hit(_, state):
-            return state[0] - T2
-        hit.terminal = True
-        hit.direction = 1
-        v0 = [T1, r1, math.cosh(chi) / math.cosh(r1), math.sinh(chi)]
-        sol = solve_ivp(rhs, (0.0, 4.0 * math.pi), v0, events=hit,
-                        rtol=1e-11, atol=1e-12, dense_output=True)
-        if not sol.t_events[0].size:
-            return None, None
-        s_hit = float(sol.t_events[0][0])
-        rho_hit = float(sol.y_events[0][0][1])
-        return s_hit, rho_hit
-
-    def miss(chi):
-        _, rho_hit = shoot(chi)
-        if rho_hit is None:
-            raise SolverDiverged("oracle shooting failed (K < 0)")
-        return rho_hit - r2
-
-    lo, hi = -5.0, 5.0
-    flo, fhi = miss(lo), miss(hi)
-    if flo * fhi > 0:
-        raise SolverDiverged("oracle bracketing failed (K < 0)")
-    chi = brentq(miss, lo, hi, xtol=1e-13)
-    s_hit, _ = shoot(chi)
-    return r * s_hit

@@ -6,7 +6,7 @@ import pytest
 from lorentzgh import (ProductGenerator, build_causet, chain_ell, circle_fiber,
                        faithful_embed_check, hauptvermutung_trial, segment_fiber,
                        sprinkle, build_space)
-from lorentzgh.causet import order_relation
+from lorentzgh.causet import _transitive_reduction, order_relation
 from lorentzgh.errors import CycleDetected, EmptyRegion
 from lorentzgh.extended import NEG_INF as NI, add
 
@@ -119,6 +119,28 @@ class TestSprinkle:
     def test_empty_region(self):
         with pytest.raises(EmptyRegion):
             sprinkle(self.gen, (0.0, 1.0), 0, seed=0)
+
+
+class TestTransitiveReduction:
+    def test_256_intermediates_not_a_cover(self):
+        # 0 < k < 257 for k = 1..256: a uint8 path count wraps to 0 at (0, 257)
+        n = 258
+        strict = np.zeros((n, n), dtype=bool)
+        strict[0, 1:] = True
+        strict[1:-1, -1] = True
+        covers = _transitive_reduction(strict)
+        assert (0, n - 1) not in covers
+        assert len(covers) == 2 * 256
+
+    def test_matches_definition_on_random_orders(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            strict = np.triu(rng.random((n, n)) < 0.4, k=1)
+            for k in range(n):  # transitive closure
+                strict |= strict[:, [k]] & strict[[k], :]
+            expected = [(a, b) for a in range(n) for b in range(n) if strict[a, b]
+                        and not any(strict[a, c] and strict[c, b] for c in range(n))]
+            assert _transitive_reduction(strict) == expected
 
 
 class TestFaithfulEmbed:

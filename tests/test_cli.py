@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lorentzgh
 from lorentzgh.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,6 +137,26 @@ class TestGeometryCommands:
                             "--K-list", "0,0.5", "--budget", "20", "--seed", "1"],
                            capsys)
         assert len(payload["per_K"]) == 2
+
+
+class TestPackaging:
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the package must not import it
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lorentzgh import cli, comparison_config\n"
+            "comparison_config(0.5, (0.3, 0.8, 0.9, 0.4, 0.5))\n"
+            f"sys.exit(cli.main(['scan', '--space', {str(SCHEMAS / 'space.json')!r},\n"
+            "                    '--K-list', '0,0.5,-0.5', '--budget', '20', '--seed', '1']))\n"
+        )
+        src = str(Path(lorentzgh.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["per_K"]
 
 
 class TestMeasureCommands:

@@ -1,16 +1,23 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lorentzgh import (FourPointConfig, ProductGenerator, SamplePlan,
                        comparison_config, curvature_bound_scan, diameter_bound,
-                       four_point_check, geodesic_tau_oracle, model_ell,
-                       model_point, model_tau, sample_spacetime, segment_fiber)
+                       four_point_check, model_ell, model_point, model_tau,
+                       sample_spacetime, segment_fiber)
 from lorentzgh.curvature import model_tau_between, scale_point
-from lorentzgh.errors import ChartDomain, Unrealizable
+from lorentzgh.errors import ChartDomain, DomainError, Unrealizable
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh import build_space
+
+from geodesic_oracle import geodesic_tau_oracle
+
+# scans and slacks recorded with the damped-Newton placement the closed form replaced
+PINS = json.loads((Path(__file__).parent / "data" / "curvature_pins.json").read_text())
 
 
 def minkowski_sample(step=0.25, width=2.0, sites=12, height=2.5):
@@ -101,6 +108,8 @@ class TestComparisonConfig:
         assert cc.residual <= 1e-10
 
     def test_residuals_within_tolerance_all_K(self, rng):
+        # each draw also runs near-collinear (slack 1e-9) and with a short
+        # t_xz (1e-3), where a cancelling placement formula loses digits
         for K in (0.0, 0.5, -0.5, 1.5, -2.0):
             for _ in range(25):
                 t_yx = float(rng.uniform(0.2, 0.8))
@@ -108,12 +117,62 @@ class TestComparisonConfig:
                 t_xz2 = float(rng.uniform(0.1, 0.7))
                 slack1 = float(rng.uniform(0, 0.4))
                 slack2 = float(rng.uniform(0, 0.4))
-                sides = (t_yx, t_yx + t_xz1 + slack1, t_yx + t_xz2 + slack2,
-                         t_xz1, t_xz2)
-                if K > 0 and max(sides) >= diameter_bound(K):
-                    continue
+                for xz1, xz2, s1, s2 in ((t_xz1, t_xz2, slack1, slack2),
+                                         (t_xz1, t_xz2, 1e-9, 1e-9),
+                                         (1e-3, 1e-3, slack1, slack2)):
+                    sides = (t_yx, t_yx + xz1 + s1, t_yx + xz2 + s2, xz1, xz2)
+                    if K > 0 and max(sides) >= diameter_bound(K):
+                        continue
+                    cc = comparison_config(K, sides)
+                    assert cc.residual <= 1e-10
+
+    def test_placements_match_geodesic_oracle(self, rng):
+        for K in (0.5, -0.5, 1.5, -2.0):
+            for _ in range(2):
+                t_yx, t_xz1, t_xz2 = (float(v) for v in rng.uniform(0.1, 0.5, size=3))
+                slack1, slack2 = (float(v) for v in rng.uniform(0.01, 0.3, size=2))
+                sides = (t_yx, t_yx + t_xz1 + slack1, t_yx + t_xz2 + slack2, t_xz1, t_xz2)
                 cc = comparison_config(K, sides)
-                assert cc.residual <= 1e-10
+                for z, t_yz, t_xz in ((cc.z1, sides[1], t_xz1), (cc.z2, sides[2], t_xz2)):
+                    assert abs(geodesic_tau_oracle(K, cc.y, z) - t_yz) < 1e-8
+                    assert abs(geodesic_tau_oracle(K, cc.x, z) - t_xz) < 1e-8
+
+    @pytest.mark.parametrize("K, sides", [
+        # tiny t_yx: the flat-space seed of an iterative solver overflowed cosh
+        (-0.5, (0.00012831354826313502, 0.00016240328795778875, 0.7314880254257841,
+                3.369344693807339e-05, 0.0064418366255987935)),
+        # collinear sides far beyond the chart's float range
+        (-1.14, (2.3e-232, 6397.84, 1.5e-166, 6397.84, 1.8e-221)),
+    ])
+    def test_extreme_sides_fail_typed(self, K, sides):
+        try:
+            cc = comparison_config(K, sides)
+        except DomainError:
+            return
+        assert cc.residual <= 1e-10
+
+    def test_seeded_corpus_places_at_least_as_many_as_newton(self):
+        # the damped-Newton solver placed 8550 of these 9000 side sets within tol
+        rng = np.random.default_rng(27)
+
+        def draw(lo=1e-3, hi=1.0):
+            return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        placed = 0
+        for K in (0.01, -0.01, 0.1, -0.1, 0.5, -0.5, 1.5, -2.0, 3.0):
+            count = 0
+            while count < 1000:
+                t_yx, t_xz1, t_xz2 = draw(), draw(), draw()
+                sides = (t_yx, t_yx + t_xz1 + draw(1e-9), t_yx + t_xz2 + draw(1e-9),
+                         t_xz1, t_xz2)
+                if max(sides) > 1.0 or max(sides) >= diameter_bound(K):
+                    continue
+                count += 1
+                try:
+                    comparison_config(K, sides)
+                except DomainError:
+                    continue
+                placed += 1
+        assert placed >= 8550
 
     def test_unrealizable_short_side(self):
         with pytest.raises(Unrealizable):
@@ -197,6 +256,28 @@ class TestFourPoint:
         broken = _finish(sp.labels, ell, sp.tol)
         out = four_point_check(broken, FourPointConfig("future", (y, x, z1, z2)), 0.0)
         assert not out["holds"]
+
+
+class TestPinnedPlacement:
+    """The closed-form placement reproduces the recorded Newton results."""
+
+    def test_scans_match_recorded(self):
+        s = minkowski_sample()
+        for pin in PINS["scans"]:
+            out = curvature_bound_scan(s.space, pin["K"], budget=1500, seed=pin["seed"],
+                                       tol=1e-9)
+            assert out["tested"] == pin["tested"]
+            assert [list(v["points"]) for v in out["violations"]] == \
+                [p for p, _ in pin["violations"]]
+            for v, (_, slack) in zip(out["violations"], pin["violations"]):
+                assert abs(v["slack"] - slack) <= 1e-9
+
+    def test_slacks_match_recorded(self):
+        s = minkowski_sample()
+        for pin in PINS["configs"]:
+            cfg = FourPointConfig("future", tuple(pin["points"]))
+            for K in (0.5, -0.5):
+                assert abs(four_point_check(s.space, cfg, K)["slack"] - pin[str(K)]) <= 1e-9
 
 
 class TestStabilityExperiment:
