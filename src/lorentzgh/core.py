@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (AxiomViolation, CapExceeded, EmptySubset, PrePDPRequired,
                      ShapeMismatch, SizeMismatch)
-from .extended import gap_matrix
+from .extended import gap, gap_matrix
 
 DEFAULT_TOL = 1e-9
 
@@ -49,24 +49,6 @@ class FiniteLorentzSpace:
 
     def tau_matrix(self) -> np.ndarray:
         return np.maximum(0.0, self.ell)
-
-    def future(self, i: int) -> np.ndarray:
-        """J+(i) as a boolean mask."""
-        return self.causal[i, :]
-
-    def past(self, i: int) -> np.ndarray:
-        """J-(i) as a boolean mask."""
-        return self.causal[:, i]
-
-    def diamond(self, p: int, q: int) -> np.ndarray:
-        """J(p, q) = J+(p) & J-(q) as a boolean mask."""
-        return self.causal[p, :] & self.causal[:, q]
-
-    def chron_future(self, i: int) -> np.ndarray:
-        return self.chron[i, :]
-
-    def chron_past(self, i: int) -> np.ndarray:
-        return self.chron[:, i]
 
     def chron_diamond(self, p: int, q: int) -> np.ndarray:
         """I(p, q) as a boolean mask."""
@@ -151,21 +133,41 @@ class CausalityReport:
 
 
 def _indistinguishable_pairs(space: FiniteLorentzSpace) -> list[tuple[int, int]]:
-    """Pairs i<j with identical ell-rows and ell-columns (within tol)."""
+    """Pairs i<j with identical ell-rows and ell-columns (within tol), sorted.
+
+    Sort and verify: a match needs the same -inf pattern in the profile
+    [row | column] and finite-entry sums within 2n*tol of each other, so
+    profiles are sorted by (pattern, sum) and only neighbours inside that
+    window are compared entrywise.
+    """
     ell, tol, n = space.ell, space.tol, space.n
-    if n <= 64:
-        rows = gap_matrix(ell[:, None, :], ell[None, :, :])   # (i, j, z)
-        cols = gap_matrix(ell.T[:, None, :], ell.T[None, :, :])
-        eq = (rows <= tol).all(axis=2) & (cols <= tol).all(axis=2)
-        return [(int(i), int(j)) for i, j in np.argwhere(np.triu(eq, 1))]
+    prof = np.concatenate([ell, ell.T], axis=1)
+    neg = np.isneginf(prof)
+    finite = np.where(neg, 0.0, prof)
+    sums = finite.sum(axis=1)
+    # a true match has |sum_i - sum_j| <= 2n*tol; each computed sum of 2n
+    # terms is off by at most n*eps*sum|x|, so the window adds 2n*eps*amax
+    # for the two sums, padded 4x for the rounding of the window itself
+    amax = float(np.abs(finite, out=finite).sum(axis=1).max(initial=0.0))
+    window = 2 * n * (tol + 4 * np.finfo(float).eps * (amax + tol))
+    pattern = np.packbits(neg, axis=1)
+    order = np.lexsort((sums, *pattern.T[::-1]))
+    same = (pattern[order[1:]] == pattern[order[:-1]]).all(axis=1)
+    s = sums[order]
     out = []
-    for i in range(n):
-        row_i, col_i = ell[i, :], ell[:, i]
-        for j in range(i + 1, n):
-            if (gap_matrix(row_i, ell[j, :]) <= tol).all() and \
-               (gap_matrix(col_i, ell[:, j]) <= tol).all():
-                out.append((i, j))
-    return out
+    for p in np.flatnonzero(same & (s[1:] - s[:-1] <= window)):
+        hi = p + 1
+        while hi < n and same[hi - 1] and s[hi] - s[p] <= window:
+            hi += 1
+        i, js = order[p], order[p + 1:hi]
+        for j in js[(gap_matrix(prof[js], prof[i]) <= tol).all(axis=1)]:
+            out.append((int(min(i, j)), int(max(i, j))))
+    return sorted(out)
+
+
+def _causal_two_cycles(space: FiniteLorentzSpace) -> np.ndarray:
+    """Pairs i<j related causally both ways, in row-major order."""
+    return np.argwhere(np.triu(space.causal & space.causal.T, 1))
 
 
 def causality_class(space: FiniteLorentzSpace) -> CausalityReport:
@@ -173,9 +175,7 @@ def causality_class(space: FiniteLorentzSpace) -> CausalityReport:
     diag = np.diagonal(space.ell)
     chron_bad = [int(i) for i in np.flatnonzero(diag > space.tol)]
 
-    sym = (space.causal & space.causal.T).copy()
-    np.fill_diagonal(sym, False)
-    causal_bad = [(int(i), int(j)) for i, j in np.argwhere(sym) if i < j]
+    causal_bad = [(int(i), int(j)) for i, j in _causal_two_cycles(space)]
 
     pdp_bad = _indistinguishable_pairs(space)
 
@@ -190,9 +190,12 @@ def causality_class(space: FiniteLorentzSpace) -> CausalityReport:
 def quotient_tau_indistinguishable(space: FiniteLorentzSpace):
     """Collapse ell-indistinguishable points.
 
-    Classes are connected components of the pairwise indistinguishability
-    relation (a true equivalence for exact inputs); the representative is
-    the lowest original index. Returns (quotient space, projection array).
+    Two points are indistinguishable when their ell-rows and ell-columns
+    match entrywise within `space.tol` (-inf only against -inf). "Within
+    tol" is not transitive: classes are the connected components of the
+    pairwise relation, so a chain a~b~c collapses to one class even when a
+    and c differ by more than tol. The representative of a class is its
+    lowest original index. Returns (quotient space, projection array).
     """
     n = space.n
     parent = list(range(n))
@@ -251,14 +254,6 @@ def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float
     return max(0.0, float(space.ell[np.ix_(idx, idx)].max()))
 
 
-def _entries_match(x: float, y: float, tol: float) -> bool:
-    if x == y:  # covers -inf == -inf and exact finite hits
-        return True
-    if np.isneginf(x) or np.isneginf(y):
-        return False
-    return abs(x - y) <= tol
-
-
 def _iso_extend(a, b, order, pos, image, used, tol):
     if pos == len(order):
         return True
@@ -268,13 +263,13 @@ def _iso_extend(a, b, order, pos, image, used, tol):
     for cand in range(b.n):
         if used[cand]:
             continue
-        if not _entries_match(ea[i, i], eb[cand, cand], tol):
+        if not gap(ea[i, i], eb[cand, cand]) <= tol:
             continue
         ok = True
         for j in assigned:
             fj = image[j]
-            if not _entries_match(ea[i, j], eb[cand, fj], tol) or \
-               not _entries_match(ea[j, i], eb[fj, cand], tol):
+            if not (gap(ea[i, j], eb[cand, fj]) <= tol and
+                    gap(ea[j, i], eb[fj, cand]) <= tol):
                 ok = False
                 break
         if not ok:

@@ -45,17 +45,16 @@ def make_correspondence(pairs: Sequence[tuple[int, int]], n_left: int, n_right: 
     return Correspondence(tuple(sorted(set((int(x), int(y)) for x, y in pairs))), n_left, n_right)
 
 
-def bijection_correspondence(mapping: dict[int, int], n: int) -> Correspondence:
-    return make_correspondence([(x, y) for x, y in mapping.items()], n, n)
+def _sup_gap(a, b, xs, ys) -> float:
+    """sup over k, m of gap(ell_a[xs[k], xs[m]], ell_b[ys[k], ys[m]])."""
+    return float(gap_matrix(a.ell[np.ix_(xs, xs)], b.ell[np.ix_(ys, ys)]).max())
 
 
 def distortion(r: Correspondence, a: FiniteLorentzSpace, b: FiniteLorentzSpace) -> float:
     """sup over pairs-of-pairs of |ell_a - ell_b| under the conventions."""
     xs = np.array([x for x, _ in r.pairs], dtype=int)
     ys = np.array([y for _, y in r.pairs], dtype=int)
-    la = a.ell[np.ix_(xs, xs)]
-    lb = b.ell[np.ix_(ys, ys)]
-    return float(gap_matrix(la, lb).max())
+    return _sup_gap(a, b, xs, ys)
 
 
 def compose(r: Correspondence, q: Correspondence) -> Correspondence:
@@ -161,57 +160,41 @@ class _ExactSearch:
             self._pop()
 
 
-def _scores_for_left(a, b, pairs, y0):
-    """For fixed right point y0: incremental sup over every left candidate x."""
-    if not pairs:
-        return gap_matrix(np.diagonal(a.ell), np.full(a.n, b.ell[y0, y0]))
-    xs = np.array([p[0] for p in pairs], dtype=int)
-    ys = np.array([p[1] for p in pairs], dtype=int)
-    fwd = gap_matrix(a.ell[:, xs], np.broadcast_to(b.ell[y0, ys], (a.n, len(xs))))
-    bwd = gap_matrix(a.ell[xs, :].T, np.broadcast_to(b.ell[ys, y0], (a.n, len(xs))))
-    scores = np.maximum(fwd, bwd).max(axis=1)
-    return np.maximum(scores, gap_matrix(np.diagonal(a.ell),
-                                         np.full(a.n, b.ell[y0, y0])))
+def _candidate_scores(cand, fixed, cs, fs, f0):
+    """Incremental sup for pairing every point c of `cand` with point f0 of `fixed`.
 
-
-def _scores_for_right(a, b, pairs, x0):
-    """For fixed left point x0: incremental sup over every right candidate y."""
-    if not pairs:
-        return gap_matrix(np.full(b.n, a.ell[x0, x0]), np.diagonal(b.ell))
-    xs = np.array([p[0] for p in pairs], dtype=int)
-    ys = np.array([p[1] for p in pairs], dtype=int)
-    fwd = gap_matrix(np.broadcast_to(a.ell[x0, xs], (b.n, len(xs))), b.ell[:, ys])
-    bwd = gap_matrix(np.broadcast_to(a.ell[xs, x0], (b.n, len(xs))), b.ell[ys, :].T)
-    scores = np.maximum(fwd, bwd).max(axis=1)
-    return np.maximum(scores, gap_matrix(np.full(b.n, a.ell[x0, x0]),
-                                         np.diagonal(b.ell)))
+    (cs[k], fs[k]) are the pairs chosen so far, cand-side index first. The
+    right side calls this with the spaces swapped; gap is symmetric.
+    """
+    fwd = gap_matrix(cand.ell[:, cs], fixed.ell[f0, fs])
+    bwd = gap_matrix(cand.ell[cs, :].T, fixed.ell[fs, f0])
+    scores = np.maximum(fwd, bwd).max(axis=1, initial=0.0)
+    return np.maximum(scores, gap_matrix(np.diagonal(cand.ell), fixed.ell[f0, f0]))
 
 
 def _complete_and_eval(a, b, fmap):
     """Cover uncovered right points greedily, then evaluate the full sup."""
     covered = set(fmap)
     partners: dict[int, int] = {}
-    pairs = [(x, y) for x, y in enumerate(fmap)]
+    xs, ys = list(range(len(fmap))), list(fmap)
     for y in range(b.n):
         if y in covered:
             continue
-        scores = _scores_for_left(a, b, pairs, y)
-        best_x = int(np.argmin(scores))
+        best_x = int(np.argmin(_candidate_scores(a, b, np.array(xs, dtype=int),
+                                                 np.array(ys, dtype=int), y)))
         partners[y] = best_x
-        pairs.append((best_x, y))
+        xs.append(best_x)
+        ys.append(y)
     full = _pairs_from_maps(fmap, partners)
     corr = make_correspondence(full, a.n, b.n)
     return corr, distortion(corr, a, b)
 
 
 def _greedy_fmap(a, b):
-    fmap = []
-    pairs: list[tuple[int, int]] = []
+    fmap: list[int] = []
     for x in range(a.n):
-        scores = _scores_for_right(a, b, pairs, x)
-        best_y = int(np.argmin(scores))
-        fmap.append(best_y)
-        pairs.append((x, best_y))
+        fmap.append(int(np.argmin(_candidate_scores(b, a, np.array(fmap, dtype=int),
+                                                    np.arange(x), x))))
     return fmap
 
 
@@ -395,7 +378,7 @@ def slot_matching(net_a: DiamondNet, net_b: DiamondNet) -> dict[int, int]:
 def _matching_distortion(matching: dict[int, int], a, b) -> float:
     xs = np.array(sorted(matching), dtype=int)
     ys = np.array([matching[x] for x in xs], dtype=int)
-    return float(gap_matrix(a.ell[np.ix_(xs, xs)], b.ell[np.ix_(ys, ys)]).max())
+    return _sup_gap(a, b, xs, ys)
 
 
 def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMember,

@@ -3,36 +3,24 @@
 A value is an ordinary float; NEG_INF marks causally unrelated pairs.
 Conventions baked in:
 
-  NEG_INF + x = NEG_INF                       (left-hand side of the reverse triangle inequality)
+  NEG_INF + x = NEG_INF                       (float + absorbs; left side of the reverse triangle inequality)
   |NEG_INF - NEG_INF| = 0                     (distortion of matched unrelated pairs)
   |NEG_INF - finite| = INF_GAP                (mixed gaps are absorbing in distortions)
 
 +inf is not a legal time value (covered spaces have finite tau); INF_GAP
 re-uses float inf purely as the distortion sentinel.
+
+`gap` and `gap_matrix` are the only encodings of the comparison convention:
+two values match within tol iff their gap is <= tol, so NEG_INF matches
+only NEG_INF and finite values match within tol.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 NEG_INF = float("-inf")
 INF_GAP = float("inf")
-
-
-def is_time_value(x: float) -> bool:
-    """True for members of {-inf} union [0, inf)."""
-    if x == NEG_INF:
-        return True
-    return math.isfinite(x) and x >= 0.0
-
-
-def add(a: float, b: float) -> float:
-    """Extended sum; NEG_INF absorbs."""
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
 
 
 def gap(a: float, b: float) -> float:
@@ -60,13 +48,3 @@ def gap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.where(both, 0.0, out)
     out = np.where(a_inf ^ b_inf, INF_GAP, out)
     return out
-
-
-def tau(ell: float) -> float:
-    """Time separation max(0, ell)."""
-    return max(0.0, ell)
-
-
-def values_equal(a: float, b: float, tol: float) -> bool:
-    """Equality under the conventions: NEG_INF matches only NEG_INF, finite values within tol."""
-    return gap(a, b) <= tol

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (CoveredFiniteSpace, FiniteLorentzSpace, build_space, covered,
-                   timelike_diameter)
+from .core import (CoveredFiniteSpace, FiniteLorentzSpace, _causal_two_cycles,
+                   build_space, covered, timelike_diameter)
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
@@ -190,12 +190,10 @@ def forward_complete_check(space: FiniteLorentzSpace) -> dict:
     nontrivial cycle; any 2-cycle witnesses an alternating non-convergent
     monotone bounded sequence (and cycles reduce to 2-cycles by transitivity).
     """
-    sym = (space.causal & space.causal.T).copy()
-    np.fill_diagonal(sym, False)
-    bad = np.argwhere(sym)
+    bad = _causal_two_cycles(space)
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        return {"complete": False, "witness": (min(i, j), max(i, j))}
+        return {"complete": False, "witness": (i, j)}
     return {"complete": True, "witness": None}
 
 

@@ -29,8 +29,6 @@ def _encode_value(x: float):
         return "-inf"
     if math.isinf(x):
         return "inf"
-    if x == int(x) and abs(x) < 2**53:
-        return x  # ints and integral floats round-trip as-is
     return x
 
 
@@ -171,7 +169,3 @@ def _sanitize(obj):
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     return obj
-
-
-def loads(text: str) -> Any:
-    return json.loads(text)

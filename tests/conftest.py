@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lorentzgh import build_space, chain_ell, build_causet
 from lorentzgh.extended import NEG_INF
+
+# derandomized: every run draws the same examples, so the suite is deterministic
+settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
+settings.load_profile("seeded")
 
 
 def chain_space(times, tol=1e-9):

@@ -1,19 +1,22 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import chain_space, layered_space, random_chain, random_causet_space, union_space
 from lorentzgh import (build_space, causality_class, classify_special_points, covered,
                        isometry_search, quotient_tau_indistinguishable, timelike_diameter)
-from lorentzgh.core import CoveredFiniteSpace
+from lorentzgh.core import CoveredFiniteSpace, _finish, _indistinguishable_pairs
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
                               PrePDPRequired, ShapeMismatch, SizeMismatch)
-from lorentzgh.extended import NEG_INF as NI, gap, add, INF_GAP
+from lorentzgh.extended import NEG_INF as NI, gap, INF_GAP
 from lorentzgh import serialize as ser
 
 
 def test_extended_conventions():
-    assert add(NI, 3.0) == NI
-    assert add(NI, NI) == NI
+    assert NI + 3.0 == NI
+    assert NI + NI == NI
     assert gap(NI, NI) == 0.0
     assert gap(NI, 2.0) == INF_GAP
     assert gap(1.0, 1.5) == 0.5
@@ -83,6 +86,47 @@ class TestCausality:
         assert rep.witnesses["pdp"]
 
 
+def brute_force_pairs(ell, tol):
+    """Oracle: compare every (i, j) profile entry by broadcasting over (n, n, 2n)."""
+    prof = np.concatenate([ell, ell.T], axis=1)
+    a, b = prof[:, None, :], prof[None, :, :]
+    a_inf, b_inf = np.isneginf(a), np.isneginf(b)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(a - b) <= tol
+    match = np.where(a_inf | b_inf, a_inf & b_inf, close).all(axis=2)
+    return [(int(i), int(j)) for i, j in np.argwhere(np.triu(match, 1))]
+
+
+PDP_TOL = 1e-9
+# 0 against PDP_TOL sits exactly on the "gap <= tol" boundary
+PDP_POOL = np.array([NI, 0.0, PDP_TOL, 1.0, 1 + PDP_TOL / 2, 1 - PDP_TOL / 2,
+                     1 + 2 * PDP_TOL, 1 - 2 * PDP_TOL])
+
+
+@st.composite
+def raw_profiles(draw):
+    """Unvalidated matrices from a small value pool, with (near-)duplicated points."""
+    n = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ell = PDP_POOL[rng.integers(0, len(PDP_POOL), size=(n, n))]
+    for _ in range(draw(st.integers(0, n))):
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        ell[j, :] = ell[i, :]
+        ell[:, j] = ell[:, i]
+        # nudge a few finite entries of the copy to another finite pool value
+        for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
+            if k not in (i, j) and np.isfinite(ell[j, k]):
+                ell[j, k] = PDP_POOL[int(rng.integers(1, len(PDP_POOL)))]
+    return _finish([f"p{i}" for i in range(n)], ell, PDP_TOL)
+
+
+class TestIndistinguishablePairs:
+    @settings(max_examples=120)
+    @given(raw_profiles())
+    def test_matches_brute_force(self, space):
+        assert _indistinguishable_pairs(space) == brute_force_pairs(space.ell, space.tol)
+
+
 class TestQuotient:
     def test_merges_duplicates(self):
         s = build_space(["a", "b", "b2", "c"],
@@ -113,6 +157,19 @@ class TestQuotient:
         assert q.n == 3
         q2, proj2 = quotient_tau_indistinguishable(q)
         assert q2.n == q.n and (proj2 == np.arange(q.n)).all()
+
+    def test_within_tol_chain_is_one_class(self):
+        # a~b and b~c within tol but |a - c| > tol: connected components merge
+        # all three, represented by the lowest index (raw matrix: the chain
+        # itself breaks the reverse triangle inequality by more than tol)
+        tol = 1e-9
+        ell = np.zeros((4, 4))
+        ell[0, 1:] = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol]
+        s = _finish(["r", "a", "b", "c"], ell, tol)
+        assert _indistinguishable_pairs(s) == [(1, 2), (2, 3)]
+        q, proj = quotient_tau_indistinguishable(s)
+        assert q.labels == ("r", "a")
+        assert proj.tolist() == [0, 1, 1, 1]
 
     def test_always_pdp_and_causal(self, rng):
         for _ in range(300):
@@ -238,7 +295,7 @@ class TestJsonRoundTrip:
         for _ in range(30):
             s = random_chain(rng)
             text = ser.dumps(ser.space_to_dict(s))
-            back = ser.space_from_dict(ser.loads(text))
+            back = ser.space_from_dict(json.loads(text))
             assert back.labels == s.labels
             assert (back.ell == s.ell).all()  # bit-exact incl. -inf
 
@@ -256,4 +313,4 @@ def test_reverse_triangle_invariant_exhaustive(rng):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert add(s.ell[i, j], s.ell[j, k]) <= s.ell[i, k] + 1e-12
+                    assert s.ell[i, j] + s.ell[j, k] <= s.ell[i, k] + 1e-12

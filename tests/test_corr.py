@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from lorentzgh import (build_space, compose, distortion, isometry_search,
 from lorentzgh.corr import EXACT_SIZE_CAP, Correspondence
 from lorentzgh.errors import CapExceeded, MiddleMismatch, ShapeMismatch
 from lorentzgh.extended import INF_GAP, NEG_INF as NI
+
+
+MATCHER_PINS = json.loads((Path(__file__).parent / "data" / "matcher_pins.json").read_text())
 
 
 def random_integer_space(rng, n):
@@ -195,3 +200,25 @@ class TestCertificate:
         report = lgh_certificate([CertificateMember(space=a, nets=net_a)],
                                  CertificateMember(space=b, nets=net_b))
         assert report.stages[0]["distortion"] == pytest.approx(0.2)
+
+
+class TestPinnedMatcher:
+    """Heuristic min_distortion results recorded before the matcher kernels merged.
+
+    The corpus mixes chains, layered spaces with duplicate points, unions with
+    -inf blocks, causal sets and sprinkles (sizes 3 to 40, both a.n < b.n and
+    a.n > b.n, finite and INF_GAP optima), each at seeds 0 and 3.
+    """
+
+    @staticmethod
+    def _space(rec):
+        ell = [[NI if v == "-inf" else v for v in row] for row in rec["ell"]]
+        return build_space(rec["labels"], ell, tol=rec["tol"])
+
+    def test_reproduces_recorded_results(self):
+        spaces = [self._space(rec) for rec in MATCHER_PINS["spaces"]]
+        for case in MATCHER_PINS["cases"]:
+            r, val = min_distortion(spaces[case["a"]], spaces[case["b"]], seed=case["seed"])
+            expected = INF_GAP if case["distortion"] == "inf" else case["distortion"]
+            assert [list(p) for p in r.pairs] == case["pairs"]
+            assert val == expected

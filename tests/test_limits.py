@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import chain_space, random_causet_space
+from conftest import chain_space, layered_space, random_causet_space
 from lorentzgh import (BlowupSpec, CoveredSequence, DiamondNet, blow_up, covered,
                        diagonal_limit, forward_complete_check, isometry_search,
                        select_blowup_spec, tangent_experiment, timelike_diameter,
@@ -100,6 +100,13 @@ class TestForwardComplete:
             out = forward_complete_check(s)
             if rep.causal:
                 assert out["complete"]
+
+    def test_witness_is_first_causal_witness(self, rng):
+        for _ in range(30):
+            s = layered_space(rng, layers=3, width=int(rng.integers(1, 4)))
+            causal = causality_class(s).witnesses["causal"]
+            out = forward_complete_check(s)
+            assert out["witness"] == (causal[0] if causal else None)
 
     def test_symmetric_pair_incomplete_then_quotient_completes(self):
         from lorentzgh import quotient_tau_indistinguishable
