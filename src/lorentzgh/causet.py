@@ -12,7 +12,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, build_space
+from .core import DEFAULT_TOL, FiniteLorentzSpace, _finish, build_space
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
@@ -33,6 +33,8 @@ class CausalSet:
 
 def build_causet(elements: Sequence[str], covers: Sequence[tuple[int, int]]) -> CausalSet:
     n = len(elements)
+    if len(set(elements)) != n:
+        raise ShapeMismatch("element labels must be unique")
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise ShapeMismatch(f"cover pair ({a}, {b}) out of range")
@@ -66,7 +68,11 @@ def _topological_order(c: CausalSet) -> list[int]:
 
 
 def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
-    """Longest-chain step counts by dynamic programming over a topological order."""
+    """Longest-chain step counts by dynamic programming over a topological order.
+
+    Integer longest-path counts satisfy the reverse triangle inequality
+    exactly, so the matrix needs no axiom check.
+    """
     order = _topological_order(c)
     n = c.n
     parents: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -76,10 +82,9 @@ def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
     np.fill_diagonal(D, 0.0)
     for v in order:
         for u in parents[v]:
-            # every chain to u extends by one step to v
-            reach = D[:, u] > NEG_INF
-            D[reach, v] = np.maximum(D[reach, v], D[reach, u] + 1.0)
-    return build_space(c.elements, D)
+            # every chain to u extends by one step to v; -inf + 1 stays -inf
+            D[:, v] = np.maximum(D[:, v], D[:, u] + 1.0)
+    return _finish(c.elements, D, DEFAULT_TOL)
 
 
 def order_relation(c: CausalSet) -> np.ndarray:

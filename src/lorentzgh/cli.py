@@ -308,8 +308,8 @@ def _cmd_match(args):
     _emit(args, payload)
 
 
-def _member_from_manifest(entry, base) -> CertificateMember:
-    space = _resolve(entry["space"], base, ser.space_from_dict)
+def _member_from_manifest(entry, base, tol) -> CertificateMember:
+    space = _resolve(entry["space"], base, lambda data: ser.space_from_dict(data, tol))
     nets = tuple(ser.net_from_dict(n) for n in entry["nets"])
     subset = tuple(entry["subset"]) if "subset" in entry else None
     return CertificateMember(space=space, nets=nets, subset=subset,
@@ -319,8 +319,8 @@ def _member_from_manifest(entry, base) -> CertificateMember:
 def _cmd_certify(args):
     base = Path(args.manifest).parent
     manifest = _read_json(args.manifest)
-    members = [_member_from_manifest(e, base) for e in manifest["members"]]
-    limit = _member_from_manifest(manifest["limit"], base)
+    members = [_member_from_manifest(e, base, args.tol) for e in manifest["members"]]
+    limit = _member_from_manifest(manifest["limit"], base, args.tol)
     matchings = None
     if manifest.get("matchings") == "slots":
         matchings = {(l, n): slot_matching(members[n].nets[l], limit.nets[l])
@@ -445,7 +445,7 @@ def _cmd_converge(args):
 
 
 def _cmd_blowup(args):
-    cov = ser.covered_from_dict(_read_json(args.covered))
+    cov = ser.covered_from_dict(_read_json(args.covered), tol=args.tol)
     o = cov.basepoint if args.o is None else args.o
     spec = BlowupSpec(o=o, o_minus=getattr(args, "o_minus"),
                       o_plus=getattr(args, "o_plus"), lam=args.lam)
@@ -453,7 +453,7 @@ def _cmd_blowup(args):
 
 
 def _cmd_tangent(args):
-    cov = ser.covered_from_dict(_read_json(args.covered))
+    cov = ser.covered_from_dict(_read_json(args.covered), tol=args.tol)
     report = tangent_experiment(cov, args.o, _floats(args.lambdas), levels=args.levels)
     payload = {"records": list(report.records), "notes": list(report.notes),
                "limit": None if report.limit is None else ser.covered_to_dict(report.limit)}

@@ -259,8 +259,26 @@ def _check_fiber_net(gen: ProductGenerator, fiber_net: Sequence[int], radius: fl
         raise NotAFiberNet(int(bad[0]))
 
 
-def _grid(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
-          fiber_net: Sequence[int]) -> GridNet:
+def grid_net_product(gen: ProductGenerator, t_minus: float, t_plus: float,
+                     epsilon: float, fiber_net: Sequence[int]) -> GridNet:
+    """Slab-covering net of axis-aligned diamonds on the epsilon/3 time grid.
+
+    Vertices are (t_minus + i*eps/3, s_j) with diamonds J(x_{i-1,j}, x_{i+2,j});
+    the fiber net must be a (C*eps/3)-net. Every diamond has in-generator
+    tau = C*eps exactly (recorded as the net's epsilon).
+    """
+    if not (0 < epsilon <= t_minus):
+        raise EpsilonTooLarge(f"need 0 < epsilon <= t_minus, got {epsilon} vs {t_minus}")
+    return slab_net(gen, t_minus, t_plus, epsilon, fiber_net)
+
+
+def slab_net(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
+             fiber_net: Sequence[int]) -> GridNet:
+    """Grid net for an arbitrary slab inside t_range (vertices may dip below t_lo)."""
+    if not (t_lo < t_hi):
+        raise ShapeMismatch("need t_lo < t_hi")
+    if epsilon <= 0:
+        raise EpsilonTooLarge("epsilon must be positive")
     c = gen.cone_scale
     _check_fiber_net(gen, fiber_net, c * epsilon / 3.0)
     step = epsilon / 3.0
@@ -281,31 +299,6 @@ def _grid(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
              for i in range(columns) for j in range(len(net_sites))]
     return GridNet(vertex_points=tuple(vertices), pairs=tuple(pairs),
                    epsilon=c * epsilon, columns=columns)
-
-
-def grid_net_product(gen: ProductGenerator, t_minus: float, t_plus: float,
-                     epsilon: float, fiber_net: Sequence[int]) -> GridNet:
-    """Slab-covering net of axis-aligned diamonds on the epsilon/3 time grid.
-
-    Vertices are (t_minus + i*eps/3, s_j) with diamonds J(x_{i-1,j}, x_{i+2,j});
-    the fiber net must be a (C*eps/3)-net. Every diamond has in-generator
-    tau = C*eps exactly (recorded as the net's epsilon).
-    """
-    if not (0 < epsilon <= t_minus):
-        raise EpsilonTooLarge(f"need 0 < epsilon <= t_minus, got {epsilon} vs {t_minus}")
-    if not (t_minus < t_plus):
-        raise ShapeMismatch("need t_minus < t_plus")
-    return _grid(gen, t_minus, t_plus, epsilon, fiber_net)
-
-
-def slab_net(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
-             fiber_net: Sequence[int]) -> GridNet:
-    """Grid net for an arbitrary slab inside t_range (vertices may dip below t_lo)."""
-    if not (t_lo < t_hi):
-        raise ShapeMismatch("need t_lo < t_hi")
-    if epsilon <= 0:
-        raise EpsilonTooLarge("epsilon must be positive")
-    return _grid(gen, t_lo, t_hi, epsilon, fiber_net)
 
 
 def uncovered_samples(gen: ProductGenerator, net: GridNet,

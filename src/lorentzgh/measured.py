@@ -18,7 +18,7 @@ import numpy as np
 from .core import FiniteLorentzSpace
 from .errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
                      UnboundedWeights, UnmappedAtom)
-from .nets import DiamondNet, diamond_mask
+from .nets import DiamondNet, diamond_masks
 
 
 @dataclass(frozen=True)
@@ -77,25 +77,20 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
     Residual set i is (J_i & A) minus the earlier diamonds, so the order of
     the net is part of its identity. Total mass equals m(A) exactly.
     """
-    a_idx = sorted(set(subset))
-    a_set = set(a_idx)
-    covered = np.zeros(space.n, dtype=bool)
-    for p, q in net.pairs:
-        covered |= diamond_mask(space, p, q)
-    missing = [i for i in a_idx if not covered[i]]
+    a_idx = np.array(sorted(set(subset)), dtype=int)
+    masks = diamond_masks(space, net.pairs, a_idx)
+    missing = [int(i) for i in a_idx[~masks.any(axis=0)]]
     if missing:
         raise NetDoesNotCover(f"net misses subset points {missing}", points=missing)
 
     weights = m.as_dict()
     out: dict[int, float] = {}
-    taken = np.zeros(space.n, dtype=bool)
+    taken = np.zeros(len(a_idx), dtype=bool)
     residuals = []
-    for p, q in net.pairs:
-        mask = diamond_mask(space, p, q) & ~taken
-        members = [i for i in np.flatnonzero(mask) if i in a_set]
-        w = math.fsum(weights.get(i, 0.0) for i in members)
+    for (p, q), mask in zip(net.pairs, masks):
+        w = math.fsum(weights.get(i, 0.0) for i in a_idx[mask & ~taken].tolist())
         residuals.append(w)
-        taken |= diamond_mask(space, p, q)
+        taken |= mask
         if w != 0.0:
             out[p] = out.get(p, 0.0) + w / 2.0
             out[q] = out.get(q, 0.0) + w / 2.0

@@ -3,11 +3,18 @@
 A net is an ordered list of vertex pairs (p, q); the diamond of a pair is
 J(p, q) = J+(p) & J-(q) in a given space. Ordering matters downstream
 (induced measures depend on it), so nets are sequences, not sets.
+
+Every membership question "is z in J(p, q)?" goes through one batched
+kernel, `diamond_masks`, which returns the (pairs x points) boolean matrix;
+nets, doubling and `measured.induce_net_measure` all read it. Admissible
+diamonds (causal, tau <= epsilon within tol) come from `_admissible`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,22 +51,32 @@ class NetCheck:
     oversized: tuple[tuple[int, int], ...]
 
 
-def diamond_mask(space: FiniteLorentzSpace, p: int, q: int) -> np.ndarray:
-    return space.causal[p, :] & space.causal[:, q]
+def diamond_masks(space: FiniteLorentzSpace, pairs: Sequence[tuple[int, int]],
+                  cols: Sequence[int]) -> np.ndarray:
+    """Boolean (pairs x cols) matrix: row r marks J(p_r, q_r) on `cols`.
+
+    Built in place, so one temporary of the matrix's size exists at a time.
+    """
+    ps, qs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    m = space.causal[:, cols][ps]
+    m &= space.causal[cols][:, qs].T
+    return m
+
+
+def _admissible(space: FiniteLorentzSpace, epsilon: float) -> np.ndarray:
+    """(n x n) mask of the causal pairs with tau <= epsilon, within tol."""
+    return space.causal & (space.tau_matrix() <= epsilon + space.tol)
 
 
 def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet) -> NetCheck:
     """Check coverage of `subset` and the tau <= epsilon size bound."""
     idx = np.array(sorted(set(subset)), dtype=int)
-    covered = np.zeros(space.n, dtype=bool)
-    oversized = []
-    for p, q in net.pairs:
-        covered |= diamond_mask(space, p, q)
-        if space.tau(p, q) > net.epsilon + space.tol:
-            oversized.append((p, q))
-    uncovered = tuple(int(i) for i in idx[~covered[idx]])
+    covered = diamond_masks(space, net.pairs, idx).any(axis=0)
+    uncovered = tuple(int(i) for i in idx[~covered])
+    oversized = tuple((p, q) for p, q in net.pairs
+                      if space.tau(p, q) > net.epsilon + space.tol)
     return NetCheck(ok=not uncovered and not oversized,
-                    uncovered=uncovered, oversized=tuple(oversized))
+                    uncovered=uncovered, oversized=oversized)
 
 
 def default_candidates(space: FiniteLorentzSpace, epsilon: float,
@@ -69,18 +86,10 @@ def default_candidates(space: FiniteLorentzSpace, epsilon: float,
     ALL includes degenerate (x, x) diamonds, needed to cover chronologically
     isolated points; CHRONOLOGICAL restricts to tau > 0.
     """
-    ok = space.causal & (space.tau_matrix() <= epsilon + space.tol)
+    ok = _admissible(space, epsilon)
     if mode == CHRONOLOGICAL_CANDIDATES:
-        ok = ok & space.chron
+        ok &= space.chron
     return [(int(p), int(q)) for p, q in np.argwhere(ok)]
-
-
-def _candidate_masks(space: FiniteLorentzSpace, candidates, subset_idx):
-    """Boolean matrix: candidate x subset membership."""
-    m = np.empty((len(candidates), len(subset_idx)), dtype=bool)
-    for r, (p, q) in enumerate(candidates):
-        m[r, :] = diamond_mask(space, p, q)[subset_idx]
-    return m
 
 
 def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
@@ -97,16 +106,12 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
         candidates = default_candidates(space, epsilon, candidate_mode)
     candidates = sorted(set(candidates))
 
-    chosen: list[tuple[int, int]] = []
-    covered = np.zeros(len(subset_idx), dtype=bool)
-    for p, q in seed_pairs:
-        chosen.append((p, q))
-        covered |= diamond_mask(space, p, q)[subset_idx]
-
+    chosen = [(p, q) for p, q in seed_pairs]
+    covered = diamond_masks(space, chosen, subset_idx).any(axis=0)
     if covered.all():
         return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
 
-    masks = _candidate_masks(space, candidates, subset_idx)
+    masks = diamond_masks(space, candidates, subset_idx)
     reachable = covered | masks.any(axis=0)
     if not reachable.all():
         missing = [int(i) for i in subset_idx[~reachable]]
@@ -129,20 +134,20 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
 def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[list[int]]:
     """Smallest subfamily of boolean masks covering range(universe_size).
 
-    Exhaustive (increasing cardinality); intended for universes <= ~12.
+    Exhaustive (increasing cardinality, combinations in lexicographic
+    order); intended for universes <= ~12. Each mask is packed into one
+    Python int, so a combination is tested with integer ORs.
     Returns indices into `sets`, or None if even the full family fails.
     """
-    full = np.zeros(universe_size, dtype=bool)
-    for s in sets:
-        full |= s
-    if not full.all():
+    bits = [int.from_bytes(np.packbits(s, bitorder="little").tobytes(), "little")
+            for s in sets]
+    full = (1 << universe_size) - 1
+    if functools.reduce(operator.or_, bits, 0) != full:
         return None
-    for k in range(1, len(sets) + 1):
-        for combo in itertools.combinations(range(len(sets)), k):
-            acc = np.zeros(universe_size, dtype=bool)
-            for i in combo:
-                acc |= sets[i]
-            if acc.all():
+    for k in range(1, len(bits) + 1):
+        for combo, members in zip(itertools.combinations(range(len(bits)), k),
+                                  itertools.combinations(bits, k)):
+            if functools.reduce(operator.or_, members) == full:
                 return list(combo)
     return None
 
@@ -155,38 +160,34 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     Exact covers are computed when the diamond has <= exact_threshold points;
     larger diamonds get the greedy upper bound and the result is an estimate.
     """
-    sub = sorted(set(subset))
-    sub_set = set(sub)
-    sub_arr = np.array(sub, dtype=int)
+    sub = np.array(sorted(set(subset)), dtype=int)
+    local = space.restrict(sub)
+    # causal pairs in (x, y) row-major order, kept when J(x, y) has no point
+    # outside the subset (only those diamonds are constrained)
+    pairs = sub[np.argwhere(local.causal)]
+    outside = np.delete(np.arange(space.n), sub)
+    pairs = pairs[~diamond_masks(space, pairs, outside).any(axis=1)]
     exact = True
     worst = 1
     per_diamond = []
-    for x in sub:
-        for y in sub:
-            if not space.causal[x, y]:
-                continue
-            mask = diamond_mask(space, x, y)
-            members = [int(i) for i in np.flatnonzero(mask)]
-            if not set(members).issubset(sub_set):
-                continue  # only diamonds contained in the subset are constrained
-            half = space.tau(x, y) / 2.0
-            cand = [(int(p), int(q)) for p in sub for q in sub
-                    if space.causal[p, q] and space.tau(p, q) <= half + space.tol]
-            if not cand:
-                raise Uncoverable(members)
-            local = np.array(members, dtype=int)
-            masks = [diamond_mask(space, p, q)[local] for p, q in cand]
-            if len(members) <= exact_threshold:
-                cover = exact_min_cover(len(members), masks)
-                if cover is None:
-                    raise Uncoverable(members)
-                count = len(cover)
-            else:
-                net = greedy_net(space, members, half, candidates=cand)
-                count = len(net)
-                exact = False
-            per_diamond.append(((x, y), count))
-            worst = max(worst, count)
+    for (x, y), mask in zip(pairs.tolist(), diamond_masks(space, pairs, sub)):
+        members = sub[mask]
+        half = space.tau(x, y) / 2.0
+        cand = sub[np.argwhere(_admissible(local, half))]
+        if not len(cand):
+            raise Uncoverable(members.tolist())
+        if len(members) <= exact_threshold:
+            cover = exact_min_cover(len(members), diamond_masks(space, cand, members))
+            if cover is None:
+                raise Uncoverable(members.tolist())
+            count = len(cover)
+        else:
+            net = greedy_net(space, members, half,
+                             candidates=[tuple(pq) for pq in cand.tolist()])
+            count = len(net)
+            exact = False
+        per_diamond.append(((x, y), count))
+        worst = max(worst, count)
     if return_details:
         return worst, {"exact": exact, "per_diamond": per_diamond}
     return worst

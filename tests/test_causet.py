@@ -7,7 +7,8 @@ from lorentzgh import (ProductGenerator, build_causet, chain_ell, circle_fiber,
                        faithful_embed_check, hauptvermutung_trial, segment_fiber,
                        sprinkle, build_space)
 from lorentzgh.causet import _transitive_reduction, order_relation
-from lorentzgh.errors import CycleDetected, EmptyRegion
+from lorentzgh.core import validate_matrix
+from lorentzgh.errors import CycleDetected, EmptyRegion, ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
 
 
@@ -63,6 +64,7 @@ class TestChainEll:
                       if rng.random() < 0.5]
             c = build_causet([f"e{i}" for i in range(n)], covers)
             s = chain_ell(c)
+            validate_matrix(s.ell, 0.0)  # built without the axiom check
             rel = order_relation(c)
             for a in range(n):
                 for b in range(n):
@@ -91,6 +93,10 @@ class TestChainEll:
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
             build_causet(["a", "b"], [(0, 1), (1, 0)])
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            build_causet(["a", "b", "a"], [(0, 1)])
 
 
 class TestSprinkle:

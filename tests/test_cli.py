@@ -205,6 +205,20 @@ class TestLimitsCommands:
                             "--lambdas", "1,2", "--levels", "2"], capsys)
         assert all(rec["diameter"] <= 1.0 for rec in tangent["records"])
 
+    def test_tol_reaches_covered_loaders(self, tmp_path, capsys):
+        # ell[0][2] falls 1e-7 short of the reverse triangle: valid at tol 1e-6
+        f = tmp_path / "cov.json"
+        f.write_text(json.dumps({"labels": ["a", "b", "c"],
+                                 "ell": [[0, 0.1, 0.2 - 1e-7], ["-inf", 0, 0.1],
+                                         ["-inf", "-inf", 0]],
+                                 "basepoint": 1, "cover": [[0, 1, 2]]}))
+        assert run_json(["validate", "--space", str(f), "--tol", "1e-6"], capsys) == {"ok": True}
+        payload = run_json(["blowup", "--covered", str(f), "--tol", "1e-6", "--o-minus", "0",
+                            "--o-plus", "2", "--lam", "2"], capsys)
+        assert payload["labels"] == ["b"]
+        run_json(["tangent", "--covered", str(f), "--tol", "1e-6", "--o", "1",
+                  "--lambdas", "1,2", "--levels", "1"], capsys)
+
 
 class TestCausetCommands:
     def test_ell(self, capsys):

@@ -1,12 +1,16 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import chain_space, random_causet_space
-from lorentzgh import (DiamondNet, covered, doubling_constant, greedy_net,
-                       net_growth_profile, verify_net)
-from lorentzgh.errors import Uncoverable
+from lorentzgh import (DiamondNet, atomic_measure, covered, doubling_constant, greedy_net,
+                       induce_net_measure, net_growth_profile, verify_net)
+from lorentzgh.errors import DomainError, Uncoverable
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.nets import exact_min_cover, default_candidates
 from lorentzgh import build_space
@@ -155,3 +159,103 @@ class TestGrowthProfile:
             per_column = math.ceil(2 * k / eps)
             n_fiber = 3  # an (eps/2)-net of the unit 6-circle needs ~3 sites
             assert c <= 2 * per_column * n_fiber
+
+
+def numpy_min_cover(universe_size, sets):
+    """Reference: the exhaustive numpy-OR enumeration exact_min_cover replaced."""
+    full = np.zeros(universe_size, dtype=bool)
+    for m in sets:
+        full |= m
+    if not full.all():
+        return None
+    for k in range(1, len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), k):
+            acc = np.zeros(universe_size, dtype=bool)
+            for i in combo:
+                acc |= sets[i]
+            if acc.all():
+                return list(combo)
+    return None
+
+
+@st.composite
+def mask_families(draw):
+    size = draw(st.integers(0, 10))
+    rows = [np.array(r, dtype=bool).reshape(size) for r in draw(st.lists(
+        st.lists(st.booleans(), min_size=size, max_size=size), min_size=1, max_size=7))]
+    if draw(st.booleans()):  # complete the union, so a cover exists
+        rows.append(~np.logical_or.reduce(rows))
+    # repeated rows make equal-size covers tie
+    return size, rows + draw(st.lists(st.sampled_from(rows), max_size=3))
+
+
+class TestExactMinCover:
+    @given(mask_families())
+    def test_matches_numpy_enumeration(self, family):
+        size, sets = family
+        assert exact_min_cover(size, sets) == numpy_min_cover(size, sets)
+
+
+COVER_PINS = json.loads((Path(__file__).parent / "data" / "cover_pins.json").read_text())
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError as exc:
+        return {"error": exc.record()}
+
+
+class TestPinnedCovers:
+    """Cover-layer outputs recorded before the batched diamond kernel landed.
+
+    The corpus holds four chains, five random causets (5 to 11 elements) and
+    an 18-point sampled slab. Greedy nets run at three epsilons in both
+    candidate modes, on the full point set and every other point, with and
+    without seed pairs; each unseeded net is verified as is, without its
+    first diamond and at a quarter of its epsilon, and induces a uniform and
+    a random measure. Doubling runs at exact thresholds 0, 4 and 12.
+    """
+
+    spaces = [build_space(rec["labels"],
+                          [[NI if v == "-inf" else v for v in row] for row in rec["ell"]],
+                          tol=rec["tol"])
+              for rec in COVER_PINS["spaces"]]
+
+    @staticmethod
+    def _net(rec, epsilon):
+        return DiamondNet(pairs=tuple(tuple(p) for p in rec["pairs"]), epsilon=epsilon)
+
+    def test_greedy_net(self):
+        for rec in COVER_PINS["greedy_net"]:
+            got = _outcome(lambda: [list(p) for p in greedy_net(
+                self.spaces[rec["space"]], rec["subset"], rec["epsilon"],
+                seed_pairs=[tuple(p) for p in rec["seed_pairs"]],
+                candidate_mode=rec["mode"]).pairs])
+            assert got == (rec["pairs"] if "pairs" in rec else {"error": rec["error"]}), rec
+
+    def test_verify_net(self):
+        for rec in COVER_PINS["verify_net"]:
+            chk = verify_net(self.spaces[rec["space"]], rec["subset"],
+                             self._net(rec, rec["epsilon"]))
+            assert (chk.ok, list(chk.uncovered), [list(p) for p in chk.oversized]) == \
+                (rec["ok"], rec["uncovered"], rec["oversized"]), rec
+
+    def test_doubling_constant(self):
+        for rec in COVER_PINS["doubling_constant"]:
+            n, details = doubling_constant(self.spaces[rec["space"]], rec["subset"],
+                                           exact_threshold=rec["exact_threshold"],
+                                           return_details=True)
+            assert (n, details["exact"]) == (rec["N"], rec["exact"]), rec
+            assert [[list(xy), c] for xy, c in details["per_diamond"]] == rec["per_diamond"]
+
+    def test_induce_net_measure(self):
+        for rec in COVER_PINS["induce_net_measure"]:
+            m = atomic_measure({i: w for i, w in rec["measure"]})
+            got = _outcome(lambda: induce_net_measure(
+                self.spaces[rec["space"]], m, rec["subset"], self._net(rec, 1.0)))
+            if "error" in rec:
+                assert got == {"error": rec["error"]}, rec
+            else:
+                assert [[i, w] for i, w in got.induced.weights] == rec["induced"], rec
+                assert list(got.residual_masses) == rec["residual_masses"], rec
