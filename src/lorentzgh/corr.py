@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FiniteLorentzSpace
-from .errors import CapExceeded, CardinalityMismatch, MiddleMismatch, ShapeMismatch
+from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
+                     ShapeMismatch)
 from .extended import INF_GAP, gap, gap_matrix
 from .nets import DiamondNet
 
@@ -46,8 +47,8 @@ def make_correspondence(pairs: Sequence[tuple[int, int]], n_left: int, n_right: 
 
 
 def _sup_gap(a, b, xs, ys) -> float:
-    """sup over k, m of gap(ell_a[xs[k], xs[m]], ell_b[ys[k], ys[m]])."""
-    return float(gap_matrix(a.ell[np.ix_(xs, xs)], b.ell[np.ix_(ys, ys)]).max())
+    """sup over k, m of gap(ell_a[xs[k], xs[m]], ell_b[ys[k], ys[m]]); 0 over no pairs."""
+    return float(gap_matrix(a.ell[np.ix_(xs, xs)], b.ell[np.ix_(ys, ys)]).max(initial=0.0))
 
 
 def distortion(r: Correspondence, a: FiniteLorentzSpace, b: FiniteLorentzSpace) -> float:
@@ -172,29 +173,42 @@ def _candidate_scores(cand, fixed, cs, fs, f0):
     return np.maximum(scores, gap_matrix(np.diagonal(cand.ell), fixed.ell[f0, f0]))
 
 
-def _complete_and_eval(a, b, fmap):
-    """Cover uncovered right points greedily, then evaluate the full sup."""
+def _complete_and_eval(a, b, fmap, bound=None):
+    """Cover uncovered right points greedily; return (corr, distortion), or None.
+
+    The running sup starts at the sup over the fmap's pairs and takes the max
+    with each added partner's score. It covers every pair of pairs of the
+    result, so at the end it is the distortion. None: it reached `bound`.
+    """
     covered = set(fmap)
     partners: dict[int, int] = {}
     xs, ys = list(range(len(fmap))), list(fmap)
+    sup = _sup_gap(a, b, xs, ys)
     for y in range(b.n):
+        if bound is not None and sup >= bound:
+            return None
         if y in covered:
             continue
-        best_x = int(np.argmin(_candidate_scores(a, b, np.array(xs, dtype=int),
-                                                 np.array(ys, dtype=int), y)))
+        scores = _candidate_scores(a, b, np.array(xs, dtype=int), np.array(ys, dtype=int), y)
+        best_x = int(np.argmin(scores))
+        sup = max(sup, float(scores[best_x]))
         partners[y] = best_x
         xs.append(best_x)
         ys.append(y)
-    full = _pairs_from_maps(fmap, partners)
-    corr = make_correspondence(full, a.n, b.n)
-    return corr, distortion(corr, a, b)
+    if bound is not None and sup >= bound:
+        return None
+    return make_correspondence(_pairs_from_maps(fmap, partners), a.n, b.n), sup
 
 
-def _greedy_fmap(a, b):
+def _greedy_fmap(a, b, bound=None):
+    """Left selection by least incremental sup; None once a chosen score reaches `bound`."""
     fmap: list[int] = []
     for x in range(a.n):
-        fmap.append(int(np.argmin(_candidate_scores(b, a, np.array(fmap, dtype=int),
-                                                    np.arange(x), x))))
+        scores = _candidate_scores(b, a, np.array(fmap, dtype=int), np.arange(x), x)
+        y = int(np.argmin(scores))
+        if bound is not None and scores[y] >= bound:
+            return None
+        fmap.append(y)
     return fmap
 
 
@@ -205,7 +219,7 @@ def _local_search(a, b, pairs: list[tuple[int, int]], budget: int, rng) -> list[
     duplicate an existing pair are skipped.
     """
     m = len(pairs)
-    if m == 0:
+    if m == a.n == b.n:  # a bijection: no move keeps every point covered
         return pairs
     G = np.zeros((m, m))
     for k in range(m):
@@ -221,6 +235,9 @@ def _local_search(a, b, pairs: list[tuple[int, int]], budget: int, rng) -> list[
         old = pairs[k]
         pairs[k] = new_pair
         row = _pair_gap_row(a, b, pairs, k)
+        if row.max() >= cur - 1e-15:  # G.max() >= row.max(): no improvement
+            pairs[k] = old
+            return False
         old_row = G[k, :].copy()
         G[k, :] = row
         G[:, k] = row
@@ -282,9 +299,20 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
 
     exact: global minimizer (branch and bound), sizes capped at 8.
     heuristic: best of canonical/greedy/random seeds plus local pair swaps;
-    never below the exact minimum, deterministic for a given seed.
+    never below the exact minimum, deterministic for a given seed. Its value
+    is only an upper bound on the minimum.
+
+    Every seed after the first is abandoned once its running sup reaches the
+    best value so far. That sup is taken over a subset of the seed's final
+    pairs, so it never exceeds the seed's distortion: an abandoned seed could
+    not have won, and the result is the one the full search returns.
+
+    Two empty spaces match by the empty correspondence at 0; exactly one
+    empty side raises EmptySubset, as no total correspondence exists.
     Returns (correspondence, distortion value).
     """
+    if (a.n == 0) != (b.n == 0):
+        raise EmptySubset(f"no correspondence between {a.n} and {b.n} points")
     if mode == "exact":
         if a.n > EXACT_SIZE_CAP or b.n > EXACT_SIZE_CAP:
             raise CapExceeded(f"exact mode size cap exceeded ({max(a.n, b.n)} > {EXACT_SIZE_CAP})")
@@ -311,18 +339,23 @@ def _heuristic(a, b, seed, restarts, budget):
         if set(a.labels) == set(b.labels) and a.labels != b.labels:
             lookup = {lab: j for j, lab in enumerate(b.labels)}
             yield [lookup[lab] for lab in a.labels]  # canonical label matching
-        yield _greedy_fmap(a, b)
+        greedy = _greedy_fmap(a, b, bound())
+        if greedy is not None:
+            yield greedy
         for _ in range(restarts):
             if a.n == b.n:
                 yield list(rng.permutation(a.n))
             else:
                 yield list(rng.integers(0, b.n, size=a.n))
 
+    def bound():
+        return None if best_corr is None else best_val  # the first seed runs in full
+
     best_corr, best_val = None, INF_GAP + 0.0
     for fmap in seed_maps():
-        corr, val = _complete_and_eval(a, b, fmap)
-        if val < best_val or best_corr is None:
-            best_corr, best_val = corr, val
+        found = _complete_and_eval(a, b, fmap, bound())
+        if found is not None:
+            best_corr, best_val = found
         if best_val == 0.0:
             break
     if best_val > 0.0:

@@ -47,15 +47,18 @@ def random_causet_space(rng, n_min=4, n_max=8, p=0.4):
     return chain_ell(c)
 
 
-def union_space(rng):
-    """Two independent chains (cross relations all NEG_INF)."""
-    a = random_chain(rng, 2, 4)
-    b = random_chain(rng, 2, 4)
+def block_union(a, b):
+    """a and b side by side, every cross entry NEG_INF."""
     n = a.n + b.n
     ell = np.full((n, n), NEG_INF)
     ell[:a.n, :a.n] = a.ell
     ell[a.n:, a.n:] = b.ell
     return build_space([f"a{i}" for i in range(a.n)] + [f"b{i}" for i in range(b.n)], ell)
+
+
+def union_space(rng):
+    """Two independent chains (cross relations all NEG_INF)."""
+    return block_union(random_chain(rng, 2, 4), random_chain(rng, 2, 4))
 
 
 @pytest.fixture

@@ -4,13 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import chain_space, random_chain
+from conftest import block_union, chain_space, random_causet_space, random_chain
 from lorentzgh import (build_space, compose, distortion, isometry_search,
                        make_correspondence, min_distortion,
                        quotient_tau_indistinguishable)
-from lorentzgh.corr import EXACT_SIZE_CAP, Correspondence
-from lorentzgh.errors import CapExceeded, MiddleMismatch, ShapeMismatch
+from lorentzgh.corr import (EXACT_SIZE_CAP, Correspondence, _complete_and_eval,
+                            _greedy_fmap, _sup_gap)
+from lorentzgh.errors import CapExceeded, EmptySubset, MiddleMismatch, ShapeMismatch
 from lorentzgh.extended import INF_GAP, NEG_INF as NI
 
 
@@ -47,6 +49,21 @@ def brute_force_min(a, b):
             if d < best:
                 best = d
     return best
+
+
+@st.composite
+def matcher_spaces(draw, n_max):
+    """A random chain or causal set, or a -inf block union of two, of 1 to n_max points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def part(hi):
+        if draw(st.booleans()):
+            return random_chain(rng, 1, hi)
+        return random_causet_space(rng, 1, hi)
+
+    if draw(st.booleans()):
+        return block_union(part(n_max // 2), part(n_max - n_max // 2))
+    return part(n_max)
 
 
 class TestDistortion:
@@ -162,6 +179,61 @@ class TestMinDistortion:
             assert isometry_search(qa, b) is not None
 
 
+class TestEmptySpaces:
+    EMPTY = build_space([], np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_both_empty_match_at_zero(self, mode):
+        r, val = min_distortion(self.EMPTY, self.EMPTY, mode=mode)
+        assert r == Correspondence((), 0, 0)
+        assert val == 0.0
+        assert distortion(r, self.EMPTY, self.EMPTY) == 0.0
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_one_empty_side_has_no_correspondence(self, mode):
+        s = chain_space([0.0, 1.0])
+        for a, b in ((self.EMPTY, s), (s, self.EMPTY)):
+            with pytest.raises(EmptySubset):
+                min_distortion(a, b, mode=mode)
+
+
+class TestSeedBound:
+    """A bounded seed gives up exactly when its full value could not beat the bound."""
+
+    @settings(max_examples=150)
+    @given(matcher_spaces(12), matcher_spaces(12), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 8.0))
+    def test_abandoned_iff_not_below_bound(self, a, b, draw_seed, free_bound):
+        fmap = [int(y) for y in np.random.default_rng(draw_seed).integers(0, b.n, size=a.n)]
+        full = _complete_and_eval(a, b, fmap)
+        greedy = _greedy_fmap(a, b)
+        greedy_sup = _sup_gap(a, b, np.arange(a.n), np.array(greedy, dtype=int))
+        val = full[1]
+        for bound in (val, np.nextafter(val, np.inf), val / 2, free_bound, greedy_sup, INF_GAP):
+            found = _complete_and_eval(a, b, fmap, bound)
+            assert (found is None) == (val >= bound)
+            assert found is None or found == full
+            bounded = _greedy_fmap(a, b, bound)
+            assert (bounded is None) == (greedy_sup >= bound)
+            assert bounded is None or bounded == greedy
+
+
+class TestReturnedValueIsDistortion:
+    """min_distortion's value is the distortion of the correspondence it returns."""
+
+    @settings(max_examples=60)
+    @given(matcher_spaces(30), matcher_spaces(30), st.integers(0, 7))
+    def test_heuristic(self, a, b, seed):
+        r, val = min_distortion(a, b, mode="heuristic", seed=seed)
+        assert val == distortion(r, a, b)
+
+    @settings(max_examples=60)
+    @given(matcher_spaces(EXACT_SIZE_CAP), matcher_spaces(EXACT_SIZE_CAP), st.integers(0, 7))
+    def test_exact(self, a, b, seed):
+        r, val = min_distortion(a, b, mode="exact", seed=seed)
+        assert val == distortion(r, a, b)
+
+
 class TestCertificate:
     def _constant_member(self):
         from lorentzgh import CertificateMember, DiamondNet
@@ -207,7 +279,13 @@ class TestPinnedMatcher:
 
     The corpus mixes chains, layered spaces with duplicate points, unions with
     -inf blocks, causal sets and sprinkles (sizes 3 to 40, both a.n < b.n and
-    a.n > b.n, finite and INF_GAP optima), each at seeds 0 and 3.
+    a.n > b.n, finite and INF_GAP optima), each at seeds 0 and 3. Cases 52 to
+    61 were recorded before seeds carried the incumbent as a bound, at 100 to
+    152 points: chains and sampled slabs against point-permuted perturbed
+    copies (finite optima, random restarts against a finite incumbent), a
+    slab with repeated points against a perturbed copy (finite, a.n != b.n,
+    so local search draws its candidates), and INF_GAP results with
+    a.n != b.n, where greedy is the first seed.
     """
 
     @staticmethod
