@@ -52,7 +52,13 @@ def _sup_gap(a, b, xs, ys) -> float:
 
 
 def distortion(r: Correspondence, a: FiniteLorentzSpace, b: FiniteLorentzSpace) -> float:
-    """sup over pairs-of-pairs of |ell_a - ell_b| under the conventions."""
+    """sup over pairs-of-pairs of |ell_a - ell_b| under the conventions.
+
+    A correspondence sized for other spaces raises ShapeMismatch.
+    """
+    if (r.n_left, r.n_right) != (a.n, b.n):
+        raise ShapeMismatch(f"correspondence is {r.n_left}x{r.n_right} "
+                            f"but the spaces have {a.n} and {b.n} points")
     xs = np.array([x for x, _ in r.pairs], dtype=int)
     ys = np.array([y for _, y in r.pairs], dtype=int)
     return _sup_gap(a, b, xs, ys)
@@ -83,16 +89,6 @@ def _pairs_from_maps(fmap: Sequence[int], partners: dict[int, int]) -> tuple[tup
     pairs = {(x, y) for x, y in enumerate(fmap)}
     pairs.update((x, y) for y, x in partners.items())
     return tuple(sorted(pairs))
-
-
-def _pair_gap_row(a, b, pairs, k) -> np.ndarray:
-    """Symmetric pair-of-pairs gap of pairs[k] against every pair."""
-    xs = np.array([p[0] for p in pairs], dtype=int)
-    ys = np.array([p[1] for p in pairs], dtype=int)
-    xk, yk = pairs[k]
-    fwd = gap_matrix(a.ell[xk, xs], b.ell[yk, ys])
-    bwd = gap_matrix(a.ell[xs, xk], b.ell[ys, yk])
-    return np.maximum(fwd, bwd)
 
 
 class _ExactSearch:
@@ -212,95 +208,18 @@ def _greedy_fmap(a, b, bound=None):
     return fmap
 
 
-def _local_search(a, b, pairs: list[tuple[int, int]], budget: int, rng) -> list[tuple[int, int]]:
-    """First-improvement single-pair retargeting, bounded by `budget` evaluations.
-
-    Moves replace one side of one pair; moves that would uncover a point or
-    duplicate an existing pair are skipped.
-    """
-    m = len(pairs)
-    if m == a.n == b.n:  # a bijection: no move keeps every point covered
-        return pairs
-    G = np.zeros((m, m))
-    for k in range(m):
-        G[k, :] = _pair_gap_row(a, b, pairs, k)
-    left_deg: dict[int, int] = {}
-    right_deg: dict[int, int] = {}
-    for x, y in pairs:
-        left_deg[x] = left_deg.get(x, 0) + 1
-        right_deg[y] = right_deg.get(y, 0) + 1
-    pair_set = set(pairs)
-
-    def try_move(k, new_pair, cur):
-        old = pairs[k]
-        pairs[k] = new_pair
-        row = _pair_gap_row(a, b, pairs, k)
-        if row.max() >= cur - 1e-15:  # G.max() >= row.max(): no improvement
-            pairs[k] = old
-            return False
-        old_row = G[k, :].copy()
-        G[k, :] = row
-        G[:, k] = row
-        val = float(G.max())
-        if val < cur - 1e-15:
-            pair_set.discard(old)
-            pair_set.add(new_pair)
-            left_deg[old[0]] -= 1
-            right_deg[old[1]] -= 1
-            left_deg[new_pair[0]] = left_deg.get(new_pair[0], 0) + 1
-            right_deg[new_pair[1]] = right_deg.get(new_pair[1], 0) + 1
-            return True
-        pairs[k] = old
-        G[k, :] = old_row
-        G[:, k] = old_row
-        return False
-
-    evals = 0
-    improved = True
-    while improved and evals < budget:
-        improved = False
-        for k in range(m):
-            if evals >= budget:
-                break
-            x, y = pairs[k]
-            cur = float(G.max())
-            if cur == 0.0:
-                return pairs
-            if right_deg[y] > 1:
-                cands = range(b.n) if b.n <= 24 else \
-                    (int(c) for c in rng.choice(b.n, size=24, replace=False))
-                for y2 in cands:
-                    if y2 == y or (x, y2) in pair_set:
-                        continue
-                    evals += 1
-                    if try_move(k, (x, y2), cur):
-                        improved = True
-                        break
-            if improved:
-                break
-            if left_deg[x] > 1:
-                cands = range(a.n) if a.n <= 24 else \
-                    (int(c) for c in rng.choice(a.n, size=24, replace=False))
-                for x2 in cands:
-                    if x2 == x or (x2, y) in pair_set:
-                        continue
-                    evals += 1
-                    if try_move(k, (x2, y), cur):
-                        improved = True
-                        break
-            if improved:
-                break
-    return pairs
-
-
 def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "heuristic",
-                   seed: int = 0, restarts: int = 8, budget: int = 20000):
+                   seed: int = 0):
     """Minimal-distortion correspondence search.
 
     exact: global minimizer (branch and bound), sizes capped at 8.
-    heuristic: best of canonical/greedy/random seeds plus local pair swaps;
-    never below the exact minimum, deterministic for a given seed. Its value
-    is only an upper bound on the minimum.
+    heuristic: the best completed seed. Each seed is a left map f, completed
+    by giving every right point outside f's image its least-score partner.
+    The seeds, in order: the identity (equal sizes), the canonical label
+    matching (same label set in another order), the greedy map, then 8
+    random maps drawn from `seed` (none above 150 points). Never below the
+    exact minimum, deterministic for a given seed; its value is only an
+    upper bound on the minimum.
 
     Every seed after the first is abandoned once its running sup reaches the
     best value so far. That sup is taken over a subset of the seed's final
@@ -317,7 +236,7 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
         if a.n > EXACT_SIZE_CAP or b.n > EXACT_SIZE_CAP:
             raise CapExceeded(f"exact mode size cap exceeded ({max(a.n, b.n)} > {EXACT_SIZE_CAP})")
         search = _ExactSearch(a, b)
-        corr0, val0 = _heuristic(a, b, seed, restarts=4, budget=4000)
+        corr0, val0 = _heuristic(a, b, seed, restarts=4)
         search.seed(val0, corr0.pairs)
         val, pairs = search.run()
         if pairs is None:  # heuristic seed was already optimal
@@ -325,10 +244,10 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
         return make_correspondence(pairs, a.n, b.n), val
     if mode != "heuristic":
         raise ShapeMismatch(f"unknown mode {mode!r}")
-    return _heuristic(a, b, seed, restarts, budget)
+    return _heuristic(a, b, seed, restarts=8)
 
 
-def _heuristic(a, b, seed, restarts, budget):
+def _heuristic(a, b, seed, restarts):
     rng = np.random.default_rng(seed)
     if max(a.n, b.n) > 150:
         restarts = 0  # random seeds are useless noise at this scale
@@ -358,12 +277,6 @@ def _heuristic(a, b, seed, restarts, budget):
             best_corr, best_val = found
         if best_val == 0.0:
             break
-    if best_val > 0.0:
-        pairs = _local_search(a, b, list(best_corr.pairs), budget, rng)
-        corr = make_correspondence(pairs, a.n, b.n)
-        val = distortion(corr, a, b)
-        if val < best_val:
-            best_corr, best_val = corr, val
     return best_corr, best_val
 
 
@@ -512,11 +425,11 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     for net in limit.nets:
         all_vertices.update(net.vertices())
     subset = limit.subset_indices()
+    vlist = np.array(sorted(all_vertices), dtype=int)
     weak_fail, strong_fail = [], []
     for x in subset:
         if x in all_vertices:
             continue
-        vlist = np.array(sorted(all_vertices), dtype=int)
         if not limit.space.causal[vlist, x].any():
             weak_fail.append(x)
         if not limit.space.chron[vlist, x].any():

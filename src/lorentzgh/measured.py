@@ -18,7 +18,7 @@ import numpy as np
 from .core import FiniteLorentzSpace
 from .errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
                      UnboundedWeights, UnmappedAtom)
-from .nets import DiamondNet, diamond_masks
+from .nets import DiamondNet, check_vertices, diamond_masks
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
     """Induced measure: half of each residual set's mass onto each vertex.
 
     Residual set i is (J_i & A) minus the earlier diamonds, so the order of
-    the net is part of its identity. Total mass equals m(A) exactly.
+    the net is part of its identity. Total mass equals m(A) exactly. A net
+    vertex outside range(space.n) raises ShapeMismatch.
     """
+    check_vertices(space, net)
     a_idx = np.array(sorted(set(subset)), dtype=int)
     masks = diamond_masks(space, net.pairs, a_idx)
     missing = [int(i) for i in a_idx[~masks.any(axis=0)]]

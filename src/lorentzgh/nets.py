@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import CoveredFiniteSpace, FiniteLorentzSpace
-from .errors import Uncoverable
+from .errors import ShapeMismatch, Uncoverable
 
 ALL_CANDIDATES = "all"
 CHRONOLOGICAL_CANDIDATES = "chronological"
@@ -63,13 +63,24 @@ def diamond_masks(space: FiniteLorentzSpace, pairs: Sequence[tuple[int, int]],
     return m
 
 
+def check_vertices(space: FiniteLorentzSpace, net: DiamondNet) -> None:
+    """Raise ShapeMismatch unless every vertex of `net` is a point of `space`."""
+    bad = [v for v in net.vertices() if not 0 <= v < space.n]
+    if bad:
+        raise ShapeMismatch(f"net vertices {bad} outside range({space.n})")
+
+
 def _admissible(space: FiniteLorentzSpace, epsilon: float) -> np.ndarray:
     """(n x n) mask of the causal pairs with tau <= epsilon, within tol."""
     return space.causal & (space.tau_matrix() <= epsilon + space.tol)
 
 
 def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet) -> NetCheck:
-    """Check coverage of `subset` and the tau <= epsilon size bound."""
+    """Check coverage of `subset` and the tau <= epsilon size bound.
+
+    A net vertex outside range(space.n) raises ShapeMismatch.
+    """
+    check_vertices(space, net)
     idx = np.array(sorted(set(subset)), dtype=int)
     covered = diamond_masks(space, net.pairs, idx).any(axis=0)
     uncovered = tuple(int(i) for i in idx[~covered])

@@ -69,6 +69,15 @@ class TestNets:
                           "--net", str(net_file)], capsys)
         assert check["ok"]
 
+    @pytest.mark.parametrize("pair", [[0, 7], [-1, 2]])
+    def test_verify_net_vertex_outside_space_exit_1(self, pair, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"pairs": [[0, 2], pair], "epsilon": 2}))
+        code, out, err = run_cli(["verify-net", "--space", str(SCHEMAS / "space.json"),
+                                  "--net", str(net)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "shape-mismatch"
+
     def test_doubling(self, capsys):
         payload = run_json(["doubling", "--space", str(SCHEMAS / "space.json")], capsys)
         assert payload == {"N": 2, "exact": True}
@@ -86,6 +95,17 @@ class TestMatching:
                             "--b", str(SCHEMAS / "space.json"),
                             "--corr", str(SCHEMAS / "correspondence.json")], capsys)
         assert payload["distortion"] == 0
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_distort_wrong_size_exit_1(self, n, tmp_path, capsys):
+        corr = tmp_path / "corr.json"
+        corr.write_text(json.dumps({"pairs": [[i, i] for i in range(n)],
+                                    "n_left": n, "n_right": n}))
+        code, out, err = run_cli(["distort", "--a", str(SCHEMAS / "space.json"),
+                                  "--b", str(SCHEMAS / "space.json"),
+                                  "--corr", str(corr)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "shape-mismatch"
 
     def test_match_exact_cap_exit_1(self, tmp_path, capsys):
         import numpy as np

@@ -95,6 +95,16 @@ class TestDistortion:
         with pytest.raises(ShapeMismatch):
             Correspondence(pairs=((0, 0),), n_left=2, n_right=1)
 
+    @pytest.mark.parametrize("pairs, n_left, n_right", [
+        ([(0, 0), (1, 1)], 2, 2),
+        ([(i, i) for i in range(4)], 4, 4),
+        ([(0, 0), (1, 1), (2, 1)], 3, 2),
+    ])
+    def test_sizes_must_match_spaces(self, pairs, n_left, n_right):
+        s = chain_space([0, 1, 2])
+        with pytest.raises(ShapeMismatch):
+            distortion(make_correspondence(pairs, n_left, n_right), s, s)
+
 
 class TestCompose:
     def test_with_identity(self, rng):
@@ -218,6 +228,35 @@ class TestSeedBound:
             assert bounded is None or bounded == greedy
 
 
+class TestBestOfSeeds:
+    """The heuristic returns the first best completion over its documented seeds."""
+
+    @staticmethod
+    def seed_maps(a, b, seed):
+        """Identity, canonical label matching, greedy, then 8 seeded random maps."""
+        maps = []
+        if a.n == b.n:
+            maps.append(list(range(a.n)))
+        if set(a.labels) == set(b.labels) and a.labels != b.labels:
+            maps.append([b.labels.index(lab) for lab in a.labels])
+        maps.append(_greedy_fmap(a, b))
+        rng = np.random.default_rng(seed)
+        for _ in range(8):  # these spaces are below the 150-point cutoff
+            maps.append(list(rng.permutation(a.n)) if a.n == b.n
+                        else list(rng.integers(0, b.n, size=a.n)))
+        return maps
+
+    @settings(max_examples=100)
+    @given(matcher_spaces(20), matcher_spaces(20), st.integers(0, 7),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_result_is_first_best_seed(self, a, b, seed, perm_seed, relabel):
+        if relabel:  # a's points in another order, labels kept: the canonical seed fires
+            perm = np.random.default_rng(perm_seed).permutation(a.n)
+            b = build_space([a.labels[i] for i in perm], a.ell[np.ix_(perm, perm)])
+        completed = [_complete_and_eval(a, b, fmap) for fmap in self.seed_maps(a, b, seed)]
+        assert min_distortion(a, b, seed=seed) == min(completed, key=lambda c: c[1])
+
+
 class TestReturnedValueIsDistortion:
     """min_distortion's value is the distortion of the correspondence it returns."""
 
@@ -283,9 +322,8 @@ class TestPinnedMatcher:
     61 were recorded before seeds carried the incumbent as a bound, at 100 to
     152 points: chains and sampled slabs against point-permuted perturbed
     copies (finite optima, random restarts against a finite incumbent), a
-    slab with repeated points against a perturbed copy (finite, a.n != b.n,
-    so local search draws its candidates), and INF_GAP results with
-    a.n != b.n, where greedy is the first seed.
+    slab with repeated points against a perturbed copy (finite, a.n != b.n),
+    and INF_GAP results with a.n != b.n, where greedy is the first seed.
     """
 
     @staticmethod

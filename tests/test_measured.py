@@ -4,7 +4,7 @@ from conftest import chain_space, random_causet_space
 from lorentzgh import (DiamondNet, atomic_measure, dirac, greedy_net,
                        induce_net_measure, measured_limit_builder, pushforward,
                        uniform_measure, weak_gap)
-from lorentzgh.errors import (NetDoesNotCover, SupportMismatch,
+from lorentzgh.errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
                               UnboundedWeights, UnmappedAtom)
 from lorentzgh.measured import extract_limit
 
@@ -54,6 +54,13 @@ class TestInduce:
         m = uniform_measure(s)
         with pytest.raises(NetDoesNotCover):
             induce_net_measure(s, m, range(3), DiamondNet(pairs=((0, 1),), epsilon=1.0))
+
+    @pytest.mark.parametrize("pair", [(0, 3), (0, 7), (-1, 2), (-3, 0)])
+    def test_vertex_outside_space_rejected(self, pair):
+        s = chain_space([0, 1, 2])
+        net = DiamondNet(pairs=((0, 2), pair), epsilon=2.0)
+        with pytest.raises(ShapeMismatch):
+            induce_net_measure(s, uniform_measure(s), range(3), net)
 
     def test_zero_atoms_dropped(self):
         s = chain_space([0, 1])

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import chain_space, random_causet_space
 from lorentzgh import (DiamondNet, atomic_measure, covered, doubling_constant, greedy_net,
                        induce_net_measure, net_growth_profile, verify_net)
-from lorentzgh.errors import DomainError, Uncoverable
+from lorentzgh.errors import DomainError, ShapeMismatch, Uncoverable
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.nets import exact_min_cover, default_candidates
 from lorentzgh import build_space
@@ -26,6 +26,12 @@ class TestVerifyNet:
         s = chain_space([0, 1, 2])
         check = verify_net(s, [1], DiamondNet(pairs=((0, 2),), epsilon=1.0))
         assert not check.ok and check.oversized == ((0, 2),)
+
+    @pytest.mark.parametrize("pair", [(0, 3), (0, 7), (-1, 2), (-3, 0)])
+    def test_vertex_outside_space_rejected(self, pair):
+        s = chain_space([0, 1, 2])
+        with pytest.raises(ShapeMismatch):
+            verify_net(s, [1], DiamondNet(pairs=((0, 2), pair), epsilon=2.0))
 
     def test_grid_net_covers_sampled_slab(self):
         from lorentzgh import (SamplePlan, circle_fiber, embed_net, grid_net_product,
