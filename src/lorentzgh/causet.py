@@ -8,7 +8,7 @@ spacetimes uniformly and pulls back the causal order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -132,21 +132,15 @@ def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
 
 
 def faithful_embed_check(c: CausalSet, space: FiniteLorentzSpace,
-                         mapping: Union[dict[int, int], Callable[[int], int]],
-                         one_directional: bool = False) -> dict:
+                         mapping: dict[int, int], one_directional: bool = False) -> dict:
     """Order preservation of element -> point maps.
 
     Default checks both directions (x <= y iff phi(x) <= phi(y));
     one_directional keeps only the forward implication, the literal reading.
     """
-    if isinstance(mapping, dict):
-        get = mapping.get
-    else:
-        def get(i, _f=mapping):
-            return _f(i)
     phi = []
     for i in range(c.n):
-        j = get(i)
+        j = mapping.get(i)
         if j is None or not (0 <= j < space.n):
             raise ShapeMismatch(f"element {i} has no valid image")
         phi.append(int(j))
@@ -171,9 +165,9 @@ def _restriction_space(gen: ProductGenerator, points: Sequence[Point]) -> Finite
 
 
 def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
-                         counts: Sequence[int], seed: int,
-                         region: Union[tuple[float, float], None] = None) -> dict:
-    """Desk-scale evidence runs: sprinkle into A, transport sites into B.
+                         counts: Sequence[int], seed: int) -> dict:
+    """Desk-scale evidence runs: sprinkle into A over the overlap of the two
+    t_ranges, transport sites into B.
 
     Both generators must share the fiber label set so the site transport is
     the identity on (t, site). Reports, per count, the distortion between
@@ -182,10 +176,8 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     """
     if gen_a.fiber.labels != gen_b.fiber.labels:
         raise ShapeMismatch("generators must share a fiber label set for site transport")
-    if region is None:
-        lo = max(gen_a.t_range[0], gen_b.t_range[0])
-        hi = min(gen_a.t_range[1], gen_b.t_range[1])
-        region = (lo, hi)
+    region = (max(gen_a.t_range[0], gen_b.t_range[0]),
+              min(gen_a.t_range[1], gen_b.t_range[1]))
     rows = []
     master = np.random.default_rng(seed)
     for count in counts:

@@ -43,8 +43,6 @@ def _resolve(data, base: Path, loader):
 
 def _emit(args, payload, csv_rows=None) -> None:
     if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise SystemExit(2)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -69,17 +67,18 @@ def _floats(arg: str) -> list[float]:
 
 
 def _load_space(args, attr="space"):
-    return ser.space_from_dict(_read_json(getattr(args, attr)),
-                               tol=getattr(args, "tol", None))
+    return ser.space_from_dict(_read_json(getattr(args, attr)), tol=args.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lorentzgh")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False):
+    def common(p, fmt=False, tol=True):
         p.add_argument("--out")
-        p.add_argument("--tol", type=float, default=None)
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="load tolerance for input spaces (default 1e-9)")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="t_lo,t_hi inside the generator range")
     p.add_argument("--sites", help="fiber site indices, default all")
     p.add_argument("--jitter-seed", type=int, default=None)
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("grid-net", help="explicit slab-covering grid net")
     p.add_argument("--generator", required=True)
@@ -149,13 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber-net", default="all")
     p.add_argument("--check-samples", type=int, default=0,
                    help="verify coverage on an n-point sample of the slab")
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("cones", help="cone domination check (constant beta/omega)")
     p.add_argument("--generator", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--omega", type=float, required=True)
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("fourpoint", help="four-point condition scan")
     p.add_argument("--space", required=True)
@@ -184,21 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
     pm = msub.add_parser("push")
     pm.add_argument("--measure", required=True)
     pm.add_argument("--map", required=True, help="JSON object atom->target")
-    common(pm)
+    common(pm, tol=False)
 
     pm = msub.add_parser("gap")
     pm.add_argument("--a", required=True)
     pm.add_argument("--b", required=True)
-    common(pm)
+    common(pm, tol=False)
 
     pm = msub.add_parser("limit")
     pm.add_argument("--manifest", required=True)
-    common(pm)
+    common(pm, tol=False)
 
     p = sub.add_parser("converge", help="diagonal limit of a covered sequence manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--depth", default="1,1,0", help="K,L,N (N=0 means all members)")
-    common(p)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="Cauchy tolerance of the limit (default 1e-6)")
+    common(p, tol=False)
 
     p = sub.add_parser("blowup", help="lambda blow-up of a covered space")
     p.add_argument("--covered", required=True)
@@ -220,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = csub.add_parser("ell")
     pc.add_argument("--causet", required=True)
-    common(pc)
+    common(pc, tol=False)
 
     pc = csub.add_parser("sprinkle")
     pc.add_argument("--generator", required=True)
     pc.add_argument("--region", required=True, help="t_lo,t_hi")
     pc.add_argument("--count", type=int, required=True)
     pc.add_argument("--seed", type=int, required=True)
-    common(pc)
+    common(pc, tol=False)
 
     pc = csub.add_parser("embed")
     pc.add_argument("--causet", required=True)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b", required=True)
     pc.add_argument("--counts", required=True)
     pc.add_argument("--seed", type=int, required=True)
-    common(pc, fmt=True)
+    common(pc, fmt=True, tol=False)
 
     return top
 
@@ -437,8 +438,7 @@ def _cmd_converge(args):
     K, L, N = (int(v) for v in args.depth.split(","))
     if N == 0:
         N = len(members)
-    limit_tol = args.tol if args.tol is not None else 1e-6
-    limit, log = diagonal_limit(seq, (K, L, N), tol=limit_tol)
+    limit, log = diagonal_limit(seq, (K, L, N), tol=args.tol)
     _emit(args, {"space": ser.covered_to_dict(limit),
                  "final_subsequence": log["final_subsequence"],
                  "non_cauchy": log["non_cauchy"]})
@@ -510,8 +510,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(ser.dumps(exc.record()) + "\n")
         return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(ser.dumps({"error": "usage", "message": str(exc)}) + "\n")
         return 2

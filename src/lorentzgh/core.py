@@ -75,7 +75,6 @@ def _finish(labels, ell, tol) -> FiniteLorentzSpace:
 
 def validate_matrix(ell: np.ndarray, tol: float) -> None:
     """Raise AxiomViolation on codomain, diagonal or reverse-triangle failures."""
-    n = ell.shape[0]
     if np.isnan(ell).any() or np.isposinf(ell).any():
         bad = np.argwhere(np.isnan(ell) | np.isposinf(ell))[0]
         raise AxiomViolation("codomain", tuple(int(v) for v in bad),
@@ -91,8 +90,20 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
     if bad_diag.any():
         i = int(np.argmax(bad_diag))
         raise AxiomViolation("diagonal", i, f"ell[{i}][{i}] must be >= 0")
-    # reverse triangle: ell[i,j] + ell[j,k] <= ell[i,k]; -inf absorbs on the left.
-    # chunked over i to keep the (n, n, n) broadcast out of memory
+    witness = _reverse_triangle_witness(ell, tol)
+    if witness is not None:
+        i, j, k = witness
+        raise AxiomViolation("reverse-triangle", witness,
+                             f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
+
+
+def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:
+    """Lexicographically least (i, j, k) with ell[i,j] + ell[j,k] > ell[i,k] + tol, or None.
+
+    -inf absorbs on the left. The scan is chunked over i to keep the
+    (n, n, n) broadcast out of memory.
+    """
+    n = ell.shape[0]
     block = max(1, int(2_000_000 // max(n * n, 1)) or 1)
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -101,8 +112,8 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
         viol = lhs > rhs + tol
         if viol.any():
             i, j, k = (int(v) for v in np.argwhere(viol)[0])
-            raise AxiomViolation("reverse-triangle", (start + i, j, k),
-                                 f"ell[{start + i}][{j}] + ell[{j}][{k}] > ell[{start + i}][{k}]")
+            return start + i, j, k
+    return None
 
 
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
@@ -254,7 +265,7 @@ def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float
     return max(0.0, float(space.ell[np.ix_(idx, idx)].max()))
 
 
-def _iso_extend(a, b, order, pos, image, used, tol):
+def _iso_extend(a, b, order, pos, image, used):
     if pos == len(order):
         return True
     i = order[pos]
@@ -263,20 +274,19 @@ def _iso_extend(a, b, order, pos, image, used, tol):
     for cand in range(b.n):
         if used[cand]:
             continue
-        if not gap(ea[i, i], eb[cand, cand]) <= tol:
+        if gap(ea[i, i], eb[cand, cand]) != 0.0:
             continue
         ok = True
         for j in assigned:
             fj = image[j]
-            if not (gap(ea[i, j], eb[cand, fj]) <= tol and
-                    gap(ea[j, i], eb[fj, cand]) <= tol):
+            if gap(ea[i, j], eb[cand, fj]) != 0.0 or gap(ea[j, i], eb[fj, cand]) != 0.0:
                 ok = False
                 break
         if not ok:
             continue
         image[i] = cand
         used[cand] = True
-        if _iso_extend(a, b, order, pos + 1, image, used, tol):
+        if _iso_extend(a, b, order, pos + 1, image, used):
             return True
         used[cand] = False
         image[i] = -1
@@ -284,8 +294,8 @@ def _iso_extend(a, b, order, pos, image, used, tol):
 
 
 def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
-                    cap: int = 24, tol: float = 0.0) -> Optional[dict[int, int]]:
-    """Search for an ell-preserving bijection a -> b; None if there is none.
+                    cap: int = 24) -> Optional[dict[int, int]]:
+    """Search for an exactly ell-preserving bijection a -> b; None if there is none.
 
     Exact mode only (|a| = |b| <= cap); larger instances should fall back
     to corr.min_distortion for near-isometry evidence. Backtracking with
@@ -311,8 +321,8 @@ def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
     counts = []
     for i in range(a.n):
         c = sum(1 for j in range(b.n)
-                if (gap_matrix(sig_a[i][0], sig_b[j][0]) <= tol).all()
-                and (gap_matrix(sig_a[i][1], sig_b[j][1]) <= tol).all())
+                if (gap_matrix(sig_a[i][0], sig_b[j][0]) == 0.0).all()
+                and (gap_matrix(sig_a[i][1], sig_b[j][1]) == 0.0).all())
         if c == 0:
             return None
         counts.append(c)
@@ -320,7 +330,7 @@ def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
     order = sorted(range(a.n), key=lambda i: counts[i])
     image = [-1] * a.n
     used = [False] * b.n
-    if _iso_extend(a, b, order, 0, image, used, tol):
+    if _iso_extend(a, b, order, 0, image, used):
         return {i: image[i] for i in range(a.n)}
     return None
 

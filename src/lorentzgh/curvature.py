@@ -184,12 +184,12 @@ class ComparisonConfig:
     residual: float
 
 
-def comparison_config(K: float, sides: Sequence[float], tol: float = 1e-10) -> ComparisonConfig:
+def comparison_config(K: float, sides: Sequence[float]) -> ComparisonConfig:
     """Realize the five sides (t_yx, t_yz1, t_yz2, t_xz1, t_xz2) in L2(K).
 
     Gauge: y at the chart origin, x up the positive time axis; z1 on the
     positive side of that axis, z2 on the negative (opposite sides). The
-    realized sides are re-measured and must match within `tol`.
+    realized sides are re-measured and must match within 1e-10.
     """
     t_yx, t_yz1, t_yz2, t_xz1, t_xz2 = (float(s) for s in sides)
     if not (t_yx > 0):
@@ -220,8 +220,8 @@ def comparison_config(K: float, sides: Sequence[float], tol: float = 1e-10) -> C
         )
     except OverflowError:
         raise ChartDomain(f"comparison placement overflows the chart for K={K}") from None
-    if residual > tol:
-        raise SolverDiverged(f"comparison residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > 1e-10:
+        raise SolverDiverged(f"comparison residual {residual:.3e} exceeds 1.0e-10")
     return ComparisonConfig(y=y, x=x, z1=z1, z2=z2, residual=residual)
 
 

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, build_space, DEFAULT_TOL
+from .core import (DEFAULT_TOL, FiniteLorentzSpace, _reverse_triangle_witness,
+                   build_space)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
@@ -34,8 +35,13 @@ class FiniteMetricFiber:
         return build_fiber(self.labels, self.d * factor)
 
 
-def build_fiber(labels: Sequence[str], d, tol: float = DEFAULT_TOL) -> FiniteMetricFiber:
-    """Validate the metric axioms exhaustively and freeze the matrix."""
+def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
+    """Validate the metric axioms exhaustively, within DEFAULT_TOL, and freeze the matrix.
+
+    The triangle inequality of d is the reverse triangle inequality of -d, so
+    it shares the chunked scan of `core.validate_matrix`.
+    """
+    tol = DEFAULT_TOL
     d = np.array(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
         raise ShapeMismatch(f"need a square matrix matching {len(labels)} labels")
@@ -47,10 +53,9 @@ def build_fiber(labels: Sequence[str], d, tol: float = DEFAULT_TOL) -> FiniteMet
     if (np.abs(d - d.T) > tol).any():
         i, j = (int(v) for v in np.argwhere(np.abs(d - d.T) > tol)[0])
         raise AxiomViolation("symmetry", (i, j), "fiber metric must be symmetric")
-    tri = d[:, :, None] + d[None, :, :] < d[:, None, :] - tol
-    if tri.any():
-        i, j, k = (int(v) for v in np.argwhere(tri)[0])
-        raise AxiomViolation("triangle", (i, j, k), "fiber triangle inequality violated")
+    witness = _reverse_triangle_witness(-d, tol)
+    if witness is not None:
+        raise AxiomViolation("triangle", witness, "fiber triangle inequality violated")
     d.flags.writeable = False
     return FiniteMetricFiber(labels=tuple(labels), d=d)
 
@@ -94,22 +99,16 @@ class ProductGenerator:
 
 
 def product_family(fiber: FiniteMetricFiber, n: Union[int, str],
-                   t_range: tuple[float, float] = (-1.0, 1.0),
-                   fiber_perturbation: Optional[Callable[[FiniteMetricFiber], FiniteMetricFiber]] = None,
-                   ) -> ProductGenerator:
-    """Member Y_n of the nested-cone family, cone scale 1 + 1/n (n = 'inf' -> 1).
-
-    The fiber-perturbation rate is the caller's choice; by default the fiber
-    is held fixed across n.
-    """
+                   t_range: tuple[float, float] = (-1.0, 1.0)) -> ProductGenerator:
+    """Member Y_n of the nested-cone family over a fixed fiber, cone scale 1 + 1/n
+    (n = 'inf' -> 1)."""
     if n == CONE_SCALE_LIMIT:
         scale = 1.0
     else:
         if not (isinstance(n, int) and n >= 1):
             raise ShapeMismatch("family index must be a positive integer or 'inf'")
         scale = 1.0 + 1.0 / n
-    fib = fiber_perturbation(fiber) if fiber_perturbation else fiber
-    return ProductGenerator(fiber=fib, cone_scale=scale, t_range=t_range, family_index=n)
+    return ProductGenerator(fiber=fiber, cone_scale=scale, t_range=t_range, family_index=n)
 
 
 Point = tuple[float, int]  # (time, fiber site index)
@@ -190,9 +189,10 @@ class SampledSpace:
     points: tuple[Point, ...]
     generator: ProductGenerator
 
-    def index_of(self, point: Point, tol: float = 1e-12) -> int:
+    def index_of(self, point: Point) -> int:
+        """Index of the sample point at `point`'s site whose time is within 1e-12."""
         for k, (t, i) in enumerate(self.points):
-            if i == point[1] and abs(t - point[0]) <= tol:
+            if i == point[1] and abs(t - point[0]) <= 1e-12:
                 return k
         raise KeyError(point)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .core import (CoveredFiniteSpace, FiniteLorentzSpace, _causal_two_cycles,
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
-from .measured import extract_limit
+from .measured import LIMIT_WINDOW, extract_limit
 from .nets import DiamondNet, doubling_constant, greedy_net
 
 
@@ -65,9 +65,9 @@ def _check_schedule(seq: CoveredSequence, depth_k: int, depth_l: int) -> None:
                         f"member {m}: scale-{l} net at level {k} not contained in level {k + 1}")
 
 
-def _entry_limit(series, positions, member_indices, tol, window, entry, strict, log):
+def _entry_limit(series, positions, member_indices, tol, entry, strict, log):
     """Limit of one ell-entry along the shared subsequence; refines `positions`."""
-    tail_vals = [series[p] for p in positions[-window:]]
+    tail_vals = [series[p] for p in positions[-LIMIT_WINDOW:]]
     if all(v == NEG_INF for v in tail_vals):
         # eventually causally unrelated; keep the unrelated members
         positions[:] = [p for p in positions if series[p] == NEG_INF]
@@ -76,7 +76,7 @@ def _entry_limit(series, positions, member_indices, tol, window, entry, strict, 
         positions[:] = [p for p in positions if series[p] > NEG_INF]
         vals = [series[p] for p in positions]
         idx = [member_indices[p] for p in positions] if member_indices is not None else None
-        value, kept_rel, spread = extract_limit(vals, idx, window)
+        value, kept_rel, spread = extract_limit(vals, idx)
         positions[:] = [positions[i] for i in kept_rel]
         if spread > tol:
             if strict:
@@ -93,13 +93,13 @@ def _entry_limit(series, positions, member_indices, tol, window, entry, strict, 
 
 
 def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
-                   tol: float = 1e-6, window: int = 5, strict: bool = True):
+                   tol: float = 1e-6, strict: bool = True):
     """Finite-truncation diagonal limit of a covered sequence.
 
     depth = (K, L, N): cover levels, net scales, members used. Limit points
     are the deduplicated net-vertex slots plus the adjoined basepoint; each
     ell entry is the extracted subsequence limit (Cauchy within `tol` over
-    the last `window` values, else NonCauchy when strict). Returns
+    the last `measured.LIMIT_WINDOW` values, else NonCauchy when strict). Returns
     (CoveredFiniteSpace, provenance log).
     """
     depth_k, depth_l, depth_n = depth
@@ -158,8 +158,7 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
         for b in range(n_classes):
             series = [members[m].space.ell[classes[a][m], classes[b][m]]
                       for m in range(len(members))]
-            ell[a, b] = _entry_limit(series, positions, member_idx, tol, window,
-                                     (a, b), strict, log)
+            ell[a, b] = _entry_limit(series, positions, member_idx, tol, (a, b), strict, log)
     log["final_subsequence"] = ([member_idx[p] for p in positions]
                                 if member_idx is not None else positions)
 
@@ -270,8 +269,7 @@ def _halving_nets(cov: CoveredFiniteSpace, levels: int) -> list[DiamondNet]:
 
 
 def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float],
-                       resample: Optional[Callable[[float], CoveredFiniteSpace]] = None,
-                       levels: int = 3, tol: float = 1e-6) -> TangentReport:
+                       levels: int = 3) -> TangentReport:
     """Blow-ups along increasing lambda: diameters, doubling, halving nets, limit.
 
     Per lambda the tightest admissible basepoint pair is auto-selected; the
@@ -284,9 +282,8 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
     schedules = []
     notes = []
     for lam in sorted(lambdas):
-        host = resample(lam) if resample is not None else cov
-        spec = select_blowup_spec(host, o, lam)
-        blown = blow_up(host, spec)
+        spec = select_blowup_spec(cov, o, lam)
+        blown = blow_up(cov, spec)
         every = list(range(blown.space.n))
         diam = timelike_diameter(blown.space, every)
         try:
@@ -329,8 +326,7 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
         seq = CoveredSequence(members=flat_members, schedules=tuple(aligned),
                               member_indices=tuple(int(r["lambda"]) for r in records))
         try:
-            limit, _ = diagonal_limit(seq, (1, levels, len(members)),
-                                      tol=tol, strict=False)
+            limit, _ = diagonal_limit(seq, (1, levels, len(members)), strict=False)
         except (ScheduleViolation, NonCauchy, AxiomViolation) as exc:
             notes.append(f"limit construction failed: {exc}")
     return TangentReport(records=tuple(records), limit=limit, notes=tuple(notes))

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import FiniteLorentzSpace
 from .errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
                      UnboundedWeights, UnmappedAtom)
-from .nets import DiamondNet, check_vertices, diamond_masks
+from .nets import DiamondNet, diamond_masks, point_indices
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,11 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
     """Induced measure: half of each residual set's mass onto each vertex.
 
     Residual set i is (J_i & A) minus the earlier diamonds, so the order of
-    the net is part of its identity. Total mass equals m(A) exactly. A net
-    vertex outside range(space.n) raises ShapeMismatch.
+    the net is part of its identity. Total mass equals m(A) exactly. A subset
+    point or net vertex outside range(space.n) raises ShapeMismatch.
     """
-    check_vertices(space, net)
-    a_idx = np.array(sorted(set(subset)), dtype=int)
+    point_indices(space, net.vertices(), "net vertices")
+    a_idx = point_indices(space, subset, "subset")
     masks = diamond_masks(space, net.pairs, a_idx)
     missing = [int(i) for i in a_idx[~masks.any(axis=0)]]
     if missing:
@@ -100,20 +100,11 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
                        residual_masses=tuple(residuals))
 
 
-def pushforward(f: Union[dict[int, int], Callable[[int], int]],
-                m: AtomicMeasure) -> AtomicMeasure:
-    """Transport mass atom by atom; total mass is preserved exactly."""
-    if isinstance(f, dict):
-        lookup = f.get
-    else:
-        def lookup(i, _f=f):
-            try:
-                return _f(i)
-            except (KeyError, IndexError):
-                return None
+def pushforward(f: dict[int, int], m: AtomicMeasure) -> AtomicMeasure:
+    """Transport mass atom by atom along the point map `f`; total mass is preserved exactly."""
     buckets: dict[int, list[float]] = {}
     for i, w in m.weights:
-        j = lookup(i)
+        j = f.get(i)
         if j is None:
             raise UnmappedAtom(f"atom {i} has no image under the point map", atom=i)
         buckets.setdefault(int(j), []).append(w)
@@ -136,6 +127,9 @@ def weak_gap(mu: AtomicMeasure, nu: AtomicMeasure,
     return max(abs(a.get(i, 0.0) - b.get(i, 0.0)) for i in atoms)
 
 
+LIMIT_WINDOW = 5  # tail length of every limit fit, here and in limits.diagonal_limit
+
+
 def _monotone_candidates(values: Sequence[float]) -> list[list[int]]:
     """Non-increasing and non-decreasing leader subsequences (positions)."""
     n = len(values)
@@ -154,13 +148,12 @@ def _monotone_candidates(values: Sequence[float]) -> list[list[int]]:
     return [lead_down, lead_up]
 
 
-def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int]] = None,
-                  window: int = 5):
+def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int]] = None):
     """Limit estimate of a bounded sequence at finite truncation.
 
     Extracts a monotone subsequence (the leader candidate whose final window
     has the smaller spread, so mixed-branch tails are avoided), then fits
-    a + b/n over the last `window` points; falls back to the last value when
+    a + b/n over the last LIMIT_WINDOW points; falls back to the last value when
     indices are missing or the fit degenerates. Returns (limit, kept
     positions, spread of the window).
     """
@@ -168,13 +161,13 @@ def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int
         raise ShapeMismatch("cannot extract a limit from an empty sequence")
 
     def tail_spread(pos):
-        tail = [values[k] for k in pos[-window:]]
+        tail = [values[k] for k in pos[-LIMIT_WINDOW:]]
         return max(tail) - min(tail)
 
     candidates = _monotone_candidates(values)
     # full-window candidates beat stubs; then smaller tail spread, then length
-    pos = min(candidates, key=lambda p: (len(p) < window, tail_spread(p), -len(p)))
-    tail = pos[-window:]
+    pos = min(candidates, key=lambda p: (len(p) < LIMIT_WINDOW, tail_spread(p), -len(p)))
+    tail = pos[-LIMIT_WINDOW:]
     tail_vals = [values[k] for k in tail]
     spread = max(tail_vals) - min(tail_vals)
     limit = tail_vals[-1]
@@ -191,8 +184,7 @@ def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int
 
 def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasure]],
                            bounds: Optional[dict[int, float]] = None,
-                           member_indices: Optional[Sequence[int]] = None,
-                           window: int = 5):
+                           member_indices: Optional[Sequence[int]] = None):
     """Vertex-wise limits of pushforward measures indexed by (cover k, scale l).
 
     Per (k, l) the per-vertex weight sequences are refined to a shared
@@ -230,7 +222,7 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
             idx = None
             if member_indices is not None:
                 idx = [member_indices[p] for p in current_positions]
-            limit, kept, spread = extract_limit(series, idx, window)
+            limit, kept, spread = extract_limit(series, idx)
             current_positions = [current_positions[k2] for k2 in kept]
             key_log[atom] = {"limit": limit, "kept": list(current_positions),
                              "spread": spread}

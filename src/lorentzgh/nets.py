@@ -63,11 +63,17 @@ def diamond_masks(space: FiniteLorentzSpace, pairs: Sequence[tuple[int, int]],
     return m
 
 
-def check_vertices(space: FiniteLorentzSpace, net: DiamondNet) -> None:
-    """Raise ShapeMismatch unless every vertex of `net` is a point of `space`."""
-    bad = [v for v in net.vertices() if not 0 <= v < space.n]
-    if bad:
-        raise ShapeMismatch(f"net vertices {bad} outside range({space.n})")
+def point_indices(space: FiniteLorentzSpace, indices: Sequence[int], what: str) -> np.ndarray:
+    """`indices` sorted and deduplicated, as an array of points of `space`.
+
+    Raises ShapeMismatch, naming them as `what`, when any index lies outside
+    range(space.n); a negative index is rejected, not wrapped.
+    """
+    idx = np.array(sorted(set(indices)), dtype=int)
+    if idx.size and (idx[0] < 0 or idx[-1] >= space.n):
+        bad = idx[(idx < 0) | (idx >= space.n)].tolist()
+        raise ShapeMismatch(f"{what} {bad} outside range({space.n})")
+    return idx
 
 
 def _admissible(space: FiniteLorentzSpace, epsilon: float) -> np.ndarray:
@@ -78,10 +84,10 @@ def _admissible(space: FiniteLorentzSpace, epsilon: float) -> np.ndarray:
 def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet) -> NetCheck:
     """Check coverage of `subset` and the tau <= epsilon size bound.
 
-    A net vertex outside range(space.n) raises ShapeMismatch.
+    A subset point or net vertex outside range(space.n) raises ShapeMismatch.
     """
-    check_vertices(space, net)
-    idx = np.array(sorted(set(subset)), dtype=int)
+    point_indices(space, net.vertices(), "net vertices")
+    idx = point_indices(space, subset, "subset")
     covered = diamond_masks(space, net.pairs, idx).any(axis=0)
     uncovered = tuple(int(i) for i in idx[~covered])
     oversized = tuple((p, q) for p, q in net.pairs
@@ -111,8 +117,9 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
 
     `seed_pairs` are prepended unconditionally (used for net nesting across
     cover levels). Ties break by (p, q) ascending; output is deterministic.
+    A subset point outside range(space.n) raises ShapeMismatch.
     """
-    subset_idx = np.array(sorted(set(subset)), dtype=int)
+    subset_idx = point_indices(space, subset, "subset")
     if candidates is None:
         candidates = default_candidates(space, epsilon, candidate_mode)
     candidates = sorted(set(candidates))
@@ -170,8 +177,9 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
 
     Exact covers are computed when the diamond has <= exact_threshold points;
     larger diamonds get the greedy upper bound and the result is an estimate.
+    A subset point outside range(space.n) raises ShapeMismatch.
     """
-    sub = np.array(sorted(set(subset)), dtype=int)
+    sub = point_indices(space, subset, "subset")
     local = space.restrict(sub)
     # causal pairs in (x, y) row-major order, kept when J(x, y) has no point
     # outside the subset (only those diamonds are constrained)
@@ -216,8 +224,7 @@ class NetGrowthTable:
         raise KeyError((k, epsilon))
 
 
-def net_growth_profile(cov: CoveredFiniteSpace, epsilons: Sequence[float],
-                       candidate_mode: str = ALL_CANDIDATES) -> NetGrowthTable:
+def net_growth_profile(cov: CoveredFiniteSpace, epsilons: Sequence[float]) -> NetGrowthTable:
     """Greedy nets per (cover level, epsilon), nested across levels.
 
     The level-k net reuses the level-(k-1) net as a seed, so vertex sets are
@@ -229,8 +236,7 @@ def net_growth_profile(cov: CoveredFiniteSpace, epsilons: Sequence[float],
     for eps in epsilons:
         prev_pairs: tuple[tuple[int, int], ...] = ()
         for k in range(cov.depth):
-            net = greedy_net(space, cov.level(k), eps,
-                             seed_pairs=prev_pairs, candidate_mode=candidate_mode)
+            net = greedy_net(space, cov.level(k), eps, seed_pairs=prev_pairs)
             rows.append((k, float(eps), len(net)))
             nets[(k, float(eps))] = net
             prev_pairs = net.pairs

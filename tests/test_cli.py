@@ -25,6 +25,12 @@ def run_json(args, capsys, expect=0):
     return json.loads(out if expect == 0 else err)
 
 
+# ell[0][2] falls 1e-7 short of the reverse triangle: valid at tol 1e-6 only
+SHORT_CHAIN = {"labels": ["a", "b", "c"],
+               "ell": [[0, 0.1, 0.2 - 1e-7], ["-inf", 0, 0.1], ["-inf", "-inf", 0]],
+               "basepoint": 1, "cover": [[0, 1, 2]]}
+
+
 class TestBasics:
     def test_validate_golden_space(self, capsys):
         payload = run_json(["validate", "--space", str(SCHEMAS / "space.json")], capsys)
@@ -75,6 +81,20 @@ class TestNets:
         net.write_text(json.dumps({"pairs": [[0, 2], pair], "epsilon": 2}))
         code, out, err = run_cli(["verify-net", "--space", str(SCHEMAS / "space.json"),
                                   "--net", str(net)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "shape-mismatch"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-net", "--net", str(SCHEMAS / "net.json"), "--subset", "0,7"],
+        ["verify-net", "--net", str(SCHEMAS / "net.json"), "--subset=-1"],
+        ["net", "--epsilon", "2", "--subset", "9"],
+        ["doubling", "--subset", "0,5"],
+        ["doubling", "--subset=-1,2"],
+        ["measure", "induce", "--measure", str(SCHEMAS / "measure.json"),
+         "--net", str(SCHEMAS / "net.json"), "--subset=-1,2"],
+    ])
+    def test_subset_outside_space_exit_1(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--space", str(SCHEMAS / "space.json")], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "shape-mismatch"
 
@@ -226,18 +246,73 @@ class TestLimitsCommands:
         assert all(rec["diameter"] <= 1.0 for rec in tangent["records"])
 
     def test_tol_reaches_covered_loaders(self, tmp_path, capsys):
-        # ell[0][2] falls 1e-7 short of the reverse triangle: valid at tol 1e-6
         f = tmp_path / "cov.json"
-        f.write_text(json.dumps({"labels": ["a", "b", "c"],
-                                 "ell": [[0, 0.1, 0.2 - 1e-7], ["-inf", 0, 0.1],
-                                         ["-inf", "-inf", 0]],
-                                 "basepoint": 1, "cover": [[0, 1, 2]]}))
+        f.write_text(json.dumps(SHORT_CHAIN))
         assert run_json(["validate", "--space", str(f), "--tol", "1e-6"], capsys) == {"ok": True}
         payload = run_json(["blowup", "--covered", str(f), "--tol", "1e-6", "--o-minus", "0",
                             "--o-plus", "2", "--lam", "2"], capsys)
         assert payload["labels"] == ["b"]
         run_json(["tangent", "--covered", str(f), "--tol", "1e-6", "--o", "1",
                   "--lambdas", "1,2", "--levels", "1"], capsys)
+
+
+class TestTol:
+    """`--tol` is the load tolerance wherever a command reads a space, and a
+    usage error on the commands that read none."""
+
+    LOADERS = {
+        "class": ["class", "--space", "{s}"],
+        "quotient": ["quotient", "--space", "{s}"],
+        "net": ["net", "--space", "{s}", "--epsilon", "1"],
+        "verify-net": ["verify-net", "--space", "{s}", "--net", "{net}"],
+        "doubling": ["doubling", "--space", "{s}"],
+        "distort": ["distort", "--a", "{s}", "--b", "{s}", "--corr",
+                    str(SCHEMAS / "correspondence.json")],
+        "match": ["match", "--a", "{s}", "--b", "{s}"],
+        "fourpoint": ["fourpoint", "--space", "{s}", "--K", "0", "--budget", "5"],
+        "scan": ["scan", "--space", "{s}", "--K-list", "0", "--budget", "5"],
+        "measure induce": ["measure", "induce", "--space", "{s}", "--measure",
+                           str(SCHEMAS / "measure.json"), "--net", "{net}"],
+        "causet embed": ["causet", "embed", "--causet", str(SCHEMAS / "causet.json"),
+                         "--space", "{s}", "--map", str(SCHEMAS / "point_map.json")],
+        "certify": ["certify", "--manifest", "{manifest}"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(LOADERS))
+    def test_tol_reaches_space_loaders(self, command, tmp_path, capsys):
+        (tmp_path / "s.json").write_text(json.dumps(SHORT_CHAIN))
+        net = {"pairs": [[0, 2]], "epsilon": 1.0}
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        member = {"space": "s.json", "nets": [net]}
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"members": [dict(member, index=1), dict(member, index=2)],
+             "limit": member, "matchings": "slots"}))
+        argv = [a.format(s=tmp_path / "s.json", net=tmp_path / "net.json",
+                         manifest=tmp_path / "manifest.json") for a in self.LOADERS[command]]
+        record = run_json(argv, capsys, expect=1)
+        assert record["error"] == "axiom-violation"
+        run_json(argv + ["--tol", "1e-6"], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--generator", "{g}", "--step", "0.25"],
+        ["grid-net", "--generator", "{g}", "--t-minus", "0.3", "--t-plus", "0.6",
+         "--epsilon", "0.25"],
+        ["cones", "--generator", "{g}", "--beta", "1", "--omega", "1"],
+        ["measure", "push", "--measure", "{m}", "--map", str(SCHEMAS / "point_map.json")],
+        ["measure", "gap", "--a", "{m}", "--b", "{m}"],
+        ["measure", "limit", "--manifest", str(SCHEMAS / "measure_limit_manifest.json")],
+        ["causet", "ell", "--causet", str(SCHEMAS / "causet.json")],
+        ["causet", "sprinkle", "--generator", "{g}", "--region", "0,0.5", "--count", "20",
+         "--seed", "4"],
+        ["causet", "trial", "--a", "{g}", "--b", "{g}", "--counts", "20", "--seed", "3"],
+    ], ids=lambda argv: " ".join(argv[:2]) if argv[0] in ("measure", "causet") else argv[0])
+    def test_tol_rejected_where_no_space_is_read(self, argv, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(json.dumps({"weights": {"0": 0.25, "1": 0.75}}))
+        argv = [a.format(g=SCHEMAS / "generator.json", m=tmp_path / "m.json") for a in argv]
+        assert run_cli(argv, capsys)[0] == 0
+        code, out, err = run_cli(argv + ["--tol", "1e-6"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestCausetCommands:

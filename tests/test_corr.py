@@ -257,6 +257,30 @@ class TestBestOfSeeds:
         assert min_distortion(a, b, seed=seed) == min(completed, key=lambda c: c[1])
 
 
+class TestSeedCount:
+    """Seeds completed on a pair that no seed matches at 0: greedy, then 8
+    random maps in heuristic mode, 4 ahead of exact branch and bound, and
+    none above 150 points. Chains of different sizes sit at INF_GAP."""
+
+    @pytest.mark.parametrize("sizes, mode, calls", [
+        ((3, 4), "heuristic", 1 + 8),
+        ((3, 4), "exact", 1 + 4),
+        ((151, 152), "heuristic", 1),
+    ])
+    def test_completions(self, sizes, mode, calls, monkeypatch):
+        from lorentzgh import corr
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(1)
+            return _complete_and_eval(*args, **kwargs)
+
+        monkeypatch.setattr(corr, "_complete_and_eval", counting)
+        a, b = (chain_space(np.arange(float(n))) for n in sizes)
+        assert min_distortion(a, b, mode=mode)[1] == INF_GAP
+        assert len(seen) == calls
+
+
 class TestReturnedValueIsDistortion:
     """min_distortion's value is the distortion of the correspondence it returns."""
 

@@ -24,6 +24,35 @@ class TestFiber:
         with pytest.raises(AxiomViolation):
             build_fiber(["a", "b"], [[0, 1], [2, 0]])
 
+    @staticmethod
+    def first_triangle_violation(d, tol=1e-9):
+        """Reference: the single (n, n, n) broadcast build_fiber used before chunking."""
+        tri = d[:, :, None] + d[None, :, :] < d[:, None, :] - tol
+        return tuple(int(v) for v in np.argwhere(tri)[0]) if tri.any() else None
+
+    @pytest.mark.parametrize("row", [0, 100, 158])
+    def test_triangle_witness_matches_unchunked_scan(self, row):
+        # 160 points scan in chunks of 78 rows; stretching one edge past twice
+        # the spacing breaks the triangle first in `row`
+        xs = np.linspace(0.0, 1.0, 160)
+        d = np.abs(xs[:, None] - xs[None, :])
+        d[row, row + 1] = d[row + 1, row] = 3.5 * xs[1]
+        with pytest.raises(AxiomViolation) as exc:
+            build_fiber([f"s{i}" for i in range(160)], d)
+        assert exc.value.kind == "triangle"
+        assert exc.value.witness == self.first_triangle_violation(d)
+        assert exc.value.witness[0] == row
+
+    def test_triangle_scan_is_chunked(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            circle_fiber(300)  # one (n, n, n) float broadcast is 206 MiB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # two chunks of 2M floats are 32 MiB
+
     def test_circle_distances(self):
         f = circle_fiber(8)
         assert f.d[0, 4] == pytest.approx(math.pi)

@@ -62,6 +62,13 @@ class TestInduce:
         with pytest.raises(ShapeMismatch):
             induce_net_measure(s, uniform_measure(s), range(3), net)
 
+    @pytest.mark.parametrize("subset", [[0, 3], [-1], [-1, 2]])
+    def test_subset_outside_space_rejected(self, subset):
+        s = chain_space([0, 1, 2])
+        net = DiamondNet(pairs=((0, 2),), epsilon=2.0)
+        with pytest.raises(ShapeMismatch, match="subset"):
+            induce_net_measure(s, uniform_measure(s), subset, net)
+
     def test_zero_atoms_dropped(self):
         s = chain_space([0, 1])
         m = dirac(0, 1.0)

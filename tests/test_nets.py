@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,24 @@ class TestVerifyNet:
         net = embed_net(grid, sampled)
         subset = [k for k, p in enumerate(sampled.points) if 1.0 <= p[0] <= 2.0]
         assert verify_net(sampled.space, subset, net).ok
+
+
+class TestSubsetRange:
+    """Subset indices outside range(space.n) are a domain error, not a numpy
+    IndexError or a wrap-around to the last point."""
+
+    OPS = {
+        "verify_net": lambda s, sub: verify_net(s, sub, DiamondNet(pairs=((0, 2),), epsilon=2.0)),
+        "greedy_net": lambda s, sub: greedy_net(s, sub, 2.0),
+        "doubling_constant": doubling_constant,
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("subset, bad", [([0, 3], [3]), ([0, 7, 9], [7, 9]),
+                                             ([-1], [-1]), ([-2, 1], [-2])])
+    def test_outside_space_rejected(self, op, subset, bad):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"subset {bad} outside range(3)")):
+            self.OPS[op](chain_space([0, 1, 2]), subset)
 
 
 class TestGreedyNet:
