@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (AxiomViolation, CapExceeded, EmptySubset, PrePDPRequired,
                      ShapeMismatch, SizeMismatch)
-from .extended import gap, gap_matrix
+from .extended import gap_matrix
 
 DEFAULT_TOL = 1e-9
 
@@ -265,34 +265,6 @@ def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float
     return max(0.0, float(space.ell[np.ix_(idx, idx)].max()))
 
 
-def _iso_extend(a, b, order, pos, image, used):
-    if pos == len(order):
-        return True
-    i = order[pos]
-    ea, eb = a.ell, b.ell
-    assigned = order[:pos]
-    for cand in range(b.n):
-        if used[cand]:
-            continue
-        if gap(ea[i, i], eb[cand, cand]) != 0.0:
-            continue
-        ok = True
-        for j in assigned:
-            fj = image[j]
-            if gap(ea[i, j], eb[cand, fj]) != 0.0 or gap(ea[j, i], eb[fj, cand]) != 0.0:
-                ok = False
-                break
-        if not ok:
-            continue
-        image[i] = cand
-        used[cand] = True
-        if _iso_extend(a, b, order, pos + 1, image, used):
-            return True
-        used[cand] = False
-        image[i] = -1
-    return False
-
-
 def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
                     cap: int = 24) -> Optional[dict[int, int]]:
     """Search for an exactly ell-preserving bijection a -> b; None if there is none.
@@ -306,33 +278,34 @@ def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
         raise SizeMismatch(f"|a| = {a.n} != |b| = {b.n}")
     if a.n > cap:
         raise CapExceeded(f"exact mode size cap exceeded ({a.n} > {cap})")
-    if a.n == 0:
-        return {}
 
-    def signature(space, i):
-        row = np.sort(space.ell[i, :])
-        col = np.sort(space.ell[:, i])
-        return row, col
-
-    sig_a = [signature(a, i) for i in range(a.n)]
-    sig_b = [signature(b, i) for i in range(b.n)]
-    # quick multiset obstruction: each a-point needs at least one b-point
-    # with matching sorted row/col profile
-    counts = []
-    for i in range(a.n):
-        c = sum(1 for j in range(b.n)
-                if (gap_matrix(sig_a[i][0], sig_b[j][0]) == 0.0).all()
-                and (gap_matrix(sig_a[i][1], sig_b[j][1]) == 0.0).all())
-        if c == 0:
-            return None
-        counts.append(c)
-
-    order = sorted(range(a.n), key=lambda i: counts[i])
+    # an a-point can only map to a b-point with the same sorted row and
+    # column; the search takes the points with the fewest such matches first
+    rows_a, rows_b = np.sort(a.ell, axis=1), np.sort(b.ell, axis=1)
+    cols_a, cols_b = np.sort(a.ell, axis=0), np.sort(b.ell, axis=0)
+    matches = [[j for j in range(b.n) if np.array_equal(rows_a[i], rows_b[j])
+                and np.array_equal(cols_a[:, i], cols_b[:, j])] for i in range(a.n)]
+    order = sorted(range(a.n), key=lambda i: len(matches[i]))
+    ea, eb = a.ell, b.ell
     image = [-1] * a.n
     used = [False] * b.n
-    if _iso_extend(a, b, order, 0, image, used):
-        return {i: image[i] for i in range(a.n)}
-    return None
+
+    def extend(pos):
+        if pos == a.n:
+            return True
+        i = order[pos]
+        for c in matches[i]:
+            if used[c] or ea[i, i] != eb[c, c] or any(
+                    ea[i, j] != eb[c, image[j]] or ea[j, i] != eb[image[j], c]
+                    for j in order[:pos]):
+                continue
+            image[i], used[c] = c, True
+            if extend(pos + 1):
+                return True
+            used[c] = False
+        return False
+
+    return dict(enumerate(image)) if extend(0) else None
 
 
 @dataclass(frozen=True)

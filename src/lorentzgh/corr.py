@@ -15,7 +15,7 @@ import numpy as np
 from .core import FiniteLorentzSpace
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
-from .extended import INF_GAP, gap, gap_matrix
+from .extended import INF_GAP, gap_matrix
 from .nets import DiamondNet
 
 EXACT_SIZE_CAP = 8
@@ -91,70 +91,57 @@ def _pairs_from_maps(fmap: Sequence[int], partners: dict[int, int]) -> tuple[tup
     return tuple(sorted(pairs))
 
 
-class _ExactSearch:
-    """Depth-first search over (f, g) selections with incremental sup pruning."""
+def _exact_search(a, b, best_val):
+    """Depth-first search over (f, g) selections with incremental sup pruning.
 
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        self.best_val = INF_GAP
-        self.best_pairs: Optional[tuple] = None
-        self.pairs: list[tuple[int, int]] = []
-        self.right_covered = [0] * b.n
+    cost[x, y, x2, y2] is the larger of the two gaps that pairs (x, y) and
+    (x2, y2) add, so a pair's increment is a max over the pairs chosen so
+    far. Returns (value, pairs) of the best selection below `best_val`, or
+    (best_val, None) when none is below it.
+    """
+    g = gap_matrix(a.ell[:, None, :, None], b.ell[None, :, None, :])
+    # memoryview indexing yields Python floats without the memory of nested lists
+    cost = memoryview(np.maximum(g, g.transpose(2, 3, 0, 1)))
+    chosen: list[tuple[int, int]] = []
+    best_pairs = None
 
-    def seed(self, val, pairs):
-        if val < self.best_val:
-            self.best_val = val
-            self.best_pairs = pairs
-
-    def _incremental(self, x, y, cur):
-        ea, eb = self.a.ell, self.b.ell
-        d = max(cur, gap(ea[x, x], eb[y, y]))
-        for x2, y2 in self.pairs:
-            if d >= self.best_val:
-                return d
-            d = max(d, gap(ea[x, x2], eb[y, y2]), gap(ea[x2, x], eb[y2, y]))
+    def push(x, y, cur):
+        """Choose (x, y) and return the new sup; None once it reaches best_val."""
+        d = max(cur, cost[x, y, x, y])
+        for x2, y2 in chosen:
+            if d >= best_val:
+                return None
+            d = max(d, cost[x, y, x2, y2])
+        if d >= best_val:
+            return None
+        chosen.append((x, y))
         return d
 
-    def _push(self, x, y):
-        self.pairs.append((x, y))
-        self.right_covered[y] += 1
-
-    def _pop(self):
-        x, y = self.pairs.pop()
-        self.right_covered[y] -= 1
-
-    def run(self):
-        self._dfs_left(0, 0.0)
-        return self.best_val, self.best_pairs
-
-    def _dfs_left(self, i, cur):
-        if i == self.a.n:
-            uncovered = [y for y in range(self.b.n) if not self.right_covered[y]]
-            self._dfs_right(uncovered, 0, cur)
+    def dfs_left(i, cur):
+        if i == a.n:
+            covered = {y for _, y in chosen}
+            dfs_right([y for y in range(b.n) if y not in covered], 0, cur)
             return
-        for y in range(self.b.n):
-            d = self._incremental(i, y, cur)
-            if d >= self.best_val:
-                continue
-            self._push(i, y)
-            self._dfs_left(i + 1, d)
-            self._pop()
+        for y in range(b.n):
+            d = push(i, y, cur)
+            if d is not None:
+                dfs_left(i + 1, d)
+                chosen.pop()
 
-    def _dfs_right(self, uncovered, j, cur):
+    def dfs_right(uncovered, j, cur):
+        nonlocal best_val, best_pairs
         if j == len(uncovered):
-            if cur < self.best_val:
-                self.best_val = cur
-                self.best_pairs = tuple(sorted(self.pairs))
+            if cur < best_val:
+                best_val, best_pairs = cur, tuple(sorted(chosen))
             return
-        y = uncovered[j]
-        for x in range(self.a.n):
-            d = self._incremental(x, y, cur)
-            if d >= self.best_val:
-                continue
-            self._push(x, y)
-            self._dfs_right(uncovered, j + 1, d)
-            self._pop()
+        for x in range(a.n):
+            d = push(x, uncovered[j], cur)
+            if d is not None:
+                dfs_right(uncovered, j + 1, d)
+                chosen.pop()
+
+    dfs_left(0, 0.0)
+    return best_val, best_pairs
 
 
 def _candidate_scores(cand, fixed, cs, fs, f0):
@@ -235,10 +222,8 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
     if mode == "exact":
         if a.n > EXACT_SIZE_CAP or b.n > EXACT_SIZE_CAP:
             raise CapExceeded(f"exact mode size cap exceeded ({max(a.n, b.n)} > {EXACT_SIZE_CAP})")
-        search = _ExactSearch(a, b)
         corr0, val0 = _heuristic(a, b, seed, restarts=4)
-        search.seed(val0, corr0.pairs)
-        val, pairs = search.run()
+        val, pairs = _exact_search(a, b, val0)
         if pairs is None:  # heuristic seed was already optimal
             return corr0, val0
         return make_correspondence(pairs, a.n, b.n), val

@@ -10,9 +10,10 @@ Conventions baked in:
 +inf is not a legal time value (covered spaces have finite tau); INF_GAP
 re-uses float inf purely as the distortion sentinel.
 
-`gap` and `gap_matrix` are the only encodings of the comparison convention:
-two values match within tol iff their gap is <= tol, so NEG_INF matches
-only NEG_INF and finite values match within tol.
+`gap_matrix` is the one encoding of the comparison convention, and `gap` is
+its scalar form: two values match within tol iff their gap is <= tol, so
+NEG_INF matches only NEG_INF and finite values match within tol. At tol 0
+that is exact equality: on {-inf} union [0, inf), gap(a, b) == 0 iff a == b.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ INF_GAP = float("inf")
 
 def gap(a: float, b: float) -> float:
     """|a - b| under the distortion conventions (0 for two NEG_INFs, INF_GAP for mixed)."""
-    a_inf = a == NEG_INF
-    b_inf = b == NEG_INF
-    if a_inf and b_inf:
-        return 0.0
-    if a_inf or b_inf:
-        return INF_GAP
-    return abs(a - b)
+    return float(gap_matrix(a, b))
 
 
 def gap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .core import (DEFAULT_TOL, FiniteLorentzSpace, _reverse_triangle_witness,
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
-from .nets import DiamondNet
+from .nets import DiamondNet, point_indices
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
         rng = np.random.default_rng(plan.seed)
         jitter = rng.uniform(-plan.time_step / 5, plan.time_step / 5, size=m - 2)
         times = [times[0]] + [t + j for t, j in zip(times[1:-1], jitter)] + [times[-1]]
-    sites = range(gen.fiber.n) if plan.fiber_sites == "all" else plan.fiber_sites
-    sites = list(sites)
+    sites = list(range(gen.fiber.n) if plan.fiber_sites == "all" else plan.fiber_sites)
+    point_indices(gen.fiber, sites, "fiber sites")  # range check only; sites keep their order
     if not times or not sites:
         raise EmptyPlan("plan resolves to no sample points")
     points = [(t, s) for t in times for s in sites]
@@ -250,8 +250,8 @@ class GridNet:
 
 
 def _check_fiber_net(gen: ProductGenerator, fiber_net: Sequence[int], radius: float) -> None:
-    net = sorted(set(fiber_net))
-    if not net:
+    net = point_indices(gen.fiber, fiber_net, "fiber net")
+    if not net.size:
         raise NotAFiberNet(None, "empty fiber net")
     dmin = gen.fiber.d[:, net].min(axis=1)
     bad = np.flatnonzero(dmin >= radius)

@@ -58,7 +58,7 @@ def _check_schedule(seq: CoveredSequence, depth_k: int, depth_l: int) -> None:
                 raise ScheduleViolation(f"net cardinalities differ at (k={k}, l={l}): {sorted(sizes)}")
         # nets nested in k, per member
     for m, sched in enumerate(seq.schedules):
-        for k in range(min(depth_k, len(sched)) - 1):
+        for k in range(depth_k - 1):
             for l in range(depth_l):
                 if not set(sched[k][l].pairs) <= set(sched[k + 1][l].pairs):
                     raise ScheduleViolation(
@@ -111,6 +111,8 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
                             member_indices=(tuple(seq.member_indices[:depth_n])
                                             if seq.member_indices is not None else None))
     depth_k = min(depth_k, min(len(s) for s in seq_t.schedules))
+    if depth_k < 1:
+        raise ScheduleViolation("depth selects no cover levels")
     depth_l = min(depth_l, min(len(s[k]) for s in seq_t.schedules for k in range(depth_k)))
     _check_schedule(seq_t, depth_k, depth_l)
 
@@ -178,9 +180,6 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
             if any(s[0] != "o" and s[0] <= k for s in slots):
                 level.add(c)
         cover_levels.append(sorted(level))
-    missing = set(range(n_classes)) - set(cover_levels[-1])
-    if missing:  # every class belongs to some truncated level by construction
-        cover_levels[-1] = sorted(set(cover_levels[-1]) | missing)
     return covered(space, base_class, cover_levels), log
 
 

@@ -67,7 +67,8 @@ def point_indices(space: FiniteLorentzSpace, indices: Sequence[int], what: str) 
     """`indices` sorted and deduplicated, as an array of points of `space`.
 
     Raises ShapeMismatch, naming them as `what`, when any index lies outside
-    range(space.n); a negative index is rejected, not wrapped.
+    range(space.n); a negative index is rejected, not wrapped. Only `space.n`
+    is read, so a metric fiber serves as well as a space.
     """
     idx = np.array(sorted(set(indices)), dtype=int)
     if idx.size and (idx[0] < 0 or idx[-1] >= space.n):

@@ -109,6 +109,21 @@ class TestNets:
         assert payload["uncovered_samples"] == []
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--step", "0.5", "--sites", "99"],
+        ["sample", "--step", "0.5", "--sites=-1"],
+        ["grid-net", "--t-minus", "0.3", "--t-plus", "0.6", "--epsilon", "0.25",
+         "--fiber-net", "99"],
+        ["grid-net", "--t-minus", "0.3", "--t-plus", "0.6", "--epsilon", "0.25",
+         "--fiber-net=-1"],
+    ])
+    def test_fiber_site_outside_fiber_exit_1(self, argv, capsys):
+        code, out, err = run_cli(argv + ["--generator", str(SCHEMAS / "generator.json")],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "shape-mismatch"
+
+
 class TestMatching:
     def test_distort_golden(self, capsys):
         payload = run_json(["distort", "--a", str(SCHEMAS / "space.json"),
@@ -229,6 +244,14 @@ class TestLimitsCommands:
                             str(SCHEMAS / "converge_manifest.json"),
                             "--depth", "1,1,0"], capsys)
         assert payload["non_cauchy"] == []
+
+    def test_converge_depth_without_cover_levels_exit_1(self, capsys):
+        code, out, err = run_cli(["converge", "--manifest",
+                                  str(SCHEMAS / "converge_manifest.json"),
+                                  "--depth", "0,1,0"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "schedule-violation",
+                                   "message": "depth selects no cover levels"}
 
     def test_blowup_and_tangent(self, tmp_path, capsys):
         import numpy as np

@@ -17,6 +17,7 @@ from lorentzgh.extended import INF_GAP, NEG_INF as NI
 
 
 MATCHER_PINS = json.loads((Path(__file__).parent / "data" / "matcher_pins.json").read_text())
+EXACT_PINS = json.loads((Path(__file__).parent / "data" / "exact_pins.json").read_text())
 
 
 def random_integer_space(rng, n):
@@ -362,3 +363,37 @@ class TestPinnedMatcher:
             expected = INF_GAP if case["distortion"] == "inf" else case["distortion"]
             assert [list(p) for p in r.pairs] == case["pairs"]
             assert val == expected
+
+
+class TestPinnedExact:
+    """Exact-search and isometry results recorded before the searches read one cost table.
+
+    Every `exact` case is one where branch and bound beats its heuristic seed
+    (`heuristic_seed` is that seed's value): six each of chains with repeated
+    times, layered spaces with duplicate points, causal sets and -inf block
+    unions of a chain and a causal set, 1 to 7 points. Most of these values
+    came back as numpy.float64 from the scalar-gap search. The `isometry`
+    cases are point-permuted copies of layered spaces, unions and causal sets,
+    the last two rescaled so that no isometry exists.
+    """
+
+    SPACES = [TestPinnedMatcher._space(rec) for rec in EXACT_PINS["spaces"]]
+
+    def test_exact_search_reproduces_recorded_results(self):
+        for case in EXACT_PINS["exact"]:
+            r, val = min_distortion(self.SPACES[case["a"]], self.SPACES[case["b"]],
+                                    mode="exact", seed=case["seed"])
+            assert [list(p) for p in r.pairs] == case["pairs"]
+            assert val == case["distortion"] < float(case["heuristic_seed"])
+
+    def test_exact_search_returns_python_float(self):
+        for case in EXACT_PINS["exact"]:
+            _, val = min_distortion(self.SPACES[case["a"]], self.SPACES[case["b"]],
+                                    mode="exact", seed=case["seed"])
+            assert type(val) is float
+
+    def test_isometry_search_reproduces_recorded_images(self):
+        for case in EXACT_PINS["isometry"]:
+            a, b = self.SPACES[case["a"]], self.SPACES[case["b"]]
+            image = isometry_search(a, b)
+            assert (None if image is None else [image[i] for i in range(a.n)]) == case["image"]

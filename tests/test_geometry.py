@@ -8,7 +8,7 @@ from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, circle_fiber,
                        product_tau, sample_spacetime, segment_fiber, slab_net,
                        uncovered_samples, verify_net, embed_net)
 from lorentzgh.errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge,
-                              NotAFiberNet, UnsupportedMetricFamily)
+                              NotAFiberNet, ShapeMismatch, UnsupportedMetricFamily)
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.geometry import net_vertex_points
 from lorentzgh import build_space, causality_class
@@ -111,6 +111,17 @@ class TestSampling:
         with pytest.raises(EmptyPlan):
             sample_spacetime(gen, SamplePlan(time_step=0.5, fiber_sites=()))
 
+    @pytest.mark.parametrize("sites", [(0, 8), (-1,)])
+    def test_sites_outside_fiber(self, sites):
+        gen = product_family(circle_fiber(8), "inf", t_range=(0.0, 1.0))
+        with pytest.raises(ShapeMismatch, match="fiber sites"):
+            sample_spacetime(gen, SamplePlan(time_step=0.5, fiber_sites=sites))
+
+    def test_sites_keep_given_order(self):
+        gen = product_family(circle_fiber(8), "inf", t_range=(0.0, 1.0))
+        s = sample_spacetime(gen, SamplePlan(time_step=1.0, fiber_sites=(5, 2)))
+        assert [i for _, i in s.points] == [5, 2, 5, 2]
+
     def test_jitter_seeded_and_valid(self):
         gen = ProductGenerator(fiber=segment_fiber(2, 0.4), cone_scale=1.0,
                                t_range=(0.0, 2.0))
@@ -150,6 +161,11 @@ class TestGridNet:
         with pytest.raises(NotAFiberNet) as exc:
             grid_net_product(self.gen, 1.0, 2.0, 1.0, [0])  # lone site too sparse
         assert exc.value.witness is not None
+
+    @pytest.mark.parametrize("fiber_net", [[0, 8], [-1]])
+    def test_fiber_net_outside_fiber(self, fiber_net):
+        with pytest.raises(ShapeMismatch, match="fiber net"):
+            grid_net_product(self.gen, 1.0, 2.0, 1.0, fiber_net)
 
     def test_diamonds_have_exact_tau(self):
         grid = grid_net_product(self.gen, 1.0, 2.0, 1.0, range(8))

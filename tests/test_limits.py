@@ -74,6 +74,11 @@ class TestDiagonalLimit:
         with pytest.raises(ScheduleViolation):
             diagonal_limit(seq, (1, 1, 2))
 
+    def test_depth_without_cover_levels(self):
+        seq = constant_sequence(chain_space([0, 1]))
+        with pytest.raises(ScheduleViolation, match="no cover levels"):
+            diagonal_limit(seq, (0, 1, 6))
+
     def test_limit_survives_core_validation(self, rng):
         # reverse triangle survives limits
         base = chain_space(np.sort(rng.uniform(0, 3, 5)))
