@@ -108,7 +108,6 @@ class TestNets:
                             "--epsilon", "0.25", "--check-samples", "500"], capsys)
         assert payload["uncovered_samples"] == []
 
-
     @pytest.mark.parametrize("argv", [
         ["sample", "--step", "0.5", "--sites", "99"],
         ["sample", "--step", "0.5", "--sites=-1"],
