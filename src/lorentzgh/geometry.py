@@ -60,8 +60,14 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     return FiniteMetricFiber(labels=tuple(labels), d=d)
 
 
+def _check_fiber_points(n: int) -> None:
+    if n < 1:
+        raise ShapeMismatch(f"a fiber needs at least one point, got {n}")
+
+
 def circle_fiber(n: int, radius: float = 1.0) -> FiniteMetricFiber:
     """n equally spaced points on a circle with the geodesic (arc) metric."""
+    _check_fiber_points(n)
     step = 2 * math.pi * radius / n
     idx = np.arange(n)
     k = np.abs(idx[:, None] - idx[None, :])
@@ -71,6 +77,7 @@ def circle_fiber(n: int, radius: float = 1.0) -> FiniteMetricFiber:
 
 def segment_fiber(n: int, length: float = 1.0) -> FiniteMetricFiber:
     """n equally spaced points on a geodesic segment of the given length."""
+    _check_fiber_points(n)
     xs = np.linspace(0.0, length, n)
     return build_fiber([f"s{i}" for i in range(n)], np.abs(xs[:, None] - xs[None, :]))
 
@@ -190,11 +197,23 @@ class SampledSpace:
     generator: ProductGenerator
 
     def index_of(self, point: Point) -> int:
-        """Index of the sample point at `point`'s site whose time is within 1e-12."""
-        for k, (t, i) in enumerate(self.points):
-            if i == point[1] and abs(t - point[0]) <= 1e-12:
-                return k
-        raise KeyError(point)
+        """Index of the sample point at `point` by `_find_point`; KeyError if none."""
+        k = _find_point(self.points, point)
+        if k is None:
+            raise KeyError(point)
+        return k
+
+
+def _find_point(points: Sequence[Point], point: Point) -> Optional[int]:
+    """First index in `points` at `point`'s site whose time is within 1e-12.
+
+    The one identity rule for product sample points: `index_of`, the
+    extra-point merge of `sample_spacetime` and `embed_net` all use it.
+    """
+    for k, (t, i) in enumerate(points):
+        if i == point[1] and abs(t - point[0]) <= 1e-12:
+            return k
+    return None
 
 
 def point_label(gen: ProductGenerator, p: Point) -> str:
@@ -224,7 +243,7 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
         raise EmptyPlan("plan resolves to no sample points")
     points = [(t, s) for t in times for s in sites]
     for p in extra_points:
-        if all(not (abs(p[0] - t) <= 1e-12 and p[1] == s) for t, s in points):
+        if _find_point(points, p) is None:
             points.append((float(p[0]), int(p[1])))
     labels = [point_label(gen, p) for p in points]
     space = build_space(labels, _ell_matrix(gen, points))
@@ -320,17 +339,11 @@ def uncovered_samples(gen: ProductGenerator, net: GridNet,
 
 def embed_net(net: GridNet, sampled: SampledSpace) -> DiamondNet:
     """Resolve grid-net vertices to indices of a sample that contains them."""
-    lookup = {}
-    for k, (t, s) in enumerate(sampled.points):
-        lookup[(round(t, 12), s)] = k
-    pairs = []
-    for a, b in net.pairs:
-        ka = lookup.get((round(net.vertex_points[a][0], 12), net.vertex_points[a][1]))
-        kb = lookup.get((round(net.vertex_points[b][0], 12), net.vertex_points[b][1]))
-        if ka is None or kb is None:
-            raise ShapeMismatch("sample does not contain a net vertex; pass extra_points")
-        pairs.append((ka, kb))
-    return DiamondNet(pairs=tuple(pairs), epsilon=net.epsilon)
+    index = [_find_point(sampled.points, p) for p in net.vertex_points]
+    pairs = tuple((index[a], index[b]) for a, b in net.pairs)
+    if any(k is None for pair in pairs for k in pair):
+        raise ShapeMismatch("sample does not contain a net vertex; pass extra_points")
+    return DiamondNet(pairs=pairs, epsilon=net.epsilon)
 
 
 def net_vertex_points(net: GridNet) -> tuple[Point, ...]:

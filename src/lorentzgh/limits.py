@@ -46,18 +46,18 @@ class CoveredSequence:
             raise ScheduleViolation("member_indices length mismatch")
 
 
-def _check_schedule(seq: CoveredSequence, depth_k: int, depth_l: int) -> None:
+def _check_schedule(schedules, depth_k: int, depth_l: int) -> None:
     for k in range(depth_k):
         for l in range(depth_l):
             sizes = set()
-            for m, sched in enumerate(seq.schedules):
+            for m, sched in enumerate(schedules):
                 if len(sched) <= k or len(sched[k]) <= l:
                     raise ScheduleViolation(f"member {m} lacks a net at (k={k}, l={l})")
                 sizes.add(len(sched[k][l].pairs))
             if len(sizes) != 1:
                 raise ScheduleViolation(f"net cardinalities differ at (k={k}, l={l}): {sorted(sizes)}")
         # nets nested in k, per member
-    for m, sched in enumerate(seq.schedules):
+    for m, sched in enumerate(schedules):
         for k in range(depth_k - 1):
             for l in range(depth_l):
                 if not set(sched[k][l].pairs) <= set(sched[k + 1][l].pairs):
@@ -96,90 +96,65 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
                    tol: float = 1e-6, strict: bool = True):
     """Finite-truncation diagonal limit of a covered sequence.
 
-    depth = (K, L, N): cover levels, net scales, members used. Limit points
-    are the deduplicated net-vertex slots plus the adjoined basepoint; each
-    ell entry is the extracted subsequence limit (Cauchy within `tol` over
-    the last `measured.LIMIT_WINDOW` values, else NonCauchy when strict). Returns
+    depth = (K, L, N): cover levels, net scales, members used; K and L are
+    clipped to the shortest schedule, and each of K, L, N below 1 is a
+    ScheduleViolation. A slot (k, l, i, side) is vertex `side` (p, q) of
+    diamond i of the scale-l net at level k; its limit point is the tuple of
+    per-member vertices there. Limit points are the distinct tuples in the
+    order they first occur with k outermost, then the basepoint tuple if no
+    slot holds it. Each point is labelled by its first slot,
+    `v{k}.{l}.{i}.{p|q}` (the basepoint `o`), and enters the cover at that
+    slot's k, which is its lowest level. Each ell entry is the extracted
+    subsequence limit (Cauchy within `tol` over the last
+    `measured.LIMIT_WINDOW` values, else NonCauchy when strict). Returns
     (CoveredFiniteSpace, provenance log).
     """
     depth_k, depth_l, depth_n = depth
-    members = seq.members[:depth_n]
-    if not members:
+    if depth_n < 1:
         raise ScheduleViolation("depth selects no members")
-    seq_t = CoveredSequence(members=tuple(members),
-                            schedules=tuple(seq.schedules[:depth_n]),
-                            member_indices=(tuple(seq.member_indices[:depth_n])
-                                            if seq.member_indices is not None else None))
-    depth_k = min(depth_k, min(len(s) for s in seq_t.schedules))
+    members = seq.members[:depth_n]
+    schedules = seq.schedules[:depth_n]
+    member_idx = seq.member_indices[:depth_n] if seq.member_indices is not None else None
+    depth_k = min(depth_k, min(len(s) for s in schedules))
     if depth_k < 1:
         raise ScheduleViolation("depth selects no cover levels")
-    depth_l = min(depth_l, min(len(s[k]) for s in seq_t.schedules for k in range(depth_k)))
-    _check_schedule(seq_t, depth_k, depth_l)
+    depth_l = min(depth_l, min(len(s[k]) for s in schedules for k in range(depth_k)))
+    if depth_l < 1:
+        raise ScheduleViolation("depth selects no net scales")
+    _check_schedule(schedules, depth_k, depth_l)
 
-    # slots -> per-member vertex index tuples, deduplicated
-    slot_order = []
-    slot_vertices: dict[tuple, tuple[int, ...]] = {}
+    # distinct per-member vertex tuples -> first slot (k, l, i, side); with k
+    # outermost, a tuple's first slot carries its lowest cover level
+    first_slot: dict[tuple[int, ...], Optional[tuple]] = {}
     for k in range(depth_k):
         for l in range(depth_l):
-            n_pairs = len(seq_t.schedules[0][k][l].pairs)
-            for i in range(n_pairs):
+            nets = [sched[k][l].pairs for sched in schedules]
+            for i in range(len(nets[0])):
                 for side in range(2):
-                    slot = (k, l, i, side)
-                    verts = tuple(seq_t.schedules[m][k][l].pairs[i][side]
-                                  for m in range(len(members)))
-                    slot_order.append(slot)
-                    slot_vertices[slot] = verts
-
+                    first_slot.setdefault(tuple(pairs[i][side] for pairs in nets), (k, l, i, side))
     base = tuple(cov.basepoint for cov in members)
-    classes: list[tuple[int, ...]] = []
-    class_slots: list[list] = []
-    lookup: dict[tuple[int, ...], int] = {}
-    for slot in slot_order:
-        verts = slot_vertices[slot]
-        if verts not in lookup:
-            lookup[verts] = len(classes)
-            classes.append(verts)
-            class_slots.append([slot])
-        else:
-            class_slots[lookup[verts]].append(slot)
-    if base not in lookup:
-        lookup[base] = len(classes)
-        classes.append(base)
-        class_slots.append([("o",)])
-    base_class = lookup[base]
+    first_slot.setdefault(base, None)
+    classes = list(first_slot)
+    slots = list(first_slot.values())
+    base_class = classes.index(base)
 
-    n_classes = len(classes)
-    member_idx = (list(seq_t.member_indices) if seq_t.member_indices is not None
-                  else None)
     positions = list(range(len(members)))
     log = {"entries": {}, "non_cauchy": [],
            "note": "finite truncation carries the discrete topology "
                    "(source construction uses the chronological one)"}
-    ell = np.full((n_classes, n_classes), NEG_INF)
-    for a in range(n_classes):
-        for b in range(n_classes):
-            series = [members[m].space.ell[classes[a][m], classes[b][m]]
-                      for m in range(len(members))]
+    ell = np.full((len(classes), len(classes)), NEG_INF)
+    for a, ca in enumerate(classes):
+        for b, cb in enumerate(classes):
+            series = [cov.space.ell[x, y] for cov, x, y in zip(members, ca, cb)]
             ell[a, b] = _entry_limit(series, positions, member_idx, tol, (a, b), strict, log)
     log["final_subsequence"] = ([member_idx[p] for p in positions]
                                 if member_idx is not None else positions)
 
-    labels = []
-    for c in range(n_classes):
-        if c == base_class:
-            labels.append("o")
-        else:
-            k, l, i, side = class_slots[c][0]
-            labels.append(f"v{k}.{l}.{i}.{'p' if side == 0 else 'q'}")
+    labels = ["o" if c == base_class else f"v{s[0]}.{s[1]}.{s[2]}.{'pq'[s[3]]}"
+              for c, s in enumerate(slots)]
     space = build_space(labels, ell, tol=max(tol, 1e-9))
-
-    cover_levels = []
-    for k in range(depth_k):
-        level = {base_class}
-        for c, slots in enumerate(class_slots):
-            if any(s[0] != "o" and s[0] <= k for s in slots):
-                level.add(c)
-        cover_levels.append(sorted(level))
+    cover_levels = [{base_class} | {c for c, s in enumerate(slots) if s is not None and s[0] <= k}
+                    for k in range(depth_k)]
     return covered(space, base_class, cover_levels), log
 
 
@@ -255,18 +230,6 @@ class TangentReport:
     notes: tuple[str, ...] = field(default=())
 
 
-def _halving_nets(cov: CoveredFiniteSpace, levels: int) -> list[DiamondNet]:
-    """Nets at scales diam/2^l by greedy covering, per the repeated-halving proof."""
-    space = cov.space
-    every = list(range(space.n))
-    diam = max(timelike_diameter(space, every), space.tol)
-    nets = []
-    for l in range(levels):
-        eps = diam / (2 ** l)
-        nets.append(greedy_net(space, every, eps))
-    return nets
-
-
 def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float],
                        levels: int = 3) -> TangentReport:
     """Blow-ups along increasing lambda: diameters, doubling, halving nets, limit.
@@ -290,8 +253,9 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
         except Uncoverable:
             doubling = None
             notes.append(f"doubling failed at lambda={lam}")
-        try:
-            nets = _halving_nets(blown, levels)
+        try:  # halving nets at scales diam/2^l, per the repeated-halving proof
+            nets = [greedy_net(blown.space, every, max(diam, blown.space.tol) / 2 ** l)
+                    for l in range(levels)]
         except Uncoverable:
             notes.append(f"halving nets uncoverable at lambda={lam}; member dropped")
             continue

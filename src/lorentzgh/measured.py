@@ -208,7 +208,6 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
 
     log: dict = {"per_key": {}}
     limit_weights: dict[int, float] = {}
-    settled: set[int] = set()
     # process cover levels in order; the subsequence chosen at level k seeds k+1
     current_positions: Optional[list[int]] = None
     for key in keys:
@@ -226,9 +225,7 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
             current_positions = [current_positions[k2] for k2 in kept]
             key_log[atom] = {"limit": limit, "kept": list(current_positions),
                              "spread": spread}
-            if atom not in settled:
-                limit_weights[atom] = limit
-                settled.add(atom)
+            limit_weights.setdefault(atom, limit)
         log["per_key"][key] = key_log
-    log["final_positions"] = list(current_positions or [])
+    log["final_positions"] = list(current_positions)
     return atomic_measure(limit_weights), log

@@ -186,6 +186,18 @@ class TestGeometryCommands:
                             "--beta", "1.0", "--omega", "1.0"], capsys)
         assert not payload["holds"]  # family cone scale 1.1 > sqrt(beta)/omega
 
+    @pytest.mark.parametrize("kind, points", [("circle", 0), ("segment", 0), ("segment", -2)])
+    @pytest.mark.parametrize("argv", [["sample", "--step", "0.5"],
+                                      ["cones", "--beta", "1", "--omega", "1"]])
+    def test_empty_closed_form_fiber_exit_1(self, argv, kind, points, tmp_path, capsys):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({"fiber_kind": kind, "fiber_points": points,
+                                   "family_index": 10}))
+        code, out, err = run_cli(argv + ["--generator", str(gen)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "shape-mismatch"
+        assert "Traceback" not in err
+
     def test_scan(self, capsys):
         payload = run_json(["scan", "--space", str(SCHEMAS / "space.json"),
                             "--K-list", "0,0.5", "--budget", "20", "--seed", "1"],
@@ -251,6 +263,17 @@ class TestLimitsCommands:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "schedule-violation",
                                    "message": "depth selects no cover levels"}
+
+    @pytest.mark.parametrize("depth, message", [
+        ("1,1,-1", "depth selects no members"),
+        ("1,-1,0", "depth selects no net scales"),
+        ("1,0,0", "depth selects no net scales")])
+    def test_converge_depth_without_members_or_scales_exit_1(self, depth, message, capsys):
+        code, out, err = run_cli(["converge", "--manifest",
+                                  str(SCHEMAS / "converge_manifest.json"),
+                                  f"--depth={depth}"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "schedule-violation", "message": message}
 
     def test_blowup_and_tangent(self, tmp_path, capsys):
         import numpy as np

@@ -10,7 +10,7 @@ from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, circle_fiber,
 from lorentzgh.errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge,
                               NotAFiberNet, ShapeMismatch, UnsupportedMetricFamily)
 from lorentzgh.extended import NEG_INF as NI
-from lorentzgh.geometry import net_vertex_points
+from lorentzgh.geometry import GridNet, net_vertex_points
 from lorentzgh import build_space, causality_class
 
 
@@ -57,6 +57,12 @@ class TestFiber:
         f = circle_fiber(8)
         assert f.d[0, 4] == pytest.approx(math.pi)
         assert f.d[0, 1] == pytest.approx(math.pi / 4)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", [circle_fiber, segment_fiber])
+    def test_closed_form_fiber_needs_a_point(self, make, n):
+        with pytest.raises(ShapeMismatch, match="at least one point"):
+            make(n)
 
 
 class TestProductTau:
@@ -210,6 +216,19 @@ class TestGridNet:
         net = embed_net(grid, sampled)
         subset = [k for k, p in enumerate(sampled.points) if 0.5 <= p[0] <= 1.5]
         assert verify_net(sampled.space, subset, net).ok
+
+    def test_embed_net_resolves_a_merged_extra_point(self):
+        # the extra vertex lies 6e-13 above t = 0.25: the sample merges it into
+        # that grid point, and the net resolves it there as index_of does
+        vertex = (0.2500000000006, 0)
+        sampled = sample_spacetime(product_family(circle_fiber(4), "inf"), SamplePlan(0.25),
+                                   t_window=(0, 0.5), extra_points=[vertex])
+        assert len(sampled.points) == 12
+        grid = GridNet(vertex_points=((0.0, 0), vertex), pairs=((0, 1),), epsilon=0.25,
+                       columns=1)
+        net = embed_net(grid, sampled)
+        assert net.pairs == ((sampled.index_of((0.0, 0)), sampled.index_of((0.25, 0))),)
+        assert sampled.index_of(vertex) == sampled.index_of((0.25, 0))
 
 
 class TestConeDominates:

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,8 @@ from lorentzgh import (BlowupSpec, CoveredSequence, DiamondNet, blow_up, covered
 from lorentzgh.errors import (NoAdmissibleBasepoints, NonCauchy, ScheduleViolation,
                               SpecViolated)
 from lorentzgh.extended import NEG_INF as NI
+
+LIMIT_PINS = json.loads((Path(__file__).parent / "data" / "limit_pins.json").read_text())
 
 
 def constant_sequence(space, copies=6, nets=None):
@@ -78,6 +84,20 @@ class TestDiagonalLimit:
         seq = constant_sequence(chain_space([0, 1]))
         with pytest.raises(ScheduleViolation, match="no cover levels"):
             diagonal_limit(seq, (0, 1, 6))
+
+    @pytest.mark.parametrize("depth, message", [
+        ((1, 1, 0), "no members"), ((1, 1, -1), "no members"),
+        ((1, 0, 6), "no net scales"), ((1, -1, 6), "no net scales")])
+    def test_depth_selects_nothing(self, depth, message):
+        seq = constant_sequence(chain_space([0, 1]))
+        with pytest.raises(ScheduleViolation, match=message):
+            diagonal_limit(seq, depth)
+
+    def test_schedules_without_net_scales(self):
+        cov = covered(chain_space([0, 1]), 0, [range(2)])
+        seq = CoveredSequence(members=(cov, cov), schedules=(((),), ((),)))
+        with pytest.raises(ScheduleViolation, match="no net scales"):
+            diagonal_limit(seq, (1, 1, 2))
 
     def test_limit_survives_core_validation(self, rng):
         # reverse triangle survives limits
@@ -214,3 +234,64 @@ class TestTangent:
         cov = self._minkowski_cov()
         with pytest.raises(NoAdmissibleBasepoints):
             select_blowup_spec(cov, cov.basepoint, 1e9)
+
+
+def _enc(v):
+    if isinstance(v, (list, tuple)):
+        return [_enc(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _enc(x) for k, x in v.items()}
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
+def _pinned_covered(rec):
+    ell = [[NI if v == "-inf" else v for v in row] for row in rec["ell"]]
+    return covered(build_space(rec["labels"], ell, tol=rec["tol"]), rec["basepoint"], rec["cover"])
+
+
+def _covered_record(cov):
+    return {"labels": list(cov.space.labels), "ell": _enc(cov.space.ell.tolist()),
+            "tol": cov.space.tol, "basepoint": cov.basepoint,
+            "cover": [list(level) for level in cov.cover]}
+
+
+class TestPinnedLimits:
+    """Diagonal limits and tangent reports recorded before limit points became
+    one first-slot table.
+
+    Members are small Minkowski point sets that converge like 1/n; some have a
+    point duplicated at ell 0 so that two vertex tuples differ while their values
+    agree. The `diagonal` cases cover K, L >= 2, depths clipped to the schedules
+    and truncated to the first N members, vertex tuples shared across slots, the
+    basepoint inside and outside the slot classes, member_indices=None, and
+    strict=False with mixed -inf tails and non-Cauchy entries. The `tangent`
+    cases blow up a small diamond whose tightest pair holds several points.
+    """
+
+    @pytest.mark.parametrize("case", LIMIT_PINS["diagonal"], ids=lambda c: c["name"])
+    def test_diagonal_limit_reproduces_recorded_limit(self, case):
+        rec = case["sequence"]
+        seq = CoveredSequence(
+            members=tuple(_pinned_covered(m) for m in rec["members"]),
+            schedules=tuple(tuple(tuple(DiamondNet(pairs=tuple(map(tuple, net["pairs"])),
+                                                   epsilon=net["epsilon"]) for net in per_k)
+                                  for per_k in sched) for sched in rec["schedules"]),
+            member_indices=None if rec["member_indices"] is None else tuple(rec["member_indices"]))
+        limit, log = diagonal_limit(seq, tuple(case["depth"]), tol=case["tol"],
+                                    strict=case["strict"])
+        assert _covered_record(limit) == case["limit"]
+        assert [[list(k), _enc(v)] for k, v in log["entries"].items()] == case["log"]["entries"]
+        assert [{"entry": list(r["entry"]), "spread": _enc(r["spread"])}
+                for r in log["non_cauchy"]] == case["log"]["non_cauchy"]
+        assert log["final_subsequence"] == case["log"]["final_subsequence"]
+        assert log["note"] == case["log"]["note"]
+
+    @pytest.mark.parametrize("case", LIMIT_PINS["tangent"], ids=lambda c: c["name"])
+    def test_tangent_experiment_reproduces_recorded_report(self, case):
+        cov = _pinned_covered(case["covered"])
+        report = tangent_experiment(cov, cov.basepoint, case["lambdas"], levels=case["levels"])
+        assert _enc(report.records) == case["records"]
+        assert report.limit is not None and _covered_record(report.limit) == case["limit"]
+        assert list(report.notes) == case["notes"]
