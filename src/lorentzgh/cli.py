@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import serialize as ser
 from .causet import chain_ell, faithful_embed_check, hauptvermutung_trial, sprinkle
-from .core import (causality_class, classify_special_points, isometry_search,
-                   quotient_tau_indistinguishable)
+from .core import (DEFAULT_TOL, causality_class, classify_special_points,
+                   isometry_search, quotient_tau_indistinguishable)
 from .corr import (CertificateMember, distortion, lgh_certificate,
                    min_distortion, slot_matching)
 from .curvature import curvature_bound_scan
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, fmt=False, tol=True):
         p.add_argument("--out")
         if tol:
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                            help="load tolerance for input spaces (default 1e-9)")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -116,9 +116,19 @@ def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int
     return None
 
 
+def _float_matrix(labels: Sequence[str], m, name: str) -> np.ndarray:
+    """m as a float array; "-inf"/"inf" strings parse, other malformed input is a shape error."""
+    if isinstance(labels, str):
+        raise ShapeMismatch(f"labels must be a list, got the string {labels!r}")
+    try:
+        return np.array(m, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{name} must be a matrix of numbers: {exc}") from None
+
+
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
     """Validate axioms and return the space with cached relation tables."""
-    ell = np.array(ell, dtype=float)
+    ell = _float_matrix(labels, ell, "ell")
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
         raise ShapeMismatch(f"ell must be square, got shape {ell.shape}")
     if ell.shape[0] != len(labels):

@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FiniteLorentzSpace, _reverse_triangle_witness,
-                   build_space)
+from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix,
+                   _reverse_triangle_witness, build_space)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
@@ -41,10 +41,23 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     The triangle inequality of d is the reverse triangle inequality of -d, so
     it shares the chunked scan of `core.validate_matrix`.
     """
-    tol = DEFAULT_TOL
-    d = np.array(d, dtype=float)
+    d = _float_matrix(labels, d, "d")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
         raise ShapeMismatch(f"need a square matrix matching {len(labels)} labels")
+    fiber = _pointwise_checked_fiber(labels, d)
+    witness = _reverse_triangle_witness(-d, DEFAULT_TOL)
+    if witness is not None:
+        raise AxiomViolation("triangle", witness, "fiber triangle inequality violated")
+    return fiber
+
+
+def _pointwise_checked_fiber(labels: Sequence[str], d: np.ndarray) -> FiniteMetricFiber:
+    """Check codomain, diagonal and symmetry of d, O(n^2), and freeze it.
+
+    The triangle inequality is left to the caller: `build_fiber` scans for
+    it, the closed forms below hold it by construction.
+    """
+    tol = DEFAULT_TOL
     if (d < -tol).any() or np.isnan(d).any() or np.isinf(d).any():
         raise AxiomViolation("codomain", None, "fiber distances must be finite and nonnegative")
     if (np.abs(np.diagonal(d)) > tol).any():
@@ -53,9 +66,6 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     if (np.abs(d - d.T) > tol).any():
         i, j = (int(v) for v in np.argwhere(np.abs(d - d.T) > tol)[0])
         raise AxiomViolation("symmetry", (i, j), "fiber metric must be symmetric")
-    witness = _reverse_triangle_witness(-d, tol)
-    if witness is not None:
-        raise AxiomViolation("triangle", witness, "fiber triangle inequality violated")
     d.flags.writeable = False
     return FiniteMetricFiber(labels=tuple(labels), d=d)
 
@@ -72,14 +82,15 @@ def circle_fiber(n: int, radius: float = 1.0) -> FiniteMetricFiber:
     idx = np.arange(n)
     k = np.abs(idx[:, None] - idx[None, :])
     k = np.minimum(k, n - k)
-    return build_fiber([f"s{i}" for i in range(n)], k * step)
+    return _pointwise_checked_fiber([f"s{i}" for i in range(n)], k * step)
 
 
 def segment_fiber(n: int, length: float = 1.0) -> FiniteMetricFiber:
     """n equally spaced points on a geodesic segment of the given length."""
     _check_fiber_points(n)
     xs = np.linspace(0.0, length, n)
-    return build_fiber([f"s{i}" for i in range(n)], np.abs(xs[:, None] - xs[None, :]))
+    return _pointwise_checked_fiber([f"s{i}" for i in range(n)],
+                                    np.abs(xs[:, None] - xs[None, :]))
 
 
 CONE_SCALE_LIMIT = "inf"

@@ -1,8 +1,11 @@
 """JSON artifact formats.
 
-Finite values are written in shortest round-trip decimal (python repr), so
-load(dump(x)) is bit-exact; -inf is the string "-inf" (JSON has no
-infinities), and distortion sentinels serialize as "inf".
+`dumps` alone spells the extended values: -inf as the string "-inf" and +inf
+(distortion sentinels, an unbounded net epsilon) as "inf", since JSON has no
+infinities. The `*_to_dict` functions return plain numbers. `build_space`
+and `build_fiber` read the strings back through `np.array(..., dtype=float)`,
+and scalar fields are read with `float`. Finite values are written in
+shortest round-trip decimal (python repr), so load(dump(x)) is bit-exact.
 """
 
 from __future__ import annotations
@@ -13,48 +16,22 @@ from typing import Any
 
 import numpy as np
 
-from .core import CoveredFiniteSpace, FiniteLorentzSpace, build_space, covered
+from .core import DEFAULT_TOL, CoveredFiniteSpace, FiniteLorentzSpace, build_space, covered
 from .corr import Correspondence, make_correspondence
 from .causet import CausalSet, build_causet
 from .errors import ShapeMismatch
-from .extended import NEG_INF
 from .geometry import (FiniteMetricFiber, ProductGenerator, build_fiber,
                        circle_fiber, product_family, segment_fiber)
 from .measured import AtomicMeasure, atomic_measure
 from .nets import DiamondNet
 
 
-def _encode_value(x: float):
-    if x == NEG_INF:
-        return "-inf"
-    if math.isinf(x):
-        return "inf"
-    return x
-
-
-def _decode_value(v) -> float:
-    if v == "-inf":
-        return NEG_INF
-    if v == "inf":
-        return math.inf
-    return float(v)
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    return [[_encode_value(float(x)) for x in row] for row in m]
-
-
-def decode_matrix(rows) -> list:
-    return [[_decode_value(v) for v in row] for row in rows]
-
-
 def space_to_dict(space: FiniteLorentzSpace) -> dict:
-    return {"labels": list(space.labels), "ell": encode_matrix(space.ell)}
+    return {"labels": list(space.labels), "ell": space.ell.tolist()}
 
 
-def space_from_dict(data: dict, tol: float = None) -> FiniteLorentzSpace:
-    kwargs = {} if tol is None else {"tol": tol}
-    return build_space(data["labels"], decode_matrix(data["ell"]), **kwargs)
+def space_from_dict(data: dict, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
+    return build_space(data["labels"], data["ell"], tol)
 
 
 def covered_to_dict(cov: CoveredFiniteSpace) -> dict:
@@ -64,19 +41,19 @@ def covered_to_dict(cov: CoveredFiniteSpace) -> dict:
     return out
 
 
-def covered_from_dict(data: dict, tol: float = None) -> CoveredFiniteSpace:
+def covered_from_dict(data: dict, tol: float = DEFAULT_TOL) -> CoveredFiniteSpace:
     space = space_from_dict(data, tol)
     return covered(space, int(data["basepoint"]), data["cover"])
 
 
 def net_to_dict(net: DiamondNet) -> dict:
-    return {"epsilon": _encode_value(net.epsilon),
+    return {"epsilon": net.epsilon,
             "pairs": [[p, q] for p, q in net.pairs]}
 
 
 def net_from_dict(data: dict) -> DiamondNet:
     return DiamondNet(pairs=tuple((int(p), int(q)) for p, q in data["pairs"]),
-                      epsilon=_decode_value(data["epsilon"]))
+                      epsilon=float(data["epsilon"]))
 
 
 def correspondence_to_dict(r: Correspondence) -> dict:
@@ -90,17 +67,17 @@ def correspondence_from_dict(data: dict) -> Correspondence:
 
 
 def fiber_to_dict(fiber: FiniteMetricFiber) -> dict:
-    return {"labels": list(fiber.labels), "d": encode_matrix(fiber.d)}
+    return {"labels": list(fiber.labels), "d": fiber.d.tolist()}
 
 
 def fiber_from_dict(data: dict) -> FiniteMetricFiber:
-    return build_fiber(data["labels"], decode_matrix(data["d"]))
+    return build_fiber(data["labels"], data["d"])
 
 
 def measure_to_dict(m: AtomicMeasure, space: FiniteLorentzSpace = None) -> dict:
     if space is None:
-        return {"weights": {str(i): _encode_value(w) for i, w in m.weights}}
-    return {"weights": {space.labels[i]: _encode_value(w) for i, w in m.weights}}
+        return {"weights": {str(i): w for i, w in m.weights}}
+    return {"weights": {space.labels[i]: w for i, w in m.weights}}
 
 
 def measure_from_dict(data: dict, space: FiniteLorentzSpace = None) -> AtomicMeasure:
@@ -110,7 +87,7 @@ def measure_from_dict(data: dict, space: FiniteLorentzSpace = None) -> AtomicMea
             idx = space.labels.index(key)
         else:
             idx = int(key)
-        weights[idx] = _decode_value(w)
+        weights[idx] = float(w)
     return atomic_measure(weights)
 
 
@@ -128,7 +105,7 @@ def generator_to_dict(gen: ProductGenerator) -> dict:
     if gen.family_index is not None:
         out["family_index"] = gen.family_index
     else:
-        out["cone_scale"] = _encode_value(gen.cone_scale)
+        out["cone_scale"] = gen.cone_scale
     return out
 
 
@@ -145,12 +122,12 @@ def generator_from_dict(data: dict) -> ProductGenerator:
     if "family_index" in data:
         n = data["family_index"]
         return product_family(fiber, n if n == "inf" else int(n), t_range)
-    return ProductGenerator(fiber=fiber, cone_scale=_decode_value(data.get("cone_scale", 1)),
+    return ProductGenerator(fiber=fiber, cone_scale=float(data.get("cone_scale", 1)),
                             t_range=t_range)
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, shortest-round-trip floats."""
+    """Deterministic JSON: sorted keys, shortest-round-trip floats, infinities as strings."""
     return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
 
@@ -162,10 +139,11 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _encode_value(float(obj))
-    if isinstance(obj, float):
-        return _encode_value(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            return "-inf" if x < 0 else "inf"
+        return x
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     return obj

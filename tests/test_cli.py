@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,38 @@ class TestGeometryCommands:
                             "--K-list", "0,0.5", "--budget", "20", "--seed", "1"],
                            capsys)
         assert len(payload["per_K"]) == 2
+
+
+# (labels, matrix) -> expected error code; entry [0][1] or the labels are malformed
+MALFORMED = {
+    "null-entry": (None, [[0, None], [1, 0]], "axiom-violation"),
+    "object-entry": (None, [[0, {"x": 1}], [1, 0]], "shape-mismatch"),
+    "ragged-rows": (None, [[0, 1], [1]], "shape-mismatch"),
+    "string-entry": (None, [[0, "one"], [1, 0]], "shape-mismatch"),
+    "bare-string-labels": ("ab", [[0, 1], [1, 0]], "shape-mismatch"),
+}
+
+
+class TestMalformedMatrices:
+    """Bad matrix entries and labels are domain errors, never tracebacks or usage errors."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("command", ["validate", "sample"])
+    def test_exit_1_with_record(self, command, case, tmp_path, capsys):
+        labels, matrix, error = MALFORMED[case]
+        if command == "validate":
+            data = {"labels": labels or ["a", "b"], "ell": matrix}
+            argv = ["validate", "--space"]
+        else:
+            data = {"fiber": {"labels": labels or ["s0", "s1"], "d": matrix},
+                    "family_index": 10}
+            argv = ["sample", "--step", "0.5", "--generator"]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(argv + [str(path)], capsys)
+        assert (code, out) == (1, ""), err
+        assert json.loads(err)["error"] == error
+        assert "Traceback" not in err
 
 
 class TestPackaging:
@@ -449,3 +482,31 @@ class TestArtifactRoundTrips:
                             "--t-minus", "0.3", "--t-plus", "0.5",
                             "--epsilon", "0.25"], capsys)
         assert payload["pairs"]
+
+
+class TestCliPins:
+    """stdout sha256 and exit code of the README CLI lines on the golden files."""
+
+    PINS = json.loads((ROOT / "tests" / "data" / "cli_pins.json").read_text())["pins"]
+
+    @staticmethod
+    def readme_commands() -> list[list[str]]:
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        return [line.split()[1:] for line in text.splitlines()
+                if line.startswith("lorentzgh ")]
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: " ".join(pin["argv"][:2]))
+    def test_pin_reproduces(self, pin, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        code, out, err = run_cli(pin["argv"], capsys)
+        assert code == pin["exit"], err
+        assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+
+    def test_pins_match_readme(self):
+        readme = self.readme_commands()
+        for pin in self.PINS:
+            assert (pin["argv"] in readme) == pin["readme"], pin["argv"]
+        # every README line whose inputs are all golden files is pinned
+        golden = [argv for argv in readme
+                  if all(a.startswith("docs/schemas/") for a in argv if a.endswith(".json"))]
+        assert golden == [pin["argv"] for pin in self.PINS if pin["readme"]]

@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_space, layered_space, random_chain, random_causet_space, union_space
-from lorentzgh import (build_space, causality_class, classify_special_points, covered,
-                       isometry_search, quotient_tau_indistinguishable, timelike_diameter)
+from lorentzgh import (DiamondNet, ProductGenerator, atomic_measure, build_fiber, build_space,
+                       causality_class, circle_fiber, classify_special_points, covered,
+                       isometry_search, product_family, quotient_tau_indistinguishable,
+                       segment_fiber, timelike_diameter)
 from lorentzgh.core import CoveredFiniteSpace, _finish, _indistinguishable_pairs
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
                               PrePDPRequired, ShapeMismatch, SizeMismatch)
@@ -290,14 +293,51 @@ class TestCovered:
             CoveredFiniteSpace(space=s, basepoint=0, cover=((0, 1, 2), (0, 1)))
 
 
+def _reload(to_dict, from_dict, x, *extra):
+    return from_dict(json.loads(ser.dumps(to_dict(x, *extra))), *extra)
+
+
+def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # bit-exact incl. -inf
+
+
 class TestJsonRoundTrip:
-    def test_bit_exact(self, rng):
-        for _ in range(30):
-            s = random_chain(rng)
-            text = ser.dumps(ser.space_to_dict(s))
-            back = ser.space_from_dict(json.loads(text))
-            assert back.labels == s.labels
-            assert (back.ell == s.ell).all()  # bit-exact incl. -inf
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_fiber=st.integers(1, 9),
+           scale=st.floats(0.01, 100.0), epsilon=st.floats(0.0, 1e6) | st.just(math.inf),
+           family_index=st.integers(1, 10**6) | st.just("inf"))
+    def test_bit_exact(self, seed, n_fiber, scale, epsilon, family_index):
+        # spaces with -inf blocks and duplicate points, covered spaces, fibers,
+        # nets, measures and generators reload bit-exactly through dumps
+        rng = np.random.default_rng(seed)
+        spaces = [random_chain(rng), union_space(rng), layered_space(rng),
+                  random_causet_space(rng)]
+        for s in spaces:
+            back = _reload(ser.space_to_dict, ser.space_from_dict, s)
+            assert back.labels == s.labels and _same_matrix(back.ell, s.ell)
+            cov = covered(s, 0, [[0], range(s.n)])
+            back = _reload(ser.covered_to_dict, ser.covered_from_dict, cov)
+            assert _same_matrix(back.space.ell, s.ell)
+            assert (back.basepoint, back.cover) == (cov.basepoint, cov.cover)
+            m = atomic_measure({int(i): float(rng.uniform(0, scale)) for i in range(s.n)})
+            assert repr(_reload(ser.measure_to_dict, ser.measure_from_dict, m)) == repr(m)
+            assert repr(_reload(ser.measure_to_dict, ser.measure_from_dict, m, s)) == repr(m)
+        xs = rng.uniform(0, scale, size=n_fiber)
+        fibers = [circle_fiber(n_fiber, scale), segment_fiber(n_fiber, scale),
+                  build_fiber([f"x{i}" for i in range(n_fiber)],
+                              np.abs(xs[:, None] - xs[None, :]))]
+        for f in fibers:
+            back = _reload(ser.fiber_to_dict, ser.fiber_from_dict, f)
+            assert back.labels == f.labels and _same_matrix(back.d, f.d)
+            t_range = tuple(sorted(float(v) for v in rng.uniform(-scale, scale, size=2)))
+            for gen in (ProductGenerator(fiber=f, cone_scale=scale, t_range=t_range),
+                        product_family(f, family_index, t_range)):
+                back = _reload(ser.generator_to_dict, ser.generator_from_dict, gen)
+                assert _same_matrix(back.fiber.d, f.d)
+                assert repr((back.cone_scale, back.t_range, back.family_index)) == \
+                    repr((gen.cone_scale, gen.t_range, gen.family_index))
+        net = DiamondNet(pairs=((0, 1), (2, 0)), epsilon=epsilon)
+        assert repr(_reload(ser.net_to_dict, ser.net_from_dict, net)) == repr(net)
 
     def test_neg_inf_as_string(self):
         s = chain_space([0, 1])

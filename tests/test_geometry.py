@@ -45,9 +45,10 @@ class TestFiber:
 
     def test_triangle_scan_is_chunked(self):
         import tracemalloc
+        circle = circle_fiber(300)
         tracemalloc.start()
         try:
-            circle_fiber(300)  # one (n, n, n) float broadcast is 206 MiB
+            build_fiber(circle.labels, circle.d)  # one (n, n, n) float broadcast is 206 MiB
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -63,6 +64,34 @@ class TestFiber:
     def test_closed_form_fiber_needs_a_point(self, make, n):
         with pytest.raises(ShapeMismatch, match="at least one point"):
             make(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    @pytest.mark.parametrize("make, size", [(circle_fiber, 0.37), (segment_fiber, 2.5)])
+    def test_closed_forms_pass_the_full_check(self, make, size, n):
+        # the closed forms skip the triangle scan; it must still accept them
+        f = make(n, size)
+        checked = build_fiber(f.labels, f.d)
+        assert checked.labels == f.labels
+        assert checked.d.tobytes() == f.d.tobytes()
+        assert not f.d.flags.writeable
+
+    def test_closed_forms_skip_the_triangle_scan(self, monkeypatch):
+        import lorentzgh.geometry as geometry
+
+        def no_scan(*args):
+            raise AssertionError("triangle scan ran")
+
+        monkeypatch.setattr(geometry, "_reverse_triangle_witness", no_scan)
+        assert circle_fiber(64, 0.37).n == 64
+        assert segment_fiber(64, 2.5).n == 64
+        with pytest.raises(AssertionError, match="triangle scan ran"):
+            circle_fiber(4).scaled(2.0)  # scaled fibers are still checked in full
+
+    @pytest.mark.parametrize("make, size", [(circle_fiber, -1.0), (segment_fiber, math.nan)])
+    def test_closed_forms_check_their_entries(self, make, size):
+        with pytest.raises(AxiomViolation) as exc:
+            make(5, size)
+        assert exc.value.kind == "codomain"
 
 
 class TestProductTau:
