@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (AxiomViolation, CapExceeded, EmptySubset, PrePDPRequired,
                      ShapeMismatch, SizeMismatch)
-from .extended import gap_matrix
+from .extended import NEG_INF, gap_matrix
 
 DEFAULT_TOL = 1e-9
 
@@ -74,13 +74,18 @@ def _finish(labels, ell, tol) -> FiniteLorentzSpace:
 
 
 def validate_matrix(ell: np.ndarray, tol: float) -> None:
-    """Raise AxiomViolation on codomain, diagonal or reverse-triangle failures."""
-    if np.isnan(ell).any() or np.isposinf(ell).any():
-        bad = np.argwhere(np.isnan(ell) | np.isposinf(ell))[0]
+    """Raise AxiomViolation on codomain, diagonal or reverse-triangle failures.
+
+    Each check reports its first failure in row-major order; the triangle
+    check costs sum_j |J-(j)| |J+(j)| entries where that is cheaper than n^3
+    (see `_reverse_triangle_witness`).
+    """
+    below_inf = ell < np.inf  # False exactly at nan and +inf
+    if not below_inf.all():
+        bad = np.argwhere(~below_inf)[0]
         raise AxiomViolation("codomain", tuple(int(v) for v in bad),
                              "entries must lie in {-inf} union [0, inf)")
-    finite = np.isfinite(ell)
-    neg = finite & (ell < -tol)
+    neg = (ell < -tol) & (ell > NEG_INF)
     if neg.any():
         bad = np.argwhere(neg)[0]
         raise AxiomViolation("codomain", tuple(int(v) for v in bad),
@@ -97,14 +102,49 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
                              f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
 
 
+# Cost model for choosing the triangle scan, in entries of the dense (i, j, k)
+# cube: the sweep over middle points pays about _SWEEP_ENTRY_COST per visited
+# entry (fancy indexing) plus _SWEEP_STEP_COST per middle point (Python loop).
+_SWEEP_ENTRY_COST = 4
+_SWEEP_STEP_COST = 8_000
+_DENSE_CHUNK = 250_000  # entries of the (rows, n, n) broadcast per step of the dense scan
+
+
 def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:
     """Lexicographically least (i, j, k) with ell[i,j] + ell[j,k] > ell[i,k] + tol, or None.
 
-    -inf absorbs on the left. The scan is chunked over i to keep the
-    (n, n, n) broadcast out of memory.
+    -inf absorbs on the left, so a violation through the middle point j
+    needs i in J-(j) and k in J+(j): finite ell[i, j] and ell[j, k]. Where
+    the cost model says it pays, a sweep over j visits only J-(j) x J+(j),
+    sum_j |J-(j)| |J+(j)| entries, and returns None if it finds nothing.
+    Small n, dense causal support (finite input such as a negated metric)
+    and any violation the sweep finds go to the dense scan over the whole
+    cube, which names the least witness.
     """
     n = ell.shape[0]
-    block = max(1, int(2_000_000 // max(n * n, 1)) or 1)
+    if n * n > _SWEEP_STEP_COST:  # otherwise the sweep's steps alone cost n^3 or more
+        causal = np.isfinite(ell)
+        visits = int(causal.sum(axis=0) @ causal.sum(axis=1))
+        if _SWEEP_ENTRY_COST * visits + _SWEEP_STEP_COST * n < n ** 3 \
+                and not _sweep_finds_violation(ell, tol, causal):
+            return None
+    return _dense_witness(ell, tol)
+
+
+def _sweep_finds_violation(ell: np.ndarray, tol: float, causal: np.ndarray) -> bool:
+    """Whether some middle point j has a violation over J-(j) x J+(j)."""
+    for j in range(ell.shape[0]):
+        past, future = np.flatnonzero(causal[:, j]), np.flatnonzero(causal[j])
+        lhs = np.add.outer(ell[past, j], ell[j, future])
+        if (lhs > ell[np.ix_(past, future)] + tol).any():
+            return True
+    return False
+
+
+def _dense_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:
+    """The least witness by a scan of the whole cube, chunked over i to bound memory."""
+    n = ell.shape[0]
+    block = max(1, _DENSE_CHUNK // max(n * n, 1))
     for start in range(0, n, block):
         stop = min(start + block, n)
         lhs = ell[start:stop, :, None] + ell[None, :, :]
@@ -117,9 +157,16 @@ def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int
 
 
 def _float_matrix(labels: Sequence[str], m, name: str) -> np.ndarray:
-    """m as a float array; "-inf"/"inf" strings parse, other malformed input is a shape error."""
-    if isinstance(labels, str):
-        raise ShapeMismatch(f"labels must be a list, got the string {labels!r}")
+    """m as a float array; "-inf"/"inf" strings parse, other malformed input is a shape error.
+
+    `labels` must be a list or tuple of hashable values.
+    """
+    if not isinstance(labels, (list, tuple)):
+        raise ShapeMismatch(f"labels must be a list, got {labels!r:.40}")
+    try:
+        hash(tuple(labels))
+    except TypeError as exc:
+        raise ShapeMismatch(f"labels must be hashable: {exc}") from None
     try:
         return np.array(m, dtype=float)
     except (TypeError, ValueError) as exc:

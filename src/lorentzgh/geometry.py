@@ -39,7 +39,8 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     """Validate the metric axioms exhaustively, within DEFAULT_TOL, and freeze the matrix.
 
     The triangle inequality of d is the reverse triangle inequality of -d, so
-    it shares the chunked scan of `core.validate_matrix`.
+    it shares `core.validate_matrix`'s triangle check; -d is finite everywhere,
+    so that check scans the whole (i, j, k) cube in chunks.
     """
     d = _float_matrix(labels, d, "d")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):

@@ -213,6 +213,8 @@ MALFORMED = {
     "ragged-rows": (None, [[0, 1], [1]], "shape-mismatch"),
     "string-entry": (None, [[0, "one"], [1, 0]], "shape-mismatch"),
     "bare-string-labels": ("ab", [[0, 1], [1, 0]], "shape-mismatch"),
+    "number-labels": (5, [[0]], "shape-mismatch"),
+    "unhashable-labels": ([["a"]], [[0]], "shape-mismatch"),
 }
 
 

@@ -10,7 +10,10 @@ from lorentzgh import (DiamondNet, ProductGenerator, atomic_measure, build_fiber
                        causality_class, circle_fiber, classify_special_points, covered,
                        isometry_search, product_family, quotient_tau_indistinguishable,
                        segment_fiber, timelike_diameter)
-from lorentzgh.core import CoveredFiniteSpace, _finish, _indistinguishable_pairs
+from lorentzgh import core
+from lorentzgh.causet import _restriction_space, sprinkle
+from lorentzgh.core import (DEFAULT_TOL, CoveredFiniteSpace, _finish, _indistinguishable_pairs,
+                            _sweep_finds_violation, validate_matrix)
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
                               PrePDPRequired, ShapeMismatch, SizeMismatch)
 from lorentzgh.extended import NEG_INF as NI, gap, INF_GAP
@@ -67,6 +70,154 @@ class TestBuildSpace:
             random_chain(rng)
             random_causet_space(rng)
             union_space(rng)
+
+
+def chunked_reverse_triangle_witness(ell, tol):
+    """Reference: the chunked scan of the whole (i, j, k) cube that validated
+    every matrix before the causal-support sweep."""
+    n = ell.shape[0]
+    block = max(1, int(2_000_000 // max(n * n, 1)) or 1)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        lhs = ell[start:stop, :, None] + ell[None, :, :]
+        rhs = ell[start:stop, None, :]
+        viol = lhs > rhs + tol
+        if viol.any():
+            i, j, k = (int(v) for v in np.argwhere(viol)[0])
+            return start + i, j, k
+    return None
+
+
+# n on both sides of the small-n dense path (n * n <= 8000) and above one dense
+# chunk (250k entries, fewer than n rows from n = 63)
+triangle_sizes = st.one_of(st.integers(1, 12), st.integers(85, 150))
+
+
+def _plant(rng, ell, size):
+    """Break one triangle: raise a finite entry, or cut ell[i, k] to -inf under a finite i -> j -> k."""
+    finite = np.isfinite(ell) & ~np.eye(len(ell), dtype=bool)
+    if rng.random() < 0.5 and finite.any():
+        a, b = np.argwhere(finite)[rng.integers(finite.sum())]
+        ell[a, b] += size
+        return
+    j = rng.integers(len(ell))
+    past, future = np.flatnonzero(finite[:, j]), np.flatnonzero(finite[j])
+    pairs = [(i, k) for i in past for k in future if i != k]
+    if pairs:
+        ell[pairs[rng.integers(len(pairs))]] = NI
+
+
+@st.composite
+def triangle_inputs(draw):
+    """(ell, tol): 1+1 Minkowski points in random time order (-inf-rich,
+    valid up to rounding) or the zero matrix (fully finite), optionally with
+    nonnegative noise around DEFAULT_TOL and planted violations."""
+    n, seed = draw(triangle_sizes), draw(st.integers(0, 2**32 - 1))
+    tol = draw(st.sampled_from([0.0, DEFAULT_TOL]))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from([16.0, 4.0, 0.5, None]))  # width of the x range
+    if spread is not None:
+        t, x = rng.uniform(0, 1, n), rng.uniform(0, spread, n)
+        dt, dx = t[None, :] - t[:, None], np.abs(x[None, :] - x[:, None])
+        ell = np.where(dt >= dx, np.sqrt(np.maximum(dt * dt - dx * dx, 0.0)), NI)
+        np.fill_diagonal(ell, 0.0)
+    else:
+        ell = np.zeros((n, n))
+    if draw(st.booleans()):
+        finite = np.isfinite(ell)
+        ell[finite] += rng.uniform(0, 2 * DEFAULT_TOL, int(finite.sum()))
+    for _ in range(draw(st.integers(0, 3))):
+        _plant(rng, ell, draw(st.sampled_from([DEFAULT_TOL / 2, 3 * DEFAULT_TOL, 0.25])))
+    return ell, tol
+
+
+@st.composite
+def fiber_inputs(draw):
+    """Euclidean distances of random points, optionally with one stretched edge."""
+    n, seed = draw(triangle_sizes), draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, draw(st.integers(1, 3))))
+    d = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+    if n >= 3 and draw(st.booleans()):
+        a, b, c = rng.choice(n, size=3, replace=False)
+        d[a, c] = d[c, a] = d[a, b] + d[b, c] + draw(
+            st.sampled_from([DEFAULT_TOL / 2, 3 * DEFAULT_TOL, 0.25]))
+    return d
+
+
+def _record(fn, *args):
+    try:
+        fn(*args)
+    except AxiomViolation as exc:
+        return exc.record()
+    return None
+
+
+class TestTriangleScan:
+    """`validate_matrix` and `build_fiber` report what the dense reference scan finds."""
+
+    @settings(max_examples=100)
+    @given(triangle_inputs())
+    def test_validate_matrix_matches_reference(self, case):
+        ell, tol = case
+        want = chunked_reverse_triangle_witness(ell, tol)
+        assert _sweep_finds_violation(ell, tol, np.isfinite(ell)) == (want is not None)
+        expected = None if want is None else {
+            "error": "axiom-violation", "kind": "reverse-triangle", "witness": want,
+            "message": "ell[{0}][{1}] + ell[{1}][{2}] > ell[{0}][{2}]".format(*want)}
+        assert _record(validate_matrix, ell, tol) == expected
+
+    @settings(max_examples=40)
+    @given(fiber_inputs())
+    def test_build_fiber_matches_reference(self, d):
+        want = chunked_reverse_triangle_witness(-d, DEFAULT_TOL)
+        expected = None if want is None else {
+            "error": "axiom-violation", "kind": "triangle", "witness": want,
+            "message": "fiber triangle inequality violated"}
+        assert _record(build_fiber, [f"s{i}" for i in range(len(d))], d) == expected
+
+    @staticmethod
+    def causet_restriction(count=500):
+        # the matrix `causet trial` validates: circle_fiber(8, 0.3), C = 1, t in (0, 2)
+        gen = ProductGenerator(fiber=circle_fiber(8, 0.3), cone_scale=1.0, t_range=(0.0, 2.0))
+        _, site_map = sprinkle(gen, (0.0, 2.0), count, seed=11)
+        return _restriction_space(gen, [site_map[k] for k in range(count)]).ell
+
+    def test_memory_bounded_on_causal_sets(self):
+        import tracemalloc
+        ell = self.causet_restriction()
+        tracemalloc.start()
+        try:
+            validate_matrix(ell, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ell.nbytes
+
+    def test_sparse_support_skips_the_dense_scan(self, monkeypatch):
+        ell = self.causet_restriction()
+
+        def no_dense(*args):
+            raise AssertionError("dense scan ran")
+
+        monkeypatch.setattr(core, "_dense_witness", no_dense)
+        validate_matrix(ell, DEFAULT_TOL)
+        broken = ell.copy()
+        j = len(ell) // 2
+        i = np.flatnonzero(np.isfinite(ell[:j, j]))[0]
+        k = j + 1 + np.flatnonzero(np.isfinite(ell[j, j + 1:]))[0]
+        broken[i, k] = NI
+        with pytest.raises(AssertionError, match="dense scan ran"):
+            validate_matrix(broken, DEFAULT_TOL)
+
+    def test_small_and_finite_inputs_skip_the_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(core, "_sweep_finds_violation", no_sweep)
+        build_space([f"p{i}" for i in range(8)], chain_space(range(8)).ell)
+        circle = circle_fiber(300)
+        build_fiber(circle.labels, circle.d)
 
 
 class TestCausality:

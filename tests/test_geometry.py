@@ -32,7 +32,7 @@ class TestFiber:
 
     @pytest.mark.parametrize("row", [0, 100, 158])
     def test_triangle_witness_matches_unchunked_scan(self, row):
-        # 160 points scan in chunks of 78 rows; stretching one edge past twice
+        # 160 points scan in chunks of 9 rows; stretching one edge past twice
         # the spacing breaks the triangle first in `row`
         xs = np.linspace(0.0, 1.0, 160)
         d = np.abs(xs[:, None] - xs[None, :])
@@ -52,7 +52,7 @@ class TestFiber:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20  # two chunks of 2M floats are 32 MiB
+        assert peak < 64 * 2**20  # one chunk of 250k floats is 2 MiB
 
     def test_circle_distances(self):
         f = circle_fiber(8)
