@@ -116,29 +116,35 @@ def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int
     -inf absorbs on the left, so a violation through the middle point j
     needs i in J-(j) and k in J+(j): finite ell[i, j] and ell[j, k]. Where
     the cost model says it pays, a sweep over j visits only J-(j) x J+(j),
-    sum_j |J-(j)| |J+(j)| entries, and returns None if it finds nothing.
-    Small n, dense causal support (finite input such as a negated metric)
-    and any violation the sweep finds go to the dense scan over the whole
-    cube, which names the least witness.
+    sum_j |J-(j)| |J+(j)| entries, on the success and the failure path.
+    Small n and dense causal support (finite input such as a negated
+    metric) go to the dense scan over the whole cube.
     """
     n = ell.shape[0]
     if n * n > _SWEEP_STEP_COST:  # otherwise the sweep's steps alone cost n^3 or more
         causal = np.isfinite(ell)
         visits = int(causal.sum(axis=0) @ causal.sum(axis=1))
-        if _SWEEP_ENTRY_COST * visits + _SWEEP_STEP_COST * n < n ** 3 \
-                and not _sweep_finds_violation(ell, tol, causal):
-            return None
+        if _SWEEP_ENTRY_COST * visits + _SWEEP_STEP_COST * n < n ** 3:
+            return _sweep_witness(ell, tol, causal)
     return _dense_witness(ell, tol)
 
 
-def _sweep_finds_violation(ell: np.ndarray, tol: float, causal: np.ndarray) -> bool:
-    """Whether some middle point j has a violation over J-(j) x J+(j)."""
+def _sweep_witness(ell: np.ndarray, tol: float,
+                   causal: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """The least witness by a sweep of the middle points j over J-(j) x J+(j).
+
+    `flatnonzero` sorts both axes, so the first hit of `argwhere` is the
+    least (i, k) through j; the least witness is the minimum over all j.
+    """
+    hits = []
     for j in range(ell.shape[0]):
         past, future = np.flatnonzero(causal[:, j]), np.flatnonzero(causal[j])
         lhs = np.add.outer(ell[past, j], ell[j, future])
-        if (lhs > ell[np.ix_(past, future)] + tol).any():
-            return True
-    return False
+        viol = lhs > ell[np.ix_(past, future)] + tol
+        if viol.any():
+            a, c = np.argwhere(viol)[0]
+            hits.append((int(past[a]), j, int(future[c])))
+    return min(hits, default=None)
 
 
 def _dense_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:

@@ -153,18 +153,35 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
 def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[list[int]]:
     """Smallest subfamily of boolean masks covering range(universe_size).
 
-    Exhaustive (increasing cardinality, combinations in lexicographic
-    order); intended for universes <= ~12. Each mask is packed into one
-    Python int, so a combination is tested with integer ORs.
+    The answer is the least cover in (size, lexicographic) order: exhaustive
+    search by increasing cardinality, combinations in lexicographic order;
+    intended for universes <= ~12. Each mask is packed into one Python int,
+    so a combination is tested with integer ORs.
+
+    A mask that an earlier mask contains (a repeat included) is never in
+    that cover, so only the other masks are enumerated. If such a mask i
+    were in it, swapping in the earlier i' < i would keep a cover and make
+    the sorted indices lexicographically smaller; had i' been in it
+    already, dropping i would leave a smaller cover. Containment is
+    transitive, so testing a mask against the kept ones suffices.
     Returns indices into `sets`, or None if even the full family fails.
     """
-    bits = [int.from_bytes(np.packbits(s, bitorder="little").tobytes(), "little")
-            for s in sets]
+    packed = np.packbits(np.asarray(sets, dtype=bool).reshape(len(sets), universe_size),
+                         axis=1, bitorder="little")
+    kept, bits, seen = [], [], set()
+    for i, row in enumerate(map(bytes, packed)):
+        if row in seen:
+            continue
+        seen.add(row)
+        b = int.from_bytes(row, "little")
+        if all(b | k != k for k in bits):
+            kept.append(i)
+            bits.append(b)
     full = (1 << universe_size) - 1
     if functools.reduce(operator.or_, bits, 0) != full:
         return None
     for k in range(1, len(bits) + 1):
-        for combo, members in zip(itertools.combinations(range(len(bits)), k),
+        for combo, members in zip(itertools.combinations(kept, k),
                                   itertools.combinations(bits, k)):
             if functools.reduce(operator.or_, members) == full:
                 return list(combo)

@@ -127,23 +127,29 @@ def generator_from_dict(data: dict) -> ProductGenerator:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, shortest-round-trip floats, infinities as strings."""
+    """Deterministic JSON: sorted keys, shortest-round-trip floats, infinities as strings.
+
+    Python float items of a list or tuple (matrix rows) are mapped through
+    `_INF_TEXT` in place, without a recursive call each; NaN passes through
+    and `json.dumps` rejects it with ValueError.
+    """
     return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+_INF_TEXT = {math.inf: "inf", -math.inf: "-inf"}  # the one spelling of the infinities
 
 
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [_INF_TEXT.get(v, v) if type(v) is float else _sanitize(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return x
+        return _INF_TEXT.get(x, x)
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     return obj

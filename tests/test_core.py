@@ -13,7 +13,7 @@ from lorentzgh import (DiamondNet, ProductGenerator, atomic_measure, build_fiber
 from lorentzgh import core
 from lorentzgh.causet import _restriction_space, sprinkle
 from lorentzgh.core import (DEFAULT_TOL, CoveredFiniteSpace, _finish, _indistinguishable_pairs,
-                            _sweep_finds_violation, validate_matrix)
+                            _sweep_witness, validate_matrix)
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
                               PrePDPRequired, ShapeMismatch, SizeMismatch)
 from lorentzgh.extended import NEG_INF as NI, gap, INF_GAP
@@ -161,7 +161,7 @@ class TestTriangleScan:
     def test_validate_matrix_matches_reference(self, case):
         ell, tol = case
         want = chunked_reverse_triangle_witness(ell, tol)
-        assert _sweep_finds_violation(ell, tol, np.isfinite(ell)) == (want is not None)
+        assert _sweep_witness(ell, tol, np.isfinite(ell)) == want
         expected = None if want is None else {
             "error": "axiom-violation", "kind": "reverse-triangle", "witness": want,
             "message": "ell[{0}][{1}] + ell[{1}][{2}] > ell[{0}][{2}]".format(*want)}
@@ -202,19 +202,37 @@ class TestTriangleScan:
 
         monkeypatch.setattr(core, "_dense_witness", no_dense)
         validate_matrix(ell, DEFAULT_TOL)
-        broken = ell.copy()
-        j = len(ell) // 2
-        i = np.flatnonzero(np.isfinite(ell[:j, j]))[0]
-        k = j + 1 + np.flatnonzero(np.isfinite(ell[j, j + 1:]))[0]
-        broken[i, k] = NI
-        with pytest.raises(AssertionError, match="dense scan ran"):
-            validate_matrix(broken, DEFAULT_TOL)
+
+    def test_planted_violations_skip_the_dense_scan(self, monkeypatch):
+        ell = self.causet_restriction().copy()
+        finite = np.isfinite(ell) & ~np.eye(len(ell), dtype=bool)
+        # (i, j, k) with j the first middle point of a late causal pair (i, k)
+        late = [(i, np.flatnonzero(finite[i] & finite[:, k])[0], k)
+                for i in range(len(ell) - 100, len(ell)) for k in np.flatnonzero(finite[i])
+                if (finite[i] & finite[:, k]).any()]
+        # cutting ell[i, k] to -inf breaks the triangle through j; cut `least`,
+        # and `first` with a larger i but an earlier j, so the least witness
+        # is not the first one a sweep over j meets
+        least = max(late, key=lambda c: c[1] - c[0])
+        first = next(c for c in late if c[0] > least[0] and c[1] < least[1])
+        for i, _, k in (least, first):
+            ell[i, k] = NI
+        want = chunked_reverse_triangle_witness(ell, DEFAULT_TOL)
+        assert want == tuple(int(v) for v in least)
+
+        def no_dense(*args):
+            raise AssertionError("dense scan ran")
+
+        monkeypatch.setattr(core, "_dense_witness", no_dense)
+        assert _record(validate_matrix, ell, DEFAULT_TOL) == {
+            "error": "axiom-violation", "kind": "reverse-triangle", "witness": want,
+            "message": "ell[{0}][{1}] + ell[{1}][{2}] > ell[{0}][{2}]".format(*want)}
 
     def test_small_and_finite_inputs_skip_the_sweep(self, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("sweep ran")
 
-        monkeypatch.setattr(core, "_sweep_finds_violation", no_sweep)
+        monkeypatch.setattr(core, "_sweep_witness", no_sweep)
         build_space([f"p{i}" for i in range(8)], chain_space(range(8)).ell)
         circle = circle_fiber(300)
         build_fiber(circle.labels, circle.d)
@@ -494,6 +512,61 @@ class TestJsonRoundTrip:
         s = chain_space([0, 1])
         text = ser.dumps(ser.space_to_dict(s))
         assert '"-inf"' in text
+
+
+def sanitize_reference(obj):
+    """Reference: `serialize._sanitize` before float items of a list were mapped inline."""
+    if isinstance(obj, dict):
+        return {str(k): sanitize_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize_reference(v) for v in obj]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isinf(x):
+            return "-inf" if x < 0 else "inf"
+        return x
+    if isinstance(obj, np.ndarray):
+        return sanitize_reference(obj.tolist())
+    return obj
+
+
+def dumps_reference(obj) -> str:
+    return json.dumps(sanitize_reference(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+_floats = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, -0.0])
+_ints = st.integers(-2**63, 2**63 - 1)
+# rows of matrices and tables: all floats, or ints, floats and bools mixed
+_rows = st.lists(_floats, max_size=6) | st.lists(_floats | _ints | st.booleans(), max_size=6)
+_arrays = st.one_of(
+    _rows.map(np.array),
+    st.tuples(st.integers(1, 3), st.lists(_floats, max_size=3)).map(
+        lambda c: np.array(c[1] * c[0]).reshape(c[0], len(c[1]))),
+    st.lists(_ints, max_size=4).map(lambda r: np.array(r, dtype=np.int64)))
+_leaves = st.one_of(_floats, _floats.map(np.float64), _ints.map(np.int64), _ints,
+                    st.booleans(), st.text(max_size=3), st.just([]), _rows, _arrays)
+dump_payloads = st.recursive(
+    _leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3) | st.integers(0, 9), inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestDumps:
+    @given(dump_payloads)
+    def test_matches_reference_encoder(self, obj):
+        assert ser.dumps(obj) == dumps_reference(obj)
+
+    @given(dump_payloads, st.sampled_from([math.nan, np.float64("nan"), [1.0, math.nan],
+                                           (0, -math.nan), np.array([[1.0], [math.nan]])]))
+    def test_nan_raises(self, obj, bad):
+        payload = {"obj": obj, "bad": [bad]}
+        for encode in (ser.dumps, dumps_reference):
+            with pytest.raises(ValueError):
+                encode(payload)
 
 
 def test_reverse_triangle_invariant_exhaustive(rng):

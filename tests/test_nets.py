@@ -205,13 +205,33 @@ def numpy_min_cover(universe_size, sets):
 
 @st.composite
 def mask_families(draw):
+    """(universe_size, masks): random masks, masks inside and around others,
+    and either a few repeats or long runs of repeats."""
     size = draw(st.integers(0, 10))
-    rows = [np.array(r, dtype=bool).reshape(size) for r in draw(st.lists(
-        st.lists(st.booleans(), min_size=size, max_size=size), min_size=1, max_size=7))]
-    if draw(st.booleans()):  # complete the union, so a cover exists
+    mask = st.lists(st.booleans(), min_size=size, max_size=size).map(
+        lambda r: np.array(r, dtype=bool).reshape(size))
+    rows = draw(st.lists(mask, max_size=7))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        # a submask is contained in its base and a supermask contains it; it
+        # lands before or after the base
+        base, noise = draw(st.sampled_from(rows)), draw(mask)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    base & noise if draw(st.booleans()) else base | noise)
+    if rows and draw(st.booleans()):  # complete the union, so a cover exists
         rows.append(~np.logical_or.reduce(rows))
-    # repeated rows make equal-size covers tie
-    return size, rows + draw(st.lists(st.sampled_from(rows), max_size=3))
+    if not rows or draw(st.booleans()):
+        # repeated rows make equal-size covers tie
+        return size, rows + draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    # long runs over at most 8 distinct masks, like the candidate diamonds of
+    # `doubling_constant`; a mask and its complement keep the least cover at
+    # most 2 masks, so the reference tries at most C(60, 2) pairs
+    distinct = rows[:7] + [~rows[0]]
+    runs = draw(st.lists(st.tuples(st.integers(0, len(distinct) - 1), st.integers(1, 7)),
+                         max_size=8))
+    family = [distinct[i] for i, repeat in runs for _ in range(repeat)]
+    for m in (distinct[0], distinct[-1]):
+        family.insert(draw(st.integers(0, len(family))), m)
+    return size, family
 
 
 class TestExactMinCover:
@@ -219,6 +239,16 @@ class TestExactMinCover:
     def test_matches_numpy_enumeration(self, family):
         size, sets = family
         assert exact_min_cover(size, sets) == numpy_min_cover(size, sets)
+
+    @pytest.mark.parametrize("size,sets,want", [
+        (0, [], None), (4, [], None),
+        (0, [np.zeros(0, dtype=bool)] * 3, [0]),
+        # a repeat (2), a submask of an earlier mask (3), a supermask of one (4)
+        (3, [np.array(m, dtype=bool) for m in
+             ([1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 1, 0])], [0, 1]),
+    ])
+    def test_edge_families(self, size, sets, want):
+        assert exact_min_cover(size, sets) == numpy_min_cover(size, sets) == want
 
 
 COVER_PINS = json.loads((Path(__file__).parent / "data" / "cover_pins.json").read_text())
