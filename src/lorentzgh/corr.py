@@ -7,6 +7,7 @@ absorbing INF_GAP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ from .core import FiniteLorentzSpace
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
 from .extended import INF_GAP, gap_matrix
-from .nets import DiamondNet
+from .nets import DiamondNet, point_indices
 
 EXACT_SIZE_CAP = 8
 
@@ -85,12 +86,6 @@ def compose(r: Correspondence, q: Correspondence) -> Correspondence:
 # ---------------------------------------------------------------------------
 
 
-def _pairs_from_maps(fmap: Sequence[int], partners: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    pairs = {(x, y) for x, y in enumerate(fmap)}
-    pairs.update((x, y) for y, x in partners.items())
-    return tuple(sorted(pairs))
-
-
 def _exact_search(a, b, best_val):
     """Depth-first search over (f, g) selections with incremental sup pruning.
 
@@ -144,55 +139,53 @@ def _exact_search(a, b, best_val):
     return best_val, best_pairs
 
 
-def _candidate_scores(cand, fixed, cs, fs, f0):
-    """Incremental sup for pairing every point c of `cand` with point f0 of `fixed`.
+def _best_partner(cand, fixed, cs, fs, f0):
+    """The point of `cand` whose pairing with point f0 of `fixed` adds the least sup, and that sup.
 
     (cs[k], fs[k]) are the pairs chosen so far, cand-side index first. The
-    right side calls this with the spaces swapped; gap is symmetric.
+    left side calls this with the spaces swapped; gap is symmetric. Ties go
+    to the lowest index.
     """
+    cs, fs = np.array(cs, dtype=int), np.array(fs, dtype=int)
     fwd = gap_matrix(cand.ell[:, cs], fixed.ell[f0, fs])
     bwd = gap_matrix(cand.ell[cs, :].T, fixed.ell[fs, f0])
     scores = np.maximum(fwd, bwd).max(axis=1, initial=0.0)
-    return np.maximum(scores, gap_matrix(np.diagonal(cand.ell), fixed.ell[f0, f0]))
+    scores = np.maximum(scores, gap_matrix(np.diagonal(cand.ell), fixed.ell[f0, f0]))
+    c = int(np.argmin(scores))
+    return c, float(scores[c])
 
 
-def _complete_and_eval(a, b, fmap, bound=None):
-    """Cover uncovered right points greedily; return (corr, distortion), or None.
+def _complete(a, b, fmap, bound=None):
+    """Finish the partial left map `fmap` by the greedy rule; (corr, distortion), or None.
 
-    The running sup starts at the sup over the fmap's pairs and takes the max
-    with each added partner's score. It covers every pair of pairs of the
-    result, so at the end it is the distortion. None: it reached `bound`.
+    The rule gives a point its `_best_partner` given the pairs chosen so far.
+    Left points past the end of `fmap` get one in order, then every right
+    point still uncovered gets one. The running sup starts at the sup over
+    fmap's pairs and takes the max with each chosen score, so it covers
+    every pair of pairs of the result and ends at its distortion. None: it
+    reached `bound`.
     """
-    covered = set(fmap)
-    partners: dict[int, int] = {}
     xs, ys = list(range(len(fmap))), list(fmap)
-    sup = _sup_gap(a, b, xs, ys)
+    sup = _sup_gap(a, b, np.array(xs, dtype=int), np.array(ys, dtype=int))
+    for x in range(len(fmap), a.n):
+        if bound is not None and sup >= bound:
+            return None
+        y, score = _best_partner(b, a, ys, xs, x)
+        sup = max(sup, score)
+        xs.append(x)
+        ys.append(y)
+    covered = set(ys)
     for y in range(b.n):
         if bound is not None and sup >= bound:
             return None
-        if y in covered:
-            continue
-        scores = _candidate_scores(a, b, np.array(xs, dtype=int), np.array(ys, dtype=int), y)
-        best_x = int(np.argmin(scores))
-        sup = max(sup, float(scores[best_x]))
-        partners[y] = best_x
-        xs.append(best_x)
-        ys.append(y)
+        if y not in covered:
+            x, score = _best_partner(a, b, xs, ys, y)
+            sup = max(sup, score)
+            xs.append(x)
+            ys.append(y)
     if bound is not None and sup >= bound:
         return None
-    return make_correspondence(_pairs_from_maps(fmap, partners), a.n, b.n), sup
-
-
-def _greedy_fmap(a, b, bound=None):
-    """Left selection by least incremental sup; None once a chosen score reaches `bound`."""
-    fmap: list[int] = []
-    for x in range(a.n):
-        scores = _candidate_scores(b, a, np.array(fmap, dtype=int), np.arange(x), x)
-        y = int(np.argmin(scores))
-        if bound is not None and scores[y] >= bound:
-            return None
-        fmap.append(y)
-    return fmap
+    return make_correspondence(zip(xs, ys), a.n, b.n), sup
 
 
 def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "heuristic",
@@ -200,13 +193,14 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
     """Minimal-distortion correspondence search.
 
     exact: global minimizer (branch and bound), sizes capped at 8.
-    heuristic: the best completed seed. Each seed is a left map f, completed
-    by giving every right point outside f's image its least-score partner.
-    The seeds, in order: the identity (equal sizes), the canonical label
-    matching (same label set in another order), the greedy map, then 8
-    random maps drawn from `seed` (none above 150 points). Never below the
-    exact minimum, deterministic for a given seed; its value is only an
-    upper bound on the minimum.
+    heuristic: the best completed seed. Each seed is a partial left map f,
+    and one greedy rule completes every seed: each left point past the end
+    of f, then each right point outside f's image, gets the partner of least
+    incremental sup. The seeds, in order: the identity (equal sizes), the
+    canonical label matching (same label set in another order), the empty
+    map (greedy), then 8 random maps drawn from `seed` (none above 150
+    points). Never below the exact minimum, deterministic for a given seed;
+    its value is only an upper bound on the minimum.
 
     Every seed after the first is abandoned once its running sup reaches the
     best value so far. That sup is taken over a subset of the seed's final
@@ -243,21 +237,17 @@ def _heuristic(a, b, seed, restarts):
         if set(a.labels) == set(b.labels) and a.labels != b.labels:
             lookup = {lab: j for j, lab in enumerate(b.labels)}
             yield [lookup[lab] for lab in a.labels]  # canonical label matching
-        greedy = _greedy_fmap(a, b, bound())
-        if greedy is not None:
-            yield greedy
+        yield []  # greedy: the rule alone
         for _ in range(restarts):
             if a.n == b.n:
                 yield list(rng.permutation(a.n))
             else:
                 yield list(rng.integers(0, b.n, size=a.n))
 
-    def bound():
-        return None if best_corr is None else best_val  # the first seed runs in full
-
     best_corr, best_val = None, INF_GAP + 0.0
     for fmap in seed_maps():
-        found = _complete_and_eval(a, b, fmap, bound())
+        # the first seed runs in full
+        found = _complete(a, b, fmap, None if best_corr is None else best_val)
         if found is not None:
             best_corr, best_val = found
         if best_val == 0.0:
@@ -312,6 +302,14 @@ def _matching_distortion(matching: dict[int, int], a, b) -> float:
     return _sup_gap(a, b, xs, ys)
 
 
+def _union_distortion(coarse: dict[int, int], fine: dict[int, int], space,
+                      limit_space) -> Optional[float]:
+    """Distortion of two vertex maps taken together; None when they conflict on a shared vertex."""
+    if any(fine[v] != coarse[v] for v in fine.keys() & coarse.keys()):
+        return None
+    return _matching_distortion({**coarse, **fine}, space, limit_space)
+
+
 def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMember,
                     matchings: Optional[dict] = None,
                     convergence_tol: Optional[float] = None) -> ConvergenceReport:
@@ -320,13 +318,25 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     matchings: optional {(l, n): vertex map member->limit}; absent entries are
     searched with min_distortion. extension_ok records, per (l, n), the first
     n' >= n whose scale-(l+1) matching restricts to the scale-l one without
-    increasing distortion. Forward density is checked on the limit: every
-    non-vertex subset point needs a vertex below it (strong: a chronological
-    one).
+    increasing distortion; each union of two supplied maps is evaluated at
+    most once, and none past the first n' that works. With several scales
+    and no supplied matching below the last, extension_ok is False. Forward
+    density is checked on the limit: every non-vertex subset point needs a
+    vertex below it (strong: a chronological one); density_witnesses keeps
+    the subset's order and repeats. Each scale's stages settle when the tail
+    from the first finite stage on is nonempty and finite, ends at most tol
+    above its start and, if given, at most convergence_tol.
+
+    A limit subset point, a net vertex or a supplied matching's key or value
+    outside its space raises ShapeMismatch.
     """
     n_scales = len(limit.nets)
     n_members = len(sequence)
     matchings = matchings or {}
+    subset = np.array(limit.subset_indices(), dtype=int)
+    point_indices(limit.space, subset, "limit subset")
+    vertices = point_indices(limit.space, [v for net in limit.nets for v in net.vertices()],
+                             "limit net vertices")
 
     stages = []
     stage_dis = {}
@@ -336,14 +346,16 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
                 raise CardinalityMismatch(l, n, "member lacks a net at this scale")
             if len(member.nets[l]) != len(limit.nets[l]):
                 raise CardinalityMismatch(l, n)
+            va = member.nets[l].vertices()
+            point_indices(member.space, va, "member net vertices")
             key = (l, n)
             if key in matchings:
+                point_indices(member.space, matchings[key].keys(), "matching keys")
+                point_indices(limit.space, matchings[key].values(), "matching values")
                 dis = _matching_distortion(matchings[key], member.space, limit.space)
             else:
-                va = member.nets[l].vertices()
-                vb = limit.nets[l].vertices()
                 sub_a = member.space.restrict(va)
-                sub_b = limit.space.restrict(vb)
+                sub_b = limit.space.restrict(limit.nets[l].vertices())
                 mode = "exact" if max(sub_a.n, sub_b.n) <= EXACT_SIZE_CAP else "heuristic"
                 _, dis = min_distortion(sub_a, sub_b, mode=mode)
             stage_dis[key] = dis
@@ -358,91 +370,56 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     # The source allows arbitrarily late n'; tail members whose n' falls past
     # the truncation are recorded as "beyond" (with the union-distortion
     # trend as evidence), not as failures.
-    ext_records = []
-    extension_ok = True
     tol = limit.space.tol
-    union_cache: dict[tuple[int, int], Optional[float]] = {}
 
-    def union_dis(l, n2):
-        key = (l, n2)
-        if key not in union_cache:
-            if (l + 1, n2) not in matchings or (l, n2) not in matchings:
-                union_cache[key] = None
-            else:
-                fine = matchings[(l + 1, n2)]
-                coarse = matchings[(l, n2)]
-                if any(fine[v] != coarse[v] for v in fine.keys() & coarse.keys()):
-                    union_cache[key] = None  # maps conflict on shared vertices
-                else:
-                    union_cache[key] = _matching_distortion({**coarse, **fine},
-                                                            sequence[n2].space, limit.space)
-        return union_cache[key]
+    @functools.cache
+    def union(l, n2):
+        if (l, n2) in matchings and (l + 1, n2) in matchings:
+            return _union_distortion(matchings[(l, n2)], matchings[(l + 1, n2)],
+                                     sequence[n2].space, limit.space)
+        return None
 
+    ext_records = []
+    extension_ok = n_scales < 2 or any((l, n) in matchings for l in range(n_scales - 1)
+                                       for n in range(n_members))
     for l in range(n_scales - 1):
         for n in range(n_members):
             if (l, n) not in matchings:
                 continue
-            found = None
             trend = []
             for n2 in range(n, n_members):
-                du = union_dis(l, n2)
+                du = union(l, n2)
                 if du is None:
                     continue
                 trend.append(du)
                 if du <= stage_dis[(l, n)] + tol:
-                    found = n2
+                    ext_records.append({"l": l, "n": n, "n_prime": n2})
                     break
-            if found is not None:
-                ext_records.append({"l": l, "n": n, "n_prime": found})
-            elif len(trend) >= 1 and trend[-1] < INF_GAP and \
-                    (len(trend) == 1 or trend[-1] <= trend[0]):
-                ext_records.append({"l": l, "n": n, "n_prime": "beyond",
-                                    "union_distortions": trend})
             else:
-                ext_records.append({"l": l, "n": n, "n_prime": None})
-                extension_ok = False
-    if not any((l, n) in matchings for l in range(n_scales - 1) for n in range(n_members)) \
-            and n_scales > 1:
-        extension_ok = False  # nothing to extend against without supplied matchings
+                if trend and trend[-1] < INF_GAP and trend[-1] <= trend[0]:
+                    ext_records.append({"l": l, "n": n, "n_prime": "beyond",
+                                        "union_distortions": trend})
+                else:
+                    ext_records.append({"l": l, "n": n, "n_prime": None})
+                    extension_ok = False
 
     # forward density in the limit
-    all_vertices: set[int] = set()
-    for net in limit.nets:
-        all_vertices.update(net.vertices())
-    subset = limit.subset_indices()
-    vlist = np.array(sorted(all_vertices), dtype=int)
-    weak_fail, strong_fail = [], []
-    for x in subset:
-        if x in all_vertices:
-            continue
-        if not limit.space.causal[vlist, x].any():
-            weak_fail.append(x)
-        if not limit.space.chron[vlist, x].any():
-            strong_fail.append(x)
-    forward_density_ok = not weak_fail
-    strong_density = not strong_fail
+    rest = subset[~np.isin(subset, vertices)]
+    witnesses = rest[~limit.space.causal[np.ix_(vertices, rest)].any(axis=0)].tolist()
+    strong_fail = not limit.space.chron[np.ix_(vertices, rest)].any(axis=0).all()
 
     # convergence judged from the first finite member onward (the definition
     # only constrains n >= n0); an infinite tail is always fatal
-    settled = True
-    for l in range(n_scales):
-        per_scale = [stage_dis[(l, n)] for n in range(n_members)]
-        finite_from = next((i for i, d in enumerate(per_scale) if d < INF_GAP), None)
-        if finite_from is None or per_scale[-1] >= INF_GAP:
-            settled = False
-            continue
-        tail = per_scale[finite_from:]
-        if any(d >= INF_GAP for d in tail):
-            settled = False
-        if tail[-1] > tail[0] + tol:
-            settled = False
-        if convergence_tol is not None and tail[-1] > convergence_tol:
-            settled = False
+    def settled(l):
+        dis = [stage_dis[(l, n)] for n in range(n_members)]
+        tail = dis[next((n for n, d in enumerate(dis) if d < INF_GAP), n_members):]
+        return bool(tail) and INF_GAP not in tail and tail[-1] <= tail[0] + tol and \
+            (convergence_tol is None or tail[-1] <= convergence_tol)
 
-    strong = bool(settled and extension_ok and strong_density)
+    strong = all(settled(l) for l in range(n_scales)) and extension_ok and not strong_fail
     return ConvergenceReport(stages=tuple(stages),
                              extension_records=tuple(ext_records),
                              extension_ok=extension_ok,
-                             forward_density_ok=forward_density_ok,
+                             forward_density_ok=not witnesses,
                              strong=strong,
-                             density_witnesses=tuple(weak_fail))
+                             density_witnesses=tuple(witnesses))

@@ -21,7 +21,7 @@ from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
 from .measured import LIMIT_WINDOW, extract_limit
-from .nets import DiamondNet, doubling_constant, greedy_net
+from .nets import DiamondNet, doubling_constant, greedy_net, point_indices
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
     `v{k}.{l}.{i}.{p|q}` (the basepoint `o`), and enters the cover at that
     slot's k, which is its lowest level. Each ell entry is the extracted
     subsequence limit (Cauchy within `tol` over the last
-    `measured.LIMIT_WINDOW` values, else NonCauchy when strict). Returns
+    `measured.LIMIT_WINDOW` values, else NonCauchy when strict). A schedule
+    vertex outside its member's space raises ShapeMismatch. Returns
     (CoveredFiniteSpace, provenance log).
     """
     depth_k, depth_l, depth_n = depth
@@ -122,6 +123,9 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
     if depth_l < 1:
         raise ScheduleViolation("depth selects no net scales")
     _check_schedule(schedules, depth_k, depth_l)
+    for cov, sched in zip(members, schedules):
+        point_indices(cov.space, [v for per_k in sched[:depth_k] for net in per_k[:depth_l]
+                                  for v in net.vertices()], "schedule vertices")
 
     # distinct per-member vertex tuples -> first slot (k, l, i, side); with k
     # outermost, a tuple's first slot carries its lowest cover level
@@ -179,8 +183,12 @@ class BlowupSpec:
 
 
 def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
-    """Rescale ell by lambda on the chronological diamond I(o-, o+)."""
+    """Rescale ell by lambda on the chronological diamond I(o-, o+).
+
+    A point of the spec outside the space raises ShapeMismatch.
+    """
     space = cov.space
+    point_indices(space, (spec.o_minus, spec.o, spec.o_plus), "blow-up points")
     if not (spec.lam > 0):
         raise SpecViolated("lambda > 0")
     if not space.chron[spec.o_minus, spec.o]:
@@ -204,8 +212,12 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
 
 
 def select_blowup_spec(cov: CoveredFiniteSpace, o: int, lam: float) -> BlowupSpec:
-    """Tightest admissible (o-, o+): minimal tau(o-, o+), then richest diamond."""
+    """Tightest admissible (o-, o+): minimal tau(o-, o+), then richest diamond.
+
+    An `o` outside the space raises ShapeMismatch.
+    """
     space = cov.space
+    point_indices(space, (o,), "basepoint")
     minus = np.flatnonzero(space.chron[:, o])
     plus = np.flatnonzero(space.chron[o, :])
     best = None

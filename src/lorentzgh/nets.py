@@ -136,17 +136,14 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
         missing = [int(i) for i in subset_idx[~reachable]]
         raise Uncoverable(missing)
 
-    active = np.ones(len(candidates), dtype=bool)
     while not covered.all():
         gains = (masks & ~covered[None, :]).sum(axis=1)
-        gains[~active] = 0
         best = int(np.argmax(gains))  # argmax takes the first max: (p, q) ascending
         if gains[best] == 0:
             missing = [int(i) for i in subset_idx[~covered]]
             raise Uncoverable(missing)
         chosen.append(candidates[best])
         covered |= masks[best]
-        active[best] = False
     return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
 
 

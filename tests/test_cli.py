@@ -240,6 +240,66 @@ class TestMalformedMatrices:
         assert "Traceback" not in err
 
 
+def _set(path, value):
+    """An edit that sets the manifest entry at `path` (keys and list positions) to `value`."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+# manifest edits and flags that name a point outside a 3-point space
+OUT_OF_RANGE = {
+    "certify-limit-subset": ("certify_manifest.json", _set(["limit", "subset"], [0, 99]), []),
+    "certify-negative-subset": ("certify_manifest.json", _set(["limit", "subset"], [-1]), []),
+    "certify-member-net": ("certify_manifest.json",
+                           _set(["members", 0, "nets", 0, "pairs"], [[0, 99]]), []),
+    "certify-limit-net": ("certify_manifest.json",
+                          _set(["limit", "nets", 0, "pairs"], [[0, 99]]), []),
+    "certify-matching-value": ("certify_manifest.json",
+                               _set(["matchings"], {"0,0": {"0": 0, "2": 99},
+                                                    "0,1": {"0": 0, "2": 2}}), []),
+    "certify-negative-matching-value": ("certify_manifest.json",
+                                        _set(["matchings"], {"0,0": {"0": 0, "2": -1},
+                                                             "0,1": {"0": 0, "2": 2}}), []),
+    "certify-matching-key": ("certify_manifest.json",
+                             _set(["matchings"], {"0,0": {"0": 0, "99": 2},
+                                                  "0,1": {"0": 0, "2": 2}}), []),
+    "converge-schedule-pair": ("converge_manifest.json",
+                               _set(["schedules", 0, 0, 0, "pairs"], [[0, 99]]), []),
+    "converge-negative-schedule-pair": ("converge_manifest.json",
+                                        _set(["schedules", 0, 0, 0, "pairs"], [[0, -1]]), []),
+    "blowup-o-plus": ("covered_space.json", None,
+                      ["blowup", "--o-minus", "0", "--o", "1", "--o-plus", "99", "--lam", "0.4"]),
+    "blowup-negative-points": ("covered_space.json", None,
+                               ["blowup", "--o-minus=-3", "--o=-2", "--o-plus=-1", "--lam", "0.4"]),
+    "tangent-o": ("covered_space.json", None, ["tangent", "--o", "99", "--lambdas", "1,2"]),
+    "tangent-negative-o": ("covered_space.json", None,
+                           ["tangent", "--o=-1", "--lambdas", "1,2"]),
+}
+
+
+class TestPointsOutOfRange:
+    """A point index outside its space, in a manifest or a blow-up flag, is a
+    shape-mismatch: never a traceback, never wrapped to the last point."""
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_exit_1_with_record(self, case, tmp_path, capsys):
+        name, edit, argv = OUT_OF_RANGE[case]
+        if edit is None:
+            argv = argv + ["--covered", str(SCHEMAS / name)]
+        else:
+            data = json.loads((SCHEMAS / name).read_text())
+            edit(data)
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            argv = [name.split("_")[0], "--manifest", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), err
+        assert json.loads(err)["error"] == "shape-mismatch"
+
+
 class TestPackaging:
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: the package must not import it

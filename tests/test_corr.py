@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -7,17 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import block_union, chain_space, random_causet_space, random_chain
-from lorentzgh import (build_space, compose, distortion, isometry_search,
-                       make_correspondence, min_distortion,
-                       quotient_tau_indistinguishable)
-from lorentzgh.corr import (EXACT_SIZE_CAP, Correspondence, _complete_and_eval,
-                            _greedy_fmap, _sup_gap)
-from lorentzgh.errors import CapExceeded, EmptySubset, MiddleMismatch, ShapeMismatch
-from lorentzgh.extended import INF_GAP, NEG_INF as NI
+from lorentzgh import (CertificateMember, DiamondNet, build_space, compose, distortion,
+                       isometry_search, lgh_certificate, make_correspondence,
+                       min_distortion, quotient_tau_indistinguishable)
+from lorentzgh.corr import EXACT_SIZE_CAP, Correspondence, _complete, _sup_gap
+from lorentzgh.errors import (CapExceeded, DomainError, EmptySubset, MiddleMismatch,
+                              ShapeMismatch)
+from lorentzgh.extended import INF_GAP, NEG_INF as NI, gap_matrix
+from lorentzgh.serialize import dumps
 
 
 MATCHER_PINS = json.loads((Path(__file__).parent / "data" / "matcher_pins.json").read_text())
 EXACT_PINS = json.loads((Path(__file__).parent / "data" / "exact_pins.json").read_text())
+CERTIFICATE_PINS = json.loads(
+    (Path(__file__).parent / "data" / "certificate_pins.json").read_text())
 
 
 def random_integer_space(rng, n):
@@ -208,6 +212,76 @@ class TestEmptySpaces:
                 min_distortion(a, b, mode=mode)
 
 
+def reference_candidate_scores(cand, fixed, cs, fs, f0):
+    """Incremental sup for pairing every point c of `cand` with point f0 of `fixed`."""
+    fwd = gap_matrix(cand.ell[:, cs], fixed.ell[f0, fs])
+    bwd = gap_matrix(cand.ell[cs, :].T, fixed.ell[fs, f0])
+    scores = np.maximum(fwd, bwd).max(axis=1, initial=0.0)
+    return np.maximum(scores, gap_matrix(np.diagonal(cand.ell), fixed.ell[f0, f0]))
+
+
+def reference_complete_and_eval(a, b, fmap, bound=None):
+    """The right-side completion as it ran before the rule had one kernel."""
+    covered = set(fmap)
+    partners = {}
+    xs, ys = list(range(len(fmap))), list(fmap)
+    sup = _sup_gap(a, b, xs, ys)
+    for y in range(b.n):
+        if bound is not None and sup >= bound:
+            return None
+        if y in covered:
+            continue
+        scores = reference_candidate_scores(a, b, np.array(xs, dtype=int),
+                                            np.array(ys, dtype=int), y)
+        best_x = int(np.argmin(scores))
+        sup = max(sup, float(scores[best_x]))
+        partners[y] = best_x
+        xs.append(best_x)
+        ys.append(y)
+    if bound is not None and sup >= bound:
+        return None
+    pairs = {(x, y) for x, y in enumerate(fmap)} | {(x, y) for y, x in partners.items()}
+    return make_correspondence(sorted(pairs), a.n, b.n), sup
+
+
+def reference_greedy_fmap(a, b, bound=None):
+    """The greedy left map as it ran before the rule had one kernel."""
+    fmap = []
+    for x in range(a.n):
+        scores = reference_candidate_scores(b, a, np.array(fmap, dtype=int), np.arange(x), x)
+        y = int(np.argmin(scores))
+        if bound is not None and scores[y] >= bound:
+            return None
+        fmap.append(y)
+    return fmap
+
+
+def seed_bounds(a, b, val, free_bound):
+    """The value itself, just above it, half of it, a free bound, the greedy
+    left map's sup and INF_GAP."""
+    greedy = reference_greedy_fmap(a, b)
+    greedy_sup = _sup_gap(a, b, np.arange(a.n), np.array(greedy, dtype=int))
+    return (val, np.nextafter(val, np.inf), val / 2, free_bound, greedy_sup, INF_GAP)
+
+
+class TestOneKernel:
+    """`_complete` returns what the two copies of the greedy rule returned:
+    the completion of a full left map, and the greedy map completed, for the
+    empty map, None on both sides alike."""
+
+    @settings(max_examples=150)
+    @given(matcher_spaces(12), matcher_spaces(12), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 8.0))
+    def test_matches_reference(self, a, b, draw_seed, free_bound):
+        fmap = [int(y) for y in np.random.default_rng(draw_seed).integers(0, b.n, size=a.n)]
+        val = reference_complete_and_eval(a, b, fmap)[1]
+        for bound in (None,) + seed_bounds(a, b, val, free_bound):
+            assert _complete(a, b, fmap, bound) == reference_complete_and_eval(a, b, fmap, bound)
+            greedy = reference_greedy_fmap(a, b, bound)
+            expected = None if greedy is None else reference_complete_and_eval(a, b, greedy, bound)
+            assert _complete(a, b, [], bound) == expected
+
+
 class TestSeedBound:
     """A bounded seed gives up exactly when its full value could not beat the bound."""
 
@@ -215,18 +289,15 @@ class TestSeedBound:
     @given(matcher_spaces(12), matcher_spaces(12), st.integers(0, 2**32 - 1),
            st.floats(0.0, 8.0))
     def test_abandoned_iff_not_below_bound(self, a, b, draw_seed, free_bound):
-        fmap = [int(y) for y in np.random.default_rng(draw_seed).integers(0, b.n, size=a.n)]
-        full = _complete_and_eval(a, b, fmap)
-        greedy = _greedy_fmap(a, b)
-        greedy_sup = _sup_gap(a, b, np.arange(a.n), np.array(greedy, dtype=int))
-        val = full[1]
-        for bound in (val, np.nextafter(val, np.inf), val / 2, free_bound, greedy_sup, INF_GAP):
-            found = _complete_and_eval(a, b, fmap, bound)
-            assert (found is None) == (val >= bound)
-            assert found is None or found == full
-            bounded = _greedy_fmap(a, b, bound)
-            assert (bounded is None) == (greedy_sup >= bound)
-            assert bounded is None or bounded == greedy
+        random_map = [int(y) for y in
+                      np.random.default_rng(draw_seed).integers(0, b.n, size=a.n)]
+        for fmap in (random_map, []):
+            full = _complete(a, b, fmap)
+            val = full[1]
+            for bound in seed_bounds(a, b, val, free_bound):
+                found = _complete(a, b, fmap, bound)
+                assert (found is None) == (val >= bound)
+                assert found is None or found == full
 
 
 class TestBestOfSeeds:
@@ -234,13 +305,14 @@ class TestBestOfSeeds:
 
     @staticmethod
     def seed_maps(a, b, seed):
-        """Identity, canonical label matching, greedy, then 8 seeded random maps."""
+        """Identity, canonical label matching, the empty map (greedy), then 8
+        seeded random maps."""
         maps = []
         if a.n == b.n:
             maps.append(list(range(a.n)))
         if set(a.labels) == set(b.labels) and a.labels != b.labels:
             maps.append([b.labels.index(lab) for lab in a.labels])
-        maps.append(_greedy_fmap(a, b))
+        maps.append([])
         rng = np.random.default_rng(seed)
         for _ in range(8):  # these spaces are below the 150-point cutoff
             maps.append(list(rng.permutation(a.n)) if a.n == b.n
@@ -254,7 +326,7 @@ class TestBestOfSeeds:
         if relabel:  # a's points in another order, labels kept: the canonical seed fires
             perm = np.random.default_rng(perm_seed).permutation(a.n)
             b = build_space([a.labels[i] for i in perm], a.ell[np.ix_(perm, perm)])
-        completed = [_complete_and_eval(a, b, fmap) for fmap in self.seed_maps(a, b, seed)]
+        completed = [_complete(a, b, fmap) for fmap in self.seed_maps(a, b, seed)]
         assert min_distortion(a, b, seed=seed) == min(completed, key=lambda c: c[1])
 
 
@@ -274,9 +346,9 @@ class TestSeedCount:
 
         def counting(*args, **kwargs):
             seen.append(1)
-            return _complete_and_eval(*args, **kwargs)
+            return _complete(*args, **kwargs)
 
-        monkeypatch.setattr(corr, "_complete_and_eval", counting)
+        monkeypatch.setattr(corr, "_complete", counting)
         a, b = (chain_space(np.arange(float(n))) for n in sizes)
         assert min_distortion(a, b, mode=mode)[1] == INF_GAP
         assert len(seen) == calls
@@ -397,3 +469,45 @@ class TestPinnedExact:
             a, b = self.SPACES[case["a"]], self.SPACES[case["b"]]
             image = isometry_search(a, b)
             assert (None if image is None else [image[i] for i in range(a.n)]) == case["image"]
+
+
+class TestPinnedCertificate:
+    """lgh_certificate reports recorded before the certificate lost its hand-rolled memo.
+
+    Every report field is pinned. The corpus: sequences of rescaled chains
+    that converge, some with a finer scale that converges more slowly than
+    the coarser one (so n' is found, "beyond" or None); stages searched in
+    exact mode and, with more than 8 vertices, in heuristic mode; `slots`
+    matchings, random dict matchings, partial ones with some stages searched,
+    and fine/coarse maps that conflict on a shared vertex; random chains,
+    causal sets and -inf block unions with INF_GAP stages; convergence_tol
+    passed and failed; limit subsets that are unsorted and repeat points, on
+    layered spaces whose non-vertex points have only null-related vertices
+    below (strong density fails) or none (weak density fails); 1 to 3
+    scales, member `index` None and set, empty member lists, and two
+    CardinalityMismatch errors.
+    """
+
+    SPACES = [TestPinnedMatcher._space(rec) for rec in CERTIFICATE_PINS["spaces"]]
+
+    @classmethod
+    def _member(cls, rec):
+        nets = tuple(DiamondNet(pairs=tuple(map(tuple, net["pairs"])), epsilon=net["epsilon"])
+                     for net in rec["nets"])
+        subset = None if rec["subset"] is None else tuple(rec["subset"])
+        return CertificateMember(space=cls.SPACES[rec["space"]], nets=nets, subset=subset,
+                                 index=rec["index"])
+
+    @pytest.mark.parametrize("case", CERTIFICATE_PINS["cases"], ids=lambda c: c["name"])
+    def test_reproduces_recorded_report(self, case):
+        matchings = None if case["matchings"] is None else \
+            {(m["l"], m["n"]): dict(map(tuple, m["map"])) for m in case["matchings"]}
+        args = ([self._member(m) for m in case["members"]], self._member(case["limit"]),
+                matchings, case["convergence_tol"])
+        if "error" in case:
+            with pytest.raises(DomainError) as exc:
+                lgh_certificate(*args)
+            assert json.loads(dumps(exc.value.record())) == case["error"]
+        else:
+            report = lgh_certificate(*args)
+            assert json.loads(dumps(dataclasses.asdict(report))) == case["report"]
