@@ -324,8 +324,12 @@ def _cmd_certify(args):
     limit = _member_from_manifest(manifest["limit"], base, args.tol)
     matchings = None
     if manifest.get("matchings") == "slots":
-        matchings = {(l, n): slot_matching(members[n].nets[l], limit.nets[l])
-                     for n in range(len(members)) for l in range(len(limit.nets))}
+        # a missing or differently sized net gets no slot map, so that
+        # lgh_certificate reports it as a cardinality mismatch
+        matchings = {(l, n): slot_matching(member.nets[l], net)
+                     for n, member in enumerate(members)
+                     for l, net in enumerate(limit.nets)
+                     if l < len(member.nets) and len(member.nets[l]) == len(net)}
     elif isinstance(manifest.get("matchings"), dict):
         matchings = {tuple(int(v) for v in key.split(",")):
                      {int(a): int(b) for a, b in val.items()}

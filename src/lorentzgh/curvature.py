@@ -54,11 +54,8 @@ def _gd(x: float) -> float:
     return math.atan(math.sinh(x))
 
 
-def model_ell(K: float, p: ModelPoint, q: ModelPoint) -> float:
-    """Extended time separation from p to q in the model plane L2(K)."""
-    if p.K != K or q.K != K:
-        raise ShapeMismatch("points carry a different curvature than requested")
-    (t1, x1), (t2, x2) = p.coords, q.coords
+def _ell(K: float, t1: float, x1: float, t2: float, x2: float) -> float:
+    """Extended time separation from chart point (t1, x1) to (t2, x2) in L2(K)."""
     if K == 0:
         dt, dx = t2 - t1, x2 - x1
         if dt < 0 or dt < abs(dx):
@@ -90,6 +87,14 @@ def model_ell(K: float, p: ModelPoint, q: ModelPoint) -> float:
     return r * 2.0 * math.asin(math.sqrt(y / 2.0))
 
 
+def model_ell(K: float, p: ModelPoint, q: ModelPoint) -> float:
+    """Extended time separation from p to q in the model plane L2(K)."""
+    if p.K != K or q.K != K:
+        raise ShapeMismatch("points carry a different curvature than requested")
+    (t1, x1), (t2, x2) = p.coords, q.coords
+    return _ell(K, t1, x1, t2, x2)
+
+
 def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
     return max(0.0, model_ell(K, p, q))
 
@@ -116,12 +121,17 @@ def scale_point(K: float, p: ModelPoint, lam: float) -> ModelPoint:
 # ---------------------------------------------------------------------------
 
 
-def _time_axis_point(K: float, tau: float) -> ModelPoint:
-    """Point at proper time `tau` up the time axis from the chart origin."""
+def _check_K(K: float) -> None:
+    if not math.isfinite(K):
+        raise ShapeMismatch("K must be finite")
+
+
+def _axis(K: float, tau: float) -> tuple[float, float]:
+    """Chart coordinates at proper time `tau` up the time axis from the origin."""
     if K <= 0:
-        return model_point(K, tau, 0.0)  # proper time = chart time on the axis
+        return tau, 0.0  # proper time = chart time on the axis
     r = 1.0 / math.sqrt(K)
-    return model_point(K, tau / r, 0.0)
+    return tau / r, 0.0
 
 
 def _flat_z(a: float, t_yz: float, t_xz: float) -> tuple[float, float]:
@@ -137,8 +147,8 @@ def _flat_z(a: float, t_yz: float, t_xz: float) -> tuple[float, float]:
     return t, math.sqrt(under)
 
 
-def _solve_z(K: float, t_yx: float, t_yz: float, t_xz: float) -> ModelPoint:
-    """Place z with tau(y,z) = t_yz, tau(x,z) = t_xz on the positive side.
+def _solve_z(K: float, t_yx: float, t_yz: float, t_xz: float) -> tuple[float, float]:
+    """Chart coordinates of z with tau(y,z) = t_yz, tau(x,z) = t_xz, positive side.
 
     y is the chart origin, x is at chart time a = t_yx/r on the axis, and
     s = t_yz/r, w = t_xz/r; sh, ch are sinh, cosh for K < 0 and sin, cos for
@@ -150,16 +160,16 @@ def _solve_z(K: float, t_yx: float, t_yz: float, t_xz: float) -> ModelPoint:
     so small t_xz does not cancel; the reverse triangle makes lo >= 0. The
     quadric leaves the third coordinate +-sqrt(lo (lo + 2 sh(s))): the
     positive root is z, the negative its mirror. atan2 reads the angle back
-    on the branch with dT <= pi for K > 0, the regime `model_ell` measures.
+    on the branch with dT <= pi for K > 0, the regime `_ell` measures.
     """
     collinear = abs(t_yz - (t_yx + t_xz)) <= 1e-12 * max(1.0, t_yz)
     if collinear:
-        return _time_axis_point(K, t_yz)
+        return _axis(K, t_yz)
     if t_yz < t_yx + t_xz - 1e-12:
         raise Unrealizable("tau_yz < tau_yx + tau_xz",
                            "reverse triangle fails in the model")
     if K == 0:
-        return model_point(0.0, *_flat_z(t_yx, t_yz, t_xz))
+        return _flat_z(t_yx, t_yz, t_xz)
     r = 1.0 / math.sqrt(abs(K))
     a, s, w = t_yx / r, t_yz / r, t_xz / r
     sh = math.sinh if K < 0 else math.sin
@@ -172,7 +182,7 @@ def _solve_z(K: float, t_yx: float, t_yz: float, t_xz: float) -> ModelPoint:
         u, v = math.atan2(sh_s + lo, math.cos(s)), math.asinh(z2)
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ChartDomain(f"comparison placement overflows the chart for K={K}")
-    return model_point(K, u, v)
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -184,14 +194,10 @@ class ComparisonConfig:
     residual: float
 
 
-def comparison_config(K: float, sides: Sequence[float]) -> ComparisonConfig:
-    """Realize the five sides (t_yx, t_yz1, t_yz2, t_xz1, t_xz2) in L2(K).
-
-    Gauge: y at the chart origin, x up the positive time axis; z1 on the
-    positive side of that axis, z2 on the negative (opposite sides). The
-    realized sides are re-measured and must match within 1e-10.
-    """
-    t_yx, t_yz1, t_yz2, t_xz1, t_xz2 = (float(s) for s in sides)
+def _placement(K: float, t_yx: float, t_yz1: float, t_yz2: float, t_xz1: float,
+               t_xz2: float):
+    """Chart coordinates of x, z1 and z2 in `comparison_config`'s gauge, and
+    the residual of the re-measured sides."""
     if not (t_yx > 0):
         raise Unrealizable("tau_yx <= 0", "y and x must be chronologically related")
     dk = diameter_bound(K)
@@ -205,24 +211,45 @@ def comparison_config(K: float, sides: Sequence[float]) -> ComparisonConfig:
         if t_yz < t_yx:
             raise Unrealizable(f"tau_yz{i} < tau_yx")
 
-    y = model_point(K, 0.0, 0.0)
-    x = _time_axis_point(K, t_yx)
+    x = _axis(K, t_yx)
     try:
         z1 = _solve_z(K, t_yx, t_yz1, t_xz1)
-        z2m = _solve_z(K, t_yx, t_yz2, t_xz2)
-        z2 = model_point(K, z2m.coords[0], -z2m.coords[1])  # mirror to the opposite side
+        u, v = _solve_z(K, t_yx, t_yz2, t_xz2)
+        z2 = (u, -v)  # mirror to the opposite side
         residual = max(
-            abs(model_tau(K, y, x) - t_yx),
-            abs(model_tau(K, y, z1) - t_yz1),
-            abs(model_tau(K, y, z2) - t_yz2),
-            abs(model_tau(K, x, z1) - t_xz1),
-            abs(model_tau(K, x, z2) - t_xz2),
+            abs(max(0.0, _ell(K, 0.0, 0.0, *x)) - t_yx),
+            abs(max(0.0, _ell(K, 0.0, 0.0, *z1)) - t_yz1),
+            abs(max(0.0, _ell(K, 0.0, 0.0, *z2)) - t_yz2),
+            abs(max(0.0, _ell(K, *x, *z1)) - t_xz1),
+            abs(max(0.0, _ell(K, *x, *z2)) - t_xz2),
         )
     except OverflowError:
         raise ChartDomain(f"comparison placement overflows the chart for K={K}") from None
     if residual > 1e-10:
         raise SolverDiverged(f"comparison residual {residual:.3e} exceeds 1.0e-10")
-    return ComparisonConfig(y=y, x=x, z1=z1, z2=z2, residual=residual)
+    return x, z1, z2, residual
+
+
+def comparison_config(K: float, sides: Sequence[float]) -> ComparisonConfig:
+    """Realize the five sides (t_yx, t_yz1, t_yz2, t_xz1, t_xz2) in L2(K).
+
+    Gauge: y at the chart origin, x up the positive time axis; z1 on the
+    positive side of that axis, z2 on the negative (opposite sides). The
+    realized sides are re-measured and must match within 1e-10.
+    """
+    _check_K(K)
+    x, z1, z2, residual = _placement(K, *(float(s) for s in sides))
+    return ComparisonConfig(y=model_point(K, 0.0, 0.0), x=model_point(K, *x),
+                            z1=model_point(K, *z1), z2=model_point(K, *z2),
+                            residual=residual)
+
+
+def _slack(K: float, t_yx: float, t_yz1: float, t_yz2: float, t_xz1: float,
+           t_xz2: float, t_z: float) -> tuple[float, float, float]:
+    """tau(z1, z2) minus its model value, the model value and the residual."""
+    _, z1, z2, residual = _placement(K, t_yx, t_yz1, t_yz2, t_xz1, t_xz2)
+    model_val = max(0.0, _ell(K, *z1, *z2), _ell(K, *z2, *z1))
+    return t_z - model_val, model_val, residual
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +286,13 @@ def _config_sides(space: FiniteLorentzSpace, cfg: FourPointConfig):
 def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
                      tol: float = 1e-9) -> dict:
     """Compare tau(z1, z2) against the model value; holds iff slack >= -tol."""
-    t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z, t_guard = _config_sides(space, cfg)
+    _check_K(K)
+    t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z, t_guard = map(float, _config_sides(space, cfg))
     if t_guard >= diameter_bound(K):
         raise Unrealizable("tau(y, z2) >= D_K")
-    comp = comparison_config(K, (t_yx, t_yz1, t_yz2, t_xz1, t_xz2))
-    model_val = model_tau_between(K, comp.z1, comp.z2)
-    slack = t_z - model_val
+    slack, model_val, residual = _slack(K, t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z)
     return {"holds": bool(slack >= -tol), "slack": float(slack),
-            "model_tau": float(model_val), "residual": comp.residual}
+            "model_tau": float(model_val), "residual": residual}
 
 
 def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
@@ -274,40 +300,48 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
     """Sample admissible four-point configurations and report violations.
 
     Stagewise uniform drawing (y, then x in I+(y), then z1 in I+(x), then z2
-    in J+(z1)), seeded; `tested` counts evaluated configurations.
+    in J+(z1)), seeded; each stage draws a[rng.integers(a.size)], the stream
+    of rng.choice(a). `tested` counts evaluated configurations.
     """
-    rng = np.random.default_rng(seed)
+    _check_K(K)
+    if budget < 0:
+        raise ShapeMismatch(f"budget must be >= 0, got {budget}")
+    draw = np.random.default_rng(seed).integers
     dk = diameter_bound(K)
-    has_future = space.chron.any(axis=1)
-    ys = np.flatnonzero(has_future)
+    item, chron, causal = space.ell.item, space.chron, space.causal
+    has_future = chron.any(axis=1)
+    ys = has_future.nonzero()[0]
     tested = 0
     violations = []
     attempts = 0
     max_attempts = max(budget * 20, 100)
     while tested < budget and attempts < max_attempts and ys.size:
         attempts += 1
-        y = int(rng.choice(ys))
-        xs = np.flatnonzero(space.chron[y, :])
-        xs = xs[has_future[xs]]
+        y = int(ys[draw(ys.size)])
+        xs = (chron[y] & has_future).nonzero()[0]
         if xs.size == 0:
             continue
-        x = int(rng.choice(xs))
-        z1s = np.flatnonzero(space.chron[x, :])
+        x = int(xs[draw(xs.size)])
+        z1s = chron[x].nonzero()[0]
         if z1s.size == 0:
             continue
-        z1 = int(rng.choice(z1s))
-        z2s = np.flatnonzero(space.causal[z1, :])
+        z1 = int(z1s[draw(z1s.size)])
+        z2s = causal[z1].nonzero()[0]
         if z2s.size == 0:
             continue
-        z2 = int(rng.choice(z2s))
-        if space.tau(y, z2) >= dk:
+        z2 = int(z2s[draw(z2s.size)])
+        # tau = max(0, ell), read as Python floats
+        t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z = [
+            v if v > 0.0 else 0.0
+            for v in (item(y, x), item(y, z1), item(y, z2), item(x, z1), item(x, z2),
+                      item(z1, z2))]
+        if t_yz2 >= dk:
             continue
-        cfg = FourPointConfig(kind="future", points=(y, x, z1, z2))
         try:
-            result = four_point_check(space, cfg, K, tol)
+            slack = _slack(K, t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z)[0]
         except (Unrealizable, SolverDiverged, ChartDomain):
             continue
         tested += 1
-        if not result["holds"]:
-            violations.append({"points": cfg.points, "slack": result["slack"]})
+        if not slack >= -tol:
+            violations.append({"points": (y, x, z1, z2), "slack": slack})
     return {"violations": violations, "tested": tested}

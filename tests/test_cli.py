@@ -206,6 +206,20 @@ class TestGeometryCommands:
         assert len(payload["per_K"]) == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--K-list=nan"], ["scan", "--K-list=0,inf"], ["scan", "--K-list=-inf"],
+        ["fourpoint", "--K", "nan"], ["scan", "--K-list=0", "--budget", "-5"],
+        ["fourpoint", "--K", "0", "--budget", "-5"],
+    ], ids=" ".join)
+    def test_scan_bad_K_or_budget_exit_1(self, argv, capsys):
+        message = "budget must be >= 0" if "--budget" in argv else "K must be finite"
+        code, out, err = run_cli(argv + ["--space", str(ROOT / "tests" / "data" /
+                                                        "planted_space.json")], capsys)
+        assert (code, out) == (1, ""), err
+        record = json.loads(err)
+        assert record["error"] == "shape-mismatch" and message in record["message"]
+
+
 # (labels, matrix) -> expected error code; entry [0][1] or the labels are malformed
 MALFORMED = {
     "null-entry": (None, [[0, None], [1, 0]], "axiom-violation"),
@@ -278,6 +292,28 @@ OUT_OF_RANGE = {
     "tangent-negative-o": ("covered_space.json", None,
                            ["tangent", "--o=-1", "--lambdas", "1,2"]),
 }
+
+
+# slot-matched manifests whose member net at scale 0 is missing or has another cardinality
+CARDINALITY = {
+    "certify-slots-missing-net": (_set(["members", 0, "nets"], []), 0),
+    "certify-slots-longer-net": (_set(["members", 1, "nets", 0, "pairs"], [[0, 2], [0, 1]]), 1),
+}
+
+
+class TestCardinalityMismatch:
+    """A slot-matched certificate reports net cardinality like one without slots."""
+
+    @pytest.mark.parametrize("case", sorted(CARDINALITY))
+    def test_exit_1_with_record(self, case, tmp_path, capsys):
+        edit, member = CARDINALITY[case]
+        data = json.loads((SCHEMAS / "certify_manifest.json").read_text())
+        edit(data)
+        path = tmp_path / "certify_manifest.json"
+        path.write_text(json.dumps(data))
+        record = run_json(["certify", "--manifest", str(path)], capsys, expect=1)
+        assert (record["error"], record["scale"], record["member"]) == \
+            ("cardinality-mismatch", 0, member)
 
 
 class TestPointsOutOfRange:

@@ -1,16 +1,20 @@
+import functools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lorentzgh import (FourPointConfig, ProductGenerator, SamplePlan,
+from lorentzgh import (FourPointConfig, ProductGenerator, SamplePlan, circle_fiber,
                        comparison_config, curvature_bound_scan, diameter_bound,
                        four_point_check, model_ell, model_point, model_tau,
-                       sample_spacetime, segment_fiber)
+                       product_family, sample_spacetime, segment_fiber)
+from lorentzgh.core import _finish
 from lorentzgh.curvature import model_tau_between, scale_point
-from lorentzgh.errors import ChartDomain, DomainError, Unrealizable
+from lorentzgh.errors import (ChartDomain, DomainError, ShapeMismatch, SolverDiverged,
+                              Unrealizable)
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh import build_space
 
@@ -24,6 +28,74 @@ def minkowski_sample(step=0.25, width=2.0, sites=12, height=2.5):
     gen = ProductGenerator(fiber=segment_fiber(sites, width), cone_scale=1.0,
                            t_range=(0.0, height + 0.5))
     return sample_spacetime(gen, SamplePlan(time_step=step), t_window=(0.0, height))
+
+
+def planted_violation_space():
+    """A 20-point flat sample with tau(z1, z2) cut to a tenth on its first future
+    configuration (y, x, z1, z2), in index order; returns the space and that
+    configuration. `tests/data/planted_space.json` is this space."""
+    sp = minkowski_sample(step=0.5, sites=4, width=0.6, height=2.0).space
+    y, x, z1, z2 = next((y, int(x), int(z1), int(z2)) for y in range(sp.n)
+                        for x in np.flatnonzero(sp.chron[y])
+                        for z1 in np.flatnonzero(sp.chron[x])
+                        for z2 in np.flatnonzero(sp.chron[z1]))
+    ell = sp.ell.copy()
+    ell[z1, z2] = max(0.0, ell[z1, z2] - 0.9 * ell[z1, z2])
+    # the edit may break the reverse triangle elsewhere; _finish rebuilds permissively
+    return _finish(sp.labels, ell, sp.tol), (y, x, z1, z2)
+
+
+def reference_scan(space, K, budget, seed, tol=1e-9):
+    """The scan as one `rng.choice` per stage and one `four_point_check` per draw."""
+    rng = np.random.default_rng(seed)
+    dk = diameter_bound(K)
+    has_future = space.chron.any(axis=1)
+    ys = np.flatnonzero(has_future)
+    tested = 0
+    violations = []
+    attempts = 0
+    max_attempts = max(budget * 20, 100)
+    while tested < budget and attempts < max_attempts and ys.size:
+        attempts += 1
+        y = int(rng.choice(ys))
+        xs = np.flatnonzero(space.chron[y, :])
+        xs = xs[has_future[xs]]
+        if xs.size == 0:
+            continue
+        x = int(rng.choice(xs))
+        z1s = np.flatnonzero(space.chron[x, :])
+        if z1s.size == 0:
+            continue
+        z1 = int(rng.choice(z1s))
+        z2s = np.flatnonzero(space.causal[z1, :])
+        if z2s.size == 0:
+            continue
+        z2 = int(rng.choice(z2s))
+        if space.tau(y, z2) >= dk:
+            continue
+        cfg = FourPointConfig(kind="future", points=(y, x, z1, z2))
+        try:
+            result = four_point_check(space, cfg, K, tol)
+        except (Unrealizable, SolverDiverged, ChartDomain):
+            continue
+        tested += 1
+        if not result["holds"]:
+            violations.append({"points": cfg.points, "slack": result["slack"]})
+    return {"violations": violations, "tested": tested}
+
+
+SCAN_SPACES = {
+    "minkowski": lambda: minkowski_sample().space,
+    "circle": lambda: sample_spacetime(
+        product_family(circle_fiber(6, radius=0.4), 10, t_range=(0.0, 2.0)),
+        SamplePlan(time_step=0.25), t_window=(0.0, 1.5)).space,
+    "planted": lambda: planted_violation_space()[0],
+}
+
+
+@functools.cache
+def scan_space(name):
+    return SCAN_SPACES[name]()
 
 
 class TestModelTau:
@@ -225,37 +297,58 @@ class TestFourPoint:
         out = curvature_bound_scan(s.space, -0.5, budget=400, seed=7)
         assert out["violations"] == []
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    def test_non_finite_K_rejected(self, K):
+        s = minkowski_sample()
+        cfg = FourPointConfig("future", (s.index_of((0.0, 0)), s.index_of((0.25, 0)),
+                                         s.index_of((0.5, 0)), s.index_of((0.75, 0))))
+        for call in (lambda: curvature_bound_scan(s.space, K, budget=10, seed=0),
+                     lambda: four_point_check(s.space, cfg, K),
+                     lambda: comparison_config(K, (1, 2, 3, 1, 2))):
+            with pytest.raises(ShapeMismatch, match="K must be finite"):
+                call()
+
+    def test_negative_budget_rejected(self):
+        s = minkowski_sample()
+        with pytest.raises(ShapeMismatch, match="budget"):
+            curvature_bound_scan(s.space, 0.0, budget=-5, seed=0)
+        assert curvature_bound_scan(s.space, 0.0, budget=0, seed=0) == \
+            {"violations": [], "tested": 0}
+
     def test_no_timelike_pair_tested_zero(self):
         s = build_space(["a", "b"], [[0, NI], [NI, 0]])
         out = curvature_bound_scan(s, 0.0, budget=100, seed=1)
         assert out == {"violations": [], "tested": 0}
 
     def test_targeted_injection_detected(self):
-        s = minkowski_sample(step=0.5, sites=4, width=0.6, height=2.0)
-        ell = s.space.ell.copy()
-        # find an admissible config and break its tau(z1, z2) downward
-        sp = s.space
-        found = None
-        for y in range(sp.n):
-            for x in np.flatnonzero(sp.chron[y]):
-                for z1 in np.flatnonzero(sp.chron[x]):
-                    for z2 in np.flatnonzero(sp.chron[z1]):
-                        found = (y, int(x), int(z1), int(z2))
-                        break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        y, x, z1, z2 = found
-        ell[z1, z2] = max(0.0, ell[z1, z2] - 0.9 * ell[z1, z2])
-        # the damaged matrix may violate the reverse triangle; test the checker
-        # directly on the edited values through a permissive rebuild
-        from lorentzgh.core import _finish
-        broken = _finish(sp.labels, ell, sp.tol)
-        out = four_point_check(broken, FourPointConfig("future", (y, x, z1, z2)), 0.0)
+        broken, cfg = planted_violation_space()
+        out = four_point_check(broken, FourPointConfig("future", cfg), 0.0)
         assert not out["holds"]
+
+    def test_integers_draw_the_choice_stream(self):
+        # the scan draws a[rng.integers(a.size)], which must consume the same
+        # stream and pick the same entries as rng.choice(a)
+        sizes = np.random.default_rng(5).integers(1, 5000, size=2000)
+        a_rng, b_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for size in sizes.tolist():
+            a = np.arange(size) * 3
+            assert int(a_rng.choice(a)) == int(a[b_rng.integers(a.size)])
+
+    @settings(max_examples=60)
+    @given(space=st.sampled_from(sorted(SCAN_SPACES)),
+           K=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 0.05]),
+           budget=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_scan_matches_reference(self, space, K, budget, seed):
+        # same tested count, same points, bit-identical slacks
+        sp = scan_space(space)
+        assert curvature_bound_scan(sp, K, budget, seed) == reference_scan(sp, K, budget, seed)
+
+    def test_planted_space_file(self):
+        broken, _ = planted_violation_space()
+        data = json.loads((Path(__file__).parent / "data" / "planted_space.json").read_text())
+        back = build_space(data["labels"], data["ell"])
+        assert back.labels == broken.labels
+        assert back.ell.tobytes() == broken.ell.tobytes()
 
 
 class TestPinnedPlacement:
@@ -283,7 +376,6 @@ class TestPinnedPlacement:
 class TestStabilityExperiment:
     def test_family_stability_along_n(self):
         # Y_n products for n = 10, 100, inf all satisfy the K = 0 bound
-        from lorentzgh import circle_fiber, product_family
         for n in (10, 100, "inf"):
             gen = product_family(circle_fiber(6, radius=0.4), n, t_range=(0.0, 2.0))
             s = sample_spacetime(gen, SamplePlan(time_step=0.25), t_window=(0.0, 1.5))
