@@ -70,8 +70,12 @@ def _topological_order(c: CausalSet) -> list[int]:
 def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
     """Longest-chain step counts by dynamic programming over a topological order.
 
-    Integer longest-path counts satisfy the reverse triangle inequality
-    exactly, so the matrix needs no axiom check.
+    One update per vertex v: every chain into v ends with a cover edge from
+    one of its parents, so column v takes the largest parent column plus one
+    step (-inf + 1 stays -inf). The counts are small integers, exact in
+    float64, so the order of the maxima does not matter. Integer
+    longest-path counts satisfy the reverse triangle inequality exactly, so
+    the matrix needs no axiom check.
     """
     order = _topological_order(c)
     n = c.n
@@ -81,9 +85,8 @@ def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
     D = np.full((n, n), NEG_INF)
     np.fill_diagonal(D, 0.0)
     for v in order:
-        for u in parents[v]:
-            # every chain to u extends by one step to v; -inf + 1 stays -inf
-            D[:, v] = np.maximum(D[:, v], D[:, u] + 1.0)
+        if parents[v]:
+            D[:, v] = np.maximum(D[:, v], D[:, parents[v]].max(axis=1) + 1.0)
     return _finish(c.elements, D, DEFAULT_TOL)
 
 
@@ -102,16 +105,20 @@ def _transitive_reduction(strict: np.ndarray) -> list[tuple[int, int]]:
     """
     s = strict.astype(np.float32)
     two_step = (s @ s) > 0
-    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~two_step)]
+    a, b = np.nonzero(strict & ~two_step)
+    return list(zip(a.tolist(), b.tolist()))
 
 
-def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
-             seed: int):
-    """Uniform seeded sample of the product region with the induced order.
+def _order_causet(labels: Sequence[str], causal: np.ndarray) -> CausalSet:
+    """The causet whose covers are the Hasse covers of a reflexive causal relation."""
+    strict = causal.copy()
+    np.fill_diagonal(strict, False)
+    return build_causet(labels, _transitive_reduction(strict))
 
-    Times are uniform in [t-, t+], fiber sites uniform over the fiber; the
-    returned site map realizes each element as its sample point.
-    """
+
+def _sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
+              seed: int) -> tuple[list[Point], np.ndarray, CausalSet]:
+    """The seeded draw of `sprinkle`: its points, their ell matrix and the causet of their order."""
     lo, hi = region
     if not (gen.t_range[0] - 1e-12 <= lo < hi <= gen.t_range[1] + 1e-12):
         raise EmptyRegion(f"region {region} outside generator range {gen.t_range}")
@@ -121,14 +128,20 @@ def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
     ts = np.sort(rng.uniform(lo, hi, size=count))
     sites = rng.integers(0, gen.fiber.n, size=count)
     points: list[Point] = [(float(t), int(s)) for t, s in zip(ts, sites)]
-
-    strict = np.isfinite(_ell_matrix(gen, points))
-    np.fill_diagonal(strict, False)
-    covers = _transitive_reduction(strict)
+    ell = _ell_matrix(gen, points)
     labels = [f"e{k}|{point_label(gen, p)}" for k, p in enumerate(points)]
-    causet = build_causet(labels, covers)
-    site_map = {k: points[k] for k in range(count)}
-    return causet, site_map
+    return points, ell, _order_causet(labels, np.isfinite(ell))
+
+
+def sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
+             seed: int):
+    """Uniform seeded sample of the product region with the induced order.
+
+    Times are uniform in [t-, t+], fiber sites uniform over the fiber; the
+    returned site map realizes each element as its sample point.
+    """
+    points, _, causet = _sprinkle(gen, region, count, seed)
+    return causet, dict(enumerate(points))
 
 
 def faithful_embed_check(c: CausalSet, space: FiniteLorentzSpace,
@@ -145,23 +158,14 @@ def faithful_embed_check(c: CausalSet, space: FiniteLorentzSpace,
             raise ShapeMismatch(f"element {i} has no valid image")
         phi.append(int(j))
     rel = order_relation(c)
-    forward, reverse = [], []
-    for a in range(c.n):
-        for b in range(c.n):
-            if a == b:
-                continue
-            if rel[a, b] and not space.causal[phi[a], phi[b]]:
-                forward.append((a, b))
-            if not one_directional and space.causal[phi[a], phi[b]] and not rel[a, b]:
-                reverse.append((a, b))
+    # both relations are reflexive, so the diagonal never yields a witness
+    image = space.causal[np.ix_(phi, phi)]
+    forward = [(int(a), int(b)) for a, b in np.argwhere(rel & ~image)]
+    reverse = [] if one_directional else \
+        [(int(a), int(b)) for a, b in np.argwhere(image & ~rel)]
     faithful = not forward and not reverse
     return {"faithful": faithful,
             "witnesses": {"forward": forward, "reverse": reverse}}
-
-
-def _restriction_space(gen: ProductGenerator, points: Sequence[Point]) -> FiniteLorentzSpace:
-    labels = [f"e{k}|{point_label(gen, p)}" for k, p in enumerate(points)]
-    return build_space(labels, _ell_matrix(gen, points))
 
 
 def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
@@ -173,6 +177,11 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     the identity on (t, site). Reports, per count, the distortion between
     the two sampled-spacetime restrictions and between the chain-ell spaces;
     distortion tending to zero is evidence for isometry, a floor against.
+
+    Each distinct matrix is built, validated and chained once. A's ell
+    matrix gives both its order and its space; when B's matrix equals A's,
+    B's space is A's, and when B's causal relation equals A's, B's chain
+    space is A's. Both rules look at the data, not at the generators.
     """
     if gen_a.fiber.labels != gen_b.fiber.labels:
         raise ShapeMismatch("generators must share a fiber label set for site transport")
@@ -182,18 +191,21 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     master = np.random.default_rng(seed)
     for count in counts:
         sub_seed = int(master.integers(0, 2**63 - 1))
-        causet, site_map = sprinkle(gen_a, region, count, sub_seed)
-        points = [site_map[k] for k in range(count)]
-        space_a = _restriction_space(gen_a, points)
-        space_b = _restriction_space(gen_b, points)
+        points, ell_a, causet = _sprinkle(gen_a, region, count, sub_seed)
+        space_a = build_space(causet.elements, ell_a)
+        del ell_a
+        ell_b = _ell_matrix(gen_b, points)
+        space_b = space_a if np.array_equal(ell_b, space_a.ell) else \
+            build_space(causet.elements, ell_b)
+        del ell_b
         _, tau_dis = min_distortion(space_a, space_b, mode="heuristic", seed=sub_seed)
 
-        chain_a = chain_ell(causet)
         # order induced by B on the same transported sites
-        strict_b = np.isfinite(space_b.ell)
-        np.fill_diagonal(strict_b, False)
-        covers_b = _transitive_reduction(strict_b)
-        chain_b = chain_ell(build_causet(causet.elements, covers_b))
+        causet_b = None if np.array_equal(space_b.causal, space_a.causal) else \
+            _order_causet(causet.elements, space_b.causal)
+        del space_a, space_b
+        chain_a = chain_ell(causet)
+        chain_b = chain_a if causet_b is None else chain_ell(causet_b)
         _, chain_dis = min_distortion(chain_a, chain_b, mode="heuristic", seed=sub_seed)
 
         rows.append({"count": int(count), "seed": sub_seed,

@@ -99,23 +99,6 @@ def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
     return max(0.0, model_ell(K, p, q))
 
 
-def model_tau_between(K: float, p: ModelPoint, q: ModelPoint) -> float:
-    """Order-free tau: the positive direction wins (0 for spacelike pairs)."""
-    forward = model_ell(K, p, q)
-    backward = model_ell(K, q, p)
-    return max(0.0, forward, backward)
-
-
-def scale_point(K: float, p: ModelPoint, lam: float) -> ModelPoint:
-    """Chart image of p under the rescaling L2(K) -> L2(lam^2 K)."""
-    a, b = p.coords
-    if K == 0:
-        return model_point(0.0, a / lam, b / lam)
-    if K < 0:
-        return model_point(lam * lam * K, a / lam, b)  # (t, theta): t scales
-    return model_point(lam * lam * K, a, b)            # (T, rho): dimensionless
-
-
 # ---------------------------------------------------------------------------
 # comparison configurations
 # ---------------------------------------------------------------------------

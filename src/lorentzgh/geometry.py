@@ -27,6 +27,17 @@ class FiniteMetricFiber:
     labels: tuple[str, ...]
     d: np.ndarray
 
+    def __eq__(self, other):
+        """Value equality: the same labels and an equal distance matrix."""
+        if not isinstance(other, FiniteMetricFiber):
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.d, other.d)
+
+    def __hash__(self):
+        # equal fibers have equal labels; np.array_equal ignores the sign of zero,
+        # so d's bytes cannot take part
+        return hash(self.labels)
+
     @property
     def n(self) -> int:
         return len(self.labels)

@@ -12,7 +12,6 @@ from lorentzgh import (FourPointConfig, ProductGenerator, SamplePlan, circle_fib
                        four_point_check, model_ell, model_point, model_tau,
                        product_family, sample_spacetime, segment_fiber)
 from lorentzgh.core import _finish
-from lorentzgh.curvature import model_tau_between, scale_point
 from lorentzgh.errors import (ChartDomain, DomainError, ShapeMismatch, SolverDiverged,
                               Unrealizable)
 from lorentzgh.extended import NEG_INF as NI
@@ -22,6 +21,21 @@ from geodesic_oracle import geodesic_tau_oracle
 
 # scans and slacks recorded with the damped-Newton placement the closed form replaced
 PINS = json.loads((Path(__file__).parent / "data" / "curvature_pins.json").read_text())
+
+
+def model_tau_between(K, p, q):
+    """Order-free tau: the positive direction wins (0 for spacelike pairs)."""
+    return max(0.0, model_ell(K, p, q), model_ell(K, q, p))
+
+
+def scale_point(K, p, lam):
+    """Chart image of p under the rescaling L2(K) -> L2(lam^2 K)."""
+    a, b = p.coords
+    if K == 0:
+        return model_point(0.0, a / lam, b / lam)
+    if K < 0:
+        return model_point(lam * lam * K, a / lam, b)  # (t, theta): t scales
+    return model_point(lam * lam * K, a, b)            # (T, rho): dimensionless
 
 
 def minkowski_sample(step=0.25, width=2.0, sites=12, height=2.5):

@@ -93,6 +93,23 @@ class TestFiber:
             make(5, size)
         assert exc.value.kind == "codomain"
 
+    def test_value_equality_and_hash(self):
+        a, b = circle_fiber(6, 0.3), circle_fiber(6, 0.3)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.scaled(1.1)
+        assert a != build_fiber([f"t{i}" for i in range(6)], a.d)
+        assert a != segment_fiber(6, 0.3) and a != "s0"
+        gen = ProductGenerator(fiber=a, cone_scale=1.0, t_range=(0.0, 1.0))
+        same = ProductGenerator(fiber=b, cone_scale=1.0, t_range=(0.0, 1.0))
+        assert gen == same and hash(gen) == hash(same) and len({gen, same}) == 1
+        for other in (ProductGenerator(fiber=a.scaled(1.1), cone_scale=1.0, t_range=(0.0, 1.0)),
+                      ProductGenerator(fiber=a, cone_scale=2.0, t_range=(0.0, 1.0)),
+                      ProductGenerator(fiber=a, cone_scale=1.0, t_range=(0.0, 2.0)),
+                      product_family(a, 1, t_range=(0.0, 1.0))):
+            assert gen != other
+        assert product_family(a, 1, (0.0, 1.0)) != ProductGenerator(
+            fiber=a, cone_scale=2.0, t_range=(0.0, 1.0))  # the family index counts
+
 
 class TestProductTau:
     def setup_method(self):
