@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL, FiniteLorentzSpace, _finish, build_space
+from .core import FiniteLorentzSpace, build_space
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
@@ -87,13 +87,12 @@ def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
     for v in order:
         if parents[v]:
             D[:, v] = np.maximum(D[:, v], D[:, parents[v]].max(axis=1) + 1.0)
-    return _finish(c.elements, D, DEFAULT_TOL)
+    return FiniteLorentzSpace(c.elements, D)
 
 
 def order_relation(c: CausalSet) -> np.ndarray:
     """Reflexive reachability matrix of the causet order."""
-    space = chain_ell(c)
-    return space.causal.copy()
+    return chain_ell(c).causal.copy()
 
 
 def _transitive_reduction(strict: np.ndarray) -> list[tuple[int, int]]:

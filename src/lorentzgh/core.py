@@ -2,8 +2,8 @@
 
 A space is a labeled point set with an extended-time matrix `ell` whose
 entries live in {-inf} union [0, inf). Construction validates the reverse
-triangle inequality and the nonnegative diagonal; causal relation tables
-are cached eagerly so downstream operations are table lookups.
+triangle inequality and the nonnegative diagonal; the constructor derives
+the relation tables eagerly, so downstream operations are table lookups.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -26,6 +26,9 @@ DEFAULT_TOL = 1e-9
 class FiniteLorentzSpace:
     """Point labels plus the extended time separation matrix.
 
+    The constructor makes an unvalidated space: it takes ownership of `ell`,
+    frozen in place as a float array, and derives the `chron` and `causal`
+    tables; `build_space` validates. Equality is by labels, tol and ell.
     `tol` is the equality tolerance for finite entries; constructed
     (exact) matrices work with any tol, float-sampled ones need slack.
     """
@@ -33,9 +36,25 @@ class FiniteLorentzSpace:
     labels: tuple[str, ...]
     ell: np.ndarray
     tol: float = DEFAULT_TOL
-    # cached relation tables, filled by build_space
-    chron: np.ndarray = field(repr=False, default=None)
-    causal: np.ndarray = field(repr=False, default=None)
+    chron: np.ndarray = field(init=False, repr=False)
+    causal: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ell = np.asarray(self.ell, dtype=float)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, table in (("ell", ell), ("chron", ell > 0.0), ("causal", np.isfinite(ell))):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteLorentzSpace):
+            return NotImplemented
+        return (self.labels == other.labels and self.tol == other.tol
+                and np.array_equal(self.ell, other.ell))
+
+    def __hash__(self):
+        # np.array_equal ignores the sign of zero, so ell's bytes cannot take part
+        return hash((self.labels, self.tol))
 
     @property
     def n(self) -> int:
@@ -57,20 +76,7 @@ class FiniteLorentzSpace:
     def restrict(self, indices: Sequence[int]) -> "FiniteLorentzSpace":
         """Subspace on `indices` (order preserved); revalidation is unnecessary."""
         idx = list(indices)
-        sub = self.ell[np.ix_(idx, idx)].copy()
-        return _finish(tuple(self.labels[i] for i in idx), sub, self.tol)
-
-
-def _finish(labels, ell, tol) -> FiniteLorentzSpace:
-    """Attach relation tables without re-running axiom checks."""
-    ell = np.asarray(ell, dtype=float)
-    ell.flags.writeable = False
-    chron = ell > 0.0
-    causal = np.isfinite(ell)
-    chron.flags.writeable = False
-    causal.flags.writeable = False
-    return FiniteLorentzSpace(labels=tuple(labels), ell=ell, tol=tol,
-                              chron=chron, causal=causal)
+        return FiniteLorentzSpace([self.labels[i] for i in idx], self.ell[np.ix_(idx, idx)], self.tol)
 
 
 def validate_matrix(ell: np.ndarray, tol: float) -> None:
@@ -211,7 +217,7 @@ def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteL
     if len(set(labels)) != len(labels):
         raise ShapeMismatch("labels must be unique")
     validate_matrix(ell, tol)
-    return _finish(labels, ell, tol)
+    return FiniteLorentzSpace(labels, ell, tol)
 
 
 @dataclass(frozen=True)
@@ -310,9 +316,8 @@ def quotient_tau_indistinguishable(space: FiniteLorentzSpace):
     roots = sorted({find(i) for i in range(n)})
     class_of_root = {r: c for c, r in enumerate(roots)}
     projection = np.array([class_of_root[find(i)] for i in range(n)], dtype=int)
-    ell_q = space.ell[np.ix_(roots, roots)].copy()
-    labels_q = tuple(space.labels[r] for r in roots)
-    return _finish(labels_q, ell_q, space.tol), projection
+    return FiniteLorentzSpace([space.labels[r] for r in roots],
+                              space.ell[np.ix_(roots, roots)], space.tol), projection
 
 
 def classify_special_points(space: FiniteLorentzSpace) -> dict[str, Optional[int]]:

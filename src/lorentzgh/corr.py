@@ -341,6 +341,7 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     stages = []
     stage_dis = {}
     for l in range(n_scales):
+        sub_b = limit.space.restrict(limit.nets[l].vertices())
         for n, member in enumerate(sequence):
             if len(member.nets) <= l:
                 raise CardinalityMismatch(l, n, "member lacks a net at this scale")
@@ -355,7 +356,6 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
                 dis = _matching_distortion(matchings[key], member.space, limit.space)
             else:
                 sub_a = member.space.restrict(va)
-                sub_b = limit.space.restrict(limit.nets[l].vertices())
                 mode = "exact" if max(sub_a.n, sub_b.n) <= EXACT_SIZE_CAP else "heuristic"
                 _, dis = min_distortion(sub_a, sub_b, mode=mode)
             stage_dis[key] = dis

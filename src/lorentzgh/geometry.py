@@ -24,8 +24,15 @@ from .nets import DiamondNet, point_indices
 
 @dataclass(frozen=True)
 class FiniteMetricFiber:
+    """Point labels plus a distance matrix `d`, which the constructor takes and freezes."""
+
     labels: tuple[str, ...]
     d: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
+        self.d.flags.writeable = False
 
     def __eq__(self, other):
         """Value equality: the same labels and an equal distance matrix."""
@@ -64,7 +71,7 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
 
 
 def _pointwise_checked_fiber(labels: Sequence[str], d: np.ndarray) -> FiniteMetricFiber:
-    """Check codomain, diagonal and symmetry of d, O(n^2), and freeze it.
+    """Check codomain, diagonal and symmetry of d, O(n^2), and make the fiber.
 
     The triangle inequality is left to the caller: `build_fiber` scans for
     it, the closed forms below hold it by construction.
@@ -78,8 +85,7 @@ def _pointwise_checked_fiber(labels: Sequence[str], d: np.ndarray) -> FiniteMetr
     if (np.abs(d - d.T) > tol).any():
         i, j = (int(v) for v in np.argwhere(np.abs(d - d.T) > tol)[0])
         raise AxiomViolation("symmetry", (i, j), "fiber metric must be symmetric")
-    d.flags.writeable = False
-    return FiniteMetricFiber(labels=tuple(labels), d=d)
+    return FiniteMetricFiber(labels=labels, d=d)
 
 
 def _check_fiber_points(n: int) -> None:

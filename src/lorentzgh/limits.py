@@ -212,27 +212,23 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
 
 
 def select_blowup_spec(cov: CoveredFiniteSpace, o: int, lam: float) -> BlowupSpec:
-    """Tightest admissible (o-, o+): minimal tau(o-, o+), then richest diamond.
+    """Tightest admissible (o-, o+): minimal tau(o-, o+) < 1/lam, then richest diamond.
 
-    An `o` outside the space raises ShapeMismatch.
+    Ties go to the first pair in (o-, o+) row-major order. An `o` outside
+    the space raises ShapeMismatch.
     """
     space = cov.space
     point_indices(space, (o,), "basepoint")
     minus = np.flatnonzero(space.chron[:, o])
     plus = np.flatnonzero(space.chron[o, :])
-    best = None
-    for om in minus:
-        for op in plus:
-            t = space.tau(int(om), int(op))
-            if t >= 1.0 / lam:
-                continue
-            size = int(space.chron_diamond(int(om), int(op)).sum())
-            key = (t, -size, int(om), int(op))
-            if best is None or key < best[0]:
-                best = (key, BlowupSpec(o=o, o_minus=int(om), o_plus=int(op), lam=lam))
-    if best is None:
+    tau = np.maximum(0.0, space.ell[np.ix_(minus, plus)]).ravel()
+    size = (space.chron[minus].astype(np.intp) @ space.chron[:, plus]).ravel()
+    order = np.lexsort((-size, tau))  # stable: row-major among equal keys
+    order = order[tau[order] < 1.0 / lam]
+    if not order.size:
         raise NoAdmissibleBasepoints(lam)
-    return best[1]
+    om, op = divmod(int(order[0]), plus.size)
+    return BlowupSpec(o=o, o_minus=int(minus[om]), o_plus=int(plus[op]), lam=lam)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,6 @@ class AtomicMeasure:
     def total(self) -> float:
         return math.fsum(w for _, w in self.weights)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.weights)
-
-    def restrict(self, subset: Sequence[int]) -> "AtomicMeasure":
-        keep = set(subset)
-        return atomic_measure({i: w for i, w in self.weights if i in keep})
-
 
 def atomic_measure(weights: dict[int, float]) -> AtomicMeasure:
     items = tuple(sorted((int(i), float(w)) for i, w in weights.items() if w != 0.0))

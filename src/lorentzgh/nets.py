@@ -6,8 +6,8 @@ J(p, q) = J+(p) & J-(q) in a given space. Ordering matters downstream
 
 Every membership question "is z in J(p, q)?" goes through one batched
 kernel, `diamond_masks`, which returns the (pairs x points) boolean matrix;
-nets, doubling and `measured.induce_net_measure` all read it. Admissible
-diamonds (causal, tau <= epsilon within tol) come from `_admissible`.
+nets, doubling and `measured.induce_net_measure` all read it. `_admissible`
+marks admissible diamonds (causal, tau <= epsilon + tol) in aligned tables.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def point_indices(space: FiniteLorentzSpace, indices: Sequence[int], what: str) 
     return idx
 
 
-def _admissible(space: FiniteLorentzSpace, epsilon: float) -> np.ndarray:
-    """(n x n) mask of the causal pairs with tau <= epsilon, within tol."""
-    return space.causal & (space.tau_matrix() <= epsilon + space.tol)
+def _admissible(causal: np.ndarray, tau: np.ndarray, epsilon: float, tol: float) -> np.ndarray:
+    """Mask of the causal pairs with tau <= epsilon, within tol, from aligned tables."""
+    return causal & (tau <= epsilon + tol)
 
 
 def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet) -> NetCheck:
@@ -104,7 +104,7 @@ def default_candidates(space: FiniteLorentzSpace, epsilon: float,
     ALL includes degenerate (x, x) diamonds, needed to cover chronologically
     isolated points; CHRONOLOGICAL restricts to tau > 0.
     """
-    ok = _admissible(space, epsilon)
+    ok = _admissible(space.causal, space.tau_matrix(), epsilon, space.tol)
     if mode == CHRONOLOGICAL_CANDIDATES:
         ok &= space.chron
     return [(int(p), int(q)) for p, q in np.argwhere(ok)]
@@ -195,10 +195,11 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     A subset point outside range(space.n) raises ShapeMismatch.
     """
     sub = point_indices(space, subset, "subset")
-    local = space.restrict(sub)
+    causal = space.causal[np.ix_(sub, sub)]
+    tau = np.maximum(0.0, space.ell[np.ix_(sub, sub)])
     # causal pairs in (x, y) row-major order, kept when J(x, y) has no point
     # outside the subset (only those diamonds are constrained)
-    pairs = sub[np.argwhere(local.causal)]
+    pairs = sub[np.argwhere(causal)]
     outside = np.delete(np.arange(space.n), sub)
     pairs = pairs[~diamond_masks(space, pairs, outside).any(axis=1)]
     exact = True
@@ -207,7 +208,7 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     for (x, y), mask in zip(pairs.tolist(), diamond_masks(space, pairs, sub)):
         members = sub[mask]
         half = space.tau(x, y) / 2.0
-        cand = sub[np.argwhere(_admissible(local, half))]
+        cand = sub[np.argwhere(_admissible(causal, tau, half, space.tol))]
         if not len(cand):
             raise Uncoverable(members.tolist())
         if len(members) <= exact_threshold:

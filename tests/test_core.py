@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_space, layered_space, random_chain, random_causet_space, union_space
-from lorentzgh import (DiamondNet, ProductGenerator, atomic_measure, build_fiber, build_space,
-                       causality_class, circle_fiber, classify_special_points, covered,
-                       isometry_search, product_family, quotient_tau_indistinguishable,
-                       segment_fiber, timelike_diameter)
+from lorentzgh import (CertificateMember, DiamondNet, ProductGenerator, SamplePlan,
+                       atomic_measure, build_fiber, build_space, causality_class, circle_fiber,
+                       classify_special_points, covered, isometry_search, product_family,
+                       quotient_tau_indistinguishable, sample_spacetime, segment_fiber,
+                       timelike_diameter)
 from lorentzgh import core
 from lorentzgh.causet import sprinkle
-from lorentzgh.core import (DEFAULT_TOL, CoveredFiniteSpace, _finish, _indistinguishable_pairs,
-                            _sweep_witness, validate_matrix)
+from lorentzgh.core import (DEFAULT_TOL, CoveredFiniteSpace, FiniteLorentzSpace,
+                            _indistinguishable_pairs, _sweep_witness, validate_matrix)
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
                               PrePDPRequired, ShapeMismatch, SizeMismatch)
 from lorentzgh.extended import NEG_INF as NI, gap, INF_GAP
@@ -315,7 +316,7 @@ def raw_profiles(draw):
         for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
             if k not in (i, j) and np.isfinite(ell[j, k]):
                 ell[j, k] = PDP_POOL[int(rng.integers(1, len(PDP_POOL)))]
-    return _finish([f"p{i}" for i in range(n)], ell, PDP_TOL)
+    return FiniteLorentzSpace([f"p{i}" for i in range(n)], ell, PDP_TOL)
 
 
 class TestIndistinguishablePairs:
@@ -363,7 +364,7 @@ class TestQuotient:
         tol = 1e-9
         ell = np.zeros((4, 4))
         ell[0, 1:] = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol]
-        s = _finish(["r", "a", "b", "c"], ell, tol)
+        s = FiniteLorentzSpace(["r", "a", "b", "c"], ell, tol)
         assert _indistinguishable_pairs(s) == [(1, 2), (2, 3)]
         q, proj = quotient_tau_indistinguishable(s)
         assert q.labels == ("r", "a")
@@ -473,6 +474,70 @@ class TestIsometry:
             b = build_space([f"r{i}" for i in range(a.n)], a.ell[np.ix_(perm, perm)])
             if isometry_search(a, b) is not None:
                 assert causality_class(a) == causality_class(b)
+
+
+class TestSpaceValue:
+    """A space is its labels, ell and tol: the constructor derives the tables, == and
+    hash read the values."""
+
+    @staticmethod
+    def chain_args():
+        return ["a", "b", "c"], np.array([[0.0, 1.0, 2.0], [NI, 0.0, 1.0], [NI, NI, 0.0]])
+
+    def test_equal_data_are_equal_and_hash_equal(self):
+        a, b = chain_space([0, 1, 2]), chain_space([0, 1, 2])
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert {a: "x"}[b] == "x"
+        assert a == FiniteLorentzSpace(a.labels, a.ell.copy(), a.tol)
+        assert a.restrict([0, 2]) == b.restrict([0, 2]) and a != "a"
+
+    def test_tol_label_and_entry_are_compared(self):
+        labels, ell = self.chain_args()
+        s = FiniteLorentzSpace(labels, ell)
+        assert s != FiniteLorentzSpace(labels, ell, tol=1e-6)
+        assert s != FiniteLorentzSpace(["a", "b", "d"], ell)
+        other = ell.copy()
+        other[0, 2] = 2.5
+        assert s != FiniteLorentzSpace(labels, other)
+
+    def test_signed_zero_is_equal(self):
+        labels, ell = self.chain_args()
+        neg = ell.copy()
+        neg[1, 1] = -0.0
+        a, b = FiniteLorentzSpace(labels, ell), FiniteLorentzSpace(labels, neg)
+        assert a.ell.tobytes() != b.ell.tobytes()
+        assert a == b and hash(a) == hash(b)
+
+    def test_constructor_tables_match_build_space(self):
+        labels, ell = self.chain_args()
+        raw, built = FiniteLorentzSpace(labels, ell), build_space(labels, ell)
+        assert raw.ell is ell and raw.labels == tuple(labels)
+        for name in ("ell", "chron", "causal"):
+            table = getattr(raw, name)
+            assert np.array_equal(table, getattr(built, name))
+            assert table.dtype == getattr(built, name).dtype
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = table[0, 1]
+        assert raw.chron_diamond(0, 2).tolist() == [False, True, False]
+
+    def test_constructor_takes_lists(self):
+        s = FiniteLorentzSpace(("a", "b"), [[0, 1], [NI, 0]])
+        assert s.ell.dtype == float and s.causal.tolist() == [[True, True], [False, True]]
+
+    def test_holders_compare_by_value(self):
+        a, b = chain_space([0, 1, 2]), chain_space([0, 1, 2])
+        ca, cb = covered(a, 0, [[0, 1], [0, 1, 2]]), covered(b, 0, [[0, 1], [0, 1, 2]])
+        assert ca == cb and hash(ca) == hash(cb)
+        assert ca != covered(a, 1, [[0, 1], [0, 1, 2]])
+        assert ca != covered(chain_space([0, 1, 3]), 0, [[0, 1], [0, 1, 2]])
+        gen = ProductGenerator(fiber=segment_fiber(3, 0.2), cone_scale=1.0, t_range=(0.0, 0.5))
+        sa, sb = (sample_spacetime(gen, SamplePlan(time_step=0.25)) for _ in range(2))
+        assert sa == sb and hash(sa) == hash(sb) and len({sa, sb}) == 1
+        assert sa != sample_spacetime(gen, SamplePlan(time_step=0.25, seed=1))
+        nets = (DiamondNet(pairs=((0, 2),), epsilon=2.0),)
+        ma, mb = CertificateMember(space=a, nets=nets), CertificateMember(space=b, nets=nets)
+        assert ma == mb and hash(ma) == hash(mb)
 
 
 class TestCovered:

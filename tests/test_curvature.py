@@ -11,7 +11,7 @@ from lorentzgh import (FourPointConfig, ProductGenerator, SamplePlan, circle_fib
                        comparison_config, curvature_bound_scan, diameter_bound,
                        four_point_check, model_ell, model_point, model_tau,
                        product_family, sample_spacetime, segment_fiber)
-from lorentzgh.core import _finish
+from lorentzgh.core import FiniteLorentzSpace
 from lorentzgh.errors import (ChartDomain, DomainError, ShapeMismatch, SolverDiverged,
                               Unrealizable)
 from lorentzgh.extended import NEG_INF as NI
@@ -55,8 +55,8 @@ def planted_violation_space():
                         for z2 in np.flatnonzero(sp.chron[z1]))
     ell = sp.ell.copy()
     ell[z1, z2] = max(0.0, ell[z1, z2] - 0.9 * ell[z1, z2])
-    # the edit may break the reverse triangle elsewhere; _finish rebuilds permissively
-    return _finish(sp.labels, ell, sp.tol), (y, x, z1, z2)
+    # the edit may break the reverse triangle elsewhere; the constructor does not validate
+    return FiniteLorentzSpace(sp.labels, ell, sp.tol), (y, x, z1, z2)
 
 
 def reference_scan(space, K, budget, seed, tol=1e-9):

@@ -10,7 +10,7 @@ from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, circle_fiber,
 from lorentzgh.errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge,
                               NotAFiberNet, ShapeMismatch, UnsupportedMetricFamily)
 from lorentzgh.extended import NEG_INF as NI
-from lorentzgh.geometry import GridNet, net_vertex_points
+from lorentzgh.geometry import FiniteMetricFiber, GridNet, net_vertex_points
 from lorentzgh import build_space, causality_class
 
 
@@ -92,6 +92,14 @@ class TestFiber:
         with pytest.raises(AxiomViolation) as exc:
             make(5, size)
         assert exc.value.kind == "codomain"
+
+    def test_constructor_freezes_d(self):
+        d = np.array([[0.0, 1.0], [1.0, 0.0]])
+        f = FiniteMetricFiber(["a", "b"], d)
+        assert f.d is d and not d.flags.writeable and f.labels == ("a", "b")
+        with pytest.raises(ValueError):
+            f.d[0, 1] = 2.0
+        assert f == build_fiber(["a", "b"], [[0, 1], [1, 0]]) and hash(f) == hash(f.labels)
 
     def test_value_equality_and_hash(self):
         a, b = circle_fiber(6, 0.3), circle_fiber(6, 0.3)

@@ -9,7 +9,7 @@ from conftest import chain_space, layered_space, random_causet_space
 from lorentzgh import (BlowupSpec, CoveredSequence, DiamondNet, blow_up, covered,
                        diagonal_limit, forward_complete_check, isometry_search,
                        select_blowup_spec, tangent_experiment, timelike_diameter,
-                       causality_class, build_space)
+                       causality_class, build_space, circle_fiber, segment_fiber)
 from lorentzgh.errors import (NoAdmissibleBasepoints, NonCauchy, ScheduleViolation,
                               SpecViolated)
 from lorentzgh.extended import NEG_INF as NI
@@ -234,6 +234,73 @@ class TestTangent:
         cov = self._minkowski_cov()
         with pytest.raises(NoAdmissibleBasepoints):
             select_blowup_spec(cov, cov.basepoint, 1e9)
+
+
+def reference_blowup_spec(cov, o, lam):
+    """The per-pair loop `select_blowup_spec` replaced: the least (tau, -size, o-, o+)."""
+    space = cov.space
+    best = None
+    for om in np.flatnonzero(space.chron[:, o]):
+        for op in np.flatnonzero(space.chron[o, :]):
+            t = space.tau(int(om), int(op))
+            if t >= 1.0 / lam:
+                continue
+            size = int(space.chron_diamond(int(om), int(op)).sum())
+            key = (t, -size, int(om), int(op))
+            if best is None or key < best[0]:
+                best = (key, BlowupSpec(o=o, o_minus=int(om), o_plus=int(op), lam=lam))
+    if best is None:
+        raise NoAdmissibleBasepoints(lam)
+    return best[1]
+
+
+class TestBlowupSelection:
+    LAMBDAS = (0.3, 1.0, 2.0, 4.0, 8.0, 30.0, 1e3, 1e6)
+
+    @staticmethod
+    def grid(fiber, step, seed=None):
+        from lorentzgh import ProductGenerator, SamplePlan, sample_spacetime
+        gen = ProductGenerator(fiber=fiber, cone_scale=1.0, t_range=(0.0, 1.2))
+        s = sample_spacetime(gen, SamplePlan(time_step=step, seed=seed))
+        return covered(s.space, 0, [range(s.space.n)])
+
+    @pytest.mark.parametrize("make", [
+        lambda: TestBlowupSelection.grid(segment_fiber(5, 0.4), 0.05),
+        lambda: TestBlowupSelection.grid(circle_fiber(12, 0.3), 0.1, seed=4),
+        lambda: TestBlowupSelection.grid(circle_fiber(7, 0.15), 0.08, seed=9),
+    ], ids=["criterion-11-cover", "jittered-circle-12", "jittered-circle-7"])
+    def test_matches_reference_loop_on_sampled_grids(self, make, rng):
+        cov = make()
+        for o in rng.choice(cov.space.n, size=3, replace=False).tolist():
+            for lam in self.LAMBDAS:
+                try:
+                    expected = reference_blowup_spec(cov, o, lam)
+                except NoAdmissibleBasepoints:
+                    with pytest.raises(NoAdmissibleBasepoints):
+                        select_blowup_spec(cov, o, lam)
+                    continue
+                assert select_blowup_spec(cov, o, lam) == expected
+
+    def test_richest_diamond_breaks_a_tau_tie(self):
+        # b and a both reach c through o with tau 2, but only I(a, c) also holds x
+        b, a, o, x, c = range(5)
+        ell = np.full((5, 5), NI)
+        np.fill_diagonal(ell, 0.0)
+        for p, q, t in [(b, o, 1), (a, o, 1), (a, x, 1), (o, c, 1), (x, c, 1), (b, c, 2), (a, c, 2)]:
+            ell[p, q] = t
+        cov = covered(build_space(list("baoxc"), ell), o, [range(5)])
+        assert select_blowup_spec(cov, o, 0.4) == BlowupSpec(o=o, o_minus=a, o_plus=c, lam=0.4)
+        assert reference_blowup_spec(cov, o, 0.4) == select_blowup_spec(cov, o, 0.4)
+
+    def test_ties_go_to_the_first_pair_in_row_major_order(self):
+        # five pasts and five futures of o = 5: 25 pairs of tau 2, each diamond {o}
+        ell = np.full((11, 11), NI)
+        np.fill_diagonal(ell, 0.0)
+        ell[:5, 5] = ell[5, 6:] = 1.0
+        ell[:5, 6:] = 2.0
+        cov = covered(build_space([f"x{i}" for i in range(11)], ell), 5, [range(11)])
+        assert select_blowup_spec(cov, 5, 0.4) == BlowupSpec(o=5, o_minus=0, o_plus=6, lam=0.4)
+        assert reference_blowup_spec(cov, 5, 0.4) == select_blowup_spec(cov, 5, 0.4)
 
 
 def _enc(v):
