@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, build_space
+from .core import FiniteLorentzSpace, build_space, check_labels, point_indices
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
@@ -32,12 +32,9 @@ class CausalSet:
 
 
 def build_causet(elements: Sequence[str], covers: Sequence[tuple[int, int]]) -> CausalSet:
-    n = len(elements)
-    if len(set(elements)) != n:
-        raise ShapeMismatch("element labels must be unique")
+    check_labels(elements)
+    point_indices(len(elements), [v for pair in covers for v in pair], "cover endpoints")
     for a, b in covers:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ShapeMismatch(f"cover pair ({a}, {b}) out of range")
         if a == b:
             raise CycleDetected(f"self-loop at element {a}")
     c = CausalSet(elements=tuple(elements), covers=tuple(sorted(set((int(a), int(b)) for a, b in covers))))
@@ -150,12 +147,11 @@ def faithful_embed_check(c: CausalSet, space: FiniteLorentzSpace,
     Default checks both directions (x <= y iff phi(x) <= phi(y));
     one_directional keeps only the forward implication, the literal reading.
     """
-    phi = []
-    for i in range(c.n):
-        j = mapping.get(i)
-        if j is None or not (0 <= j < space.n):
-            raise ShapeMismatch(f"element {i} has no valid image")
-        phi.append(int(j))
+    missing = [i for i in range(c.n) if mapping.get(i) is None]
+    if missing:
+        raise ShapeMismatch(f"elements {missing} have no image")
+    phi = [int(mapping[i]) for i in range(c.n)]
+    point_indices(space.n, phi, "element images")
     rel = order_relation(c)
     # both relations are reflexive, so the diagonal never yields a witness
     image = space.causal[np.ix_(phi, phi)]

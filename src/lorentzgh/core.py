@@ -190,32 +190,51 @@ def _dense_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]
     return None
 
 
-def _float_matrix(labels: Sequence[str], m, name: str) -> np.ndarray:
-    """m as a float array; "-inf"/"inf" strings parse, other malformed input is a shape error.
-
-    `labels` must be a list or tuple of hashable values.
-    """
-    if not isinstance(labels, (list, tuple)):
-        raise ShapeMismatch(f"labels must be a list, got {labels!r:.40}")
-    try:
-        hash(tuple(labels))
-    except TypeError as exc:
-        raise ShapeMismatch(f"labels must be hashable: {exc}") from None
+def _float_matrix(m, name: str) -> np.ndarray:
+    """m as a float array; "-inf"/"inf" strings parse, other malformed input is a shape error."""
     try:
         return np.array(m, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ShapeMismatch(f"{name} must be a matrix of numbers: {exc}") from None
 
 
+def check_labels(labels) -> None:
+    """Raise ShapeMismatch unless `labels` is a list or tuple of unique hashable values."""
+    if not isinstance(labels, (list, tuple)):
+        raise ShapeMismatch(f"labels must be a list, got {labels!r:.40}")
+    try:
+        unique = len(set(labels)) == len(labels)
+    except TypeError as exc:
+        raise ShapeMismatch(f"labels must be hashable: {exc}") from None
+    if not unique:
+        first = next(x for x in labels if labels.count(x) > 1)
+        raise ShapeMismatch(f"labels must be unique, {first!r:.40} repeats")
+
+
+def point_indices(n: int, indices: Sequence[int], what: str) -> np.ndarray:
+    """`indices` sorted and deduplicated, as an array of points of range(n).
+
+    The one range rule for point indices from outside: any index outside
+    range(n) raises ShapeMismatch naming them as `what`; a negative index is
+    rejected, not wrapped.
+    """
+    idx = np.array(sorted(set(indices)), dtype=int)
+    if idx.size and (idx[0] < 0 or idx[-1] >= n):
+        bad = idx[(idx < 0) | (idx >= n)].tolist()
+        raise ShapeMismatch(f"{what} {bad} outside range({n})")
+    return idx
+
+
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
-    """Validate axioms and return the space with cached relation tables."""
-    ell = _float_matrix(labels, ell, "ell")
+    """Validate labels, tol (finite, >= 0) and the axioms; return the space with its tables."""
+    check_labels(labels)
+    if not 0.0 <= tol < np.inf:
+        raise ShapeMismatch(f"tol must be finite and >= 0, got {tol!r}")
+    ell = _float_matrix(ell, "ell")
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
         raise ShapeMismatch(f"ell must be square, got shape {ell.shape}")
     if ell.shape[0] != len(labels):
         raise ShapeMismatch(f"{len(labels)} labels but {ell.shape[0]}x{ell.shape[1]} matrix")
-    if len(set(labels)) != len(labels):
-        raise ShapeMismatch("labels must be unique")
     validate_matrix(ell, tol)
     return FiniteLorentzSpace(labels, ell, tol)
 
@@ -349,8 +368,8 @@ def classify_special_points(space: FiniteLorentzSpace) -> dict[str, Optional[int
 
 def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float:
     """sup of tau over subset x subset."""
-    idx = list(subset)
-    if not idx:
+    idx = point_indices(space.n, subset, "subset")
+    if not idx.size:
         raise EmptySubset("timelike diameter of the empty set")
     return max(0.0, float(space.ell[np.ix_(idx, idx)].max()))
 
@@ -411,18 +430,15 @@ class CoveredFiniteSpace:
         if not self.cover:
             raise ShapeMismatch("cover must have at least one level")
         prev: set[int] = set()
-        seen: set[int] = set()
         for k, level in enumerate(self.cover):
+            point_indices(n, level, f"cover level {k}")
             s = set(level)
             if not s.issuperset(prev):
                 raise ShapeMismatch(f"cover level {k} does not contain level {k - 1}")
             if self.basepoint not in s:
                 raise ShapeMismatch(f"basepoint {self.basepoint} missing from cover level {k}")
-            if any(i < 0 or i >= n for i in s):
-                raise ShapeMismatch(f"cover level {k} has out-of-range indices")
             prev = s
-            seen |= s
-        if seen != set(range(n)):
+        if prev != set(range(n)):  # the levels increase, so the last one is their union
             raise ShapeMismatch("union of cover levels must equal the whole point set")
 
     @property

@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace
+from .core import FiniteLorentzSpace, point_indices
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
 from .extended import INF_GAP, gap_matrix
-from .nets import DiamondNet, point_indices
+from .nets import DiamondNet
 
 EXACT_SIZE_CAP = 8
 
@@ -31,12 +31,10 @@ class Correspondence:
     n_right: int
 
     def __post_init__(self):
-        left = {x for x, _ in self.pairs}
-        right = {y for _, y in self.pairs}
-        if left != set(range(self.n_left)):
-            raise ShapeMismatch(f"left points {sorted(set(range(self.n_left)) - left)} unmatched")
-        if right != set(range(self.n_right)):
-            raise ShapeMismatch(f"right points {sorted(set(range(self.n_right)) - right)} unmatched")
+        for side, n, k in (("left", self.n_left, 0), ("right", self.n_right, 1)):
+            hit = point_indices(n, [pair[k] for pair in self.pairs], f"{side} points")
+            if hit.size != n:
+                raise ShapeMismatch(f"{side} points {np.setdiff1d(range(n), hit).tolist()} unmatched")
 
     def inverse(self) -> "Correspondence":
         return Correspondence(tuple(sorted((y, x) for x, y in self.pairs)),
@@ -334,8 +332,8 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     n_members = len(sequence)
     matchings = matchings or {}
     subset = np.array(limit.subset_indices(), dtype=int)
-    point_indices(limit.space, subset, "limit subset")
-    vertices = point_indices(limit.space, [v for net in limit.nets for v in net.vertices()],
+    point_indices(limit.space.n, subset, "limit subset")
+    vertices = point_indices(limit.space.n, [v for net in limit.nets for v in net.vertices()],
                              "limit net vertices")
 
     stages = []
@@ -348,11 +346,11 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
             if len(member.nets[l]) != len(limit.nets[l]):
                 raise CardinalityMismatch(l, n)
             va = member.nets[l].vertices()
-            point_indices(member.space, va, "member net vertices")
+            point_indices(member.space.n, va, "member net vertices")
             key = (l, n)
             if key in matchings:
-                point_indices(member.space, matchings[key].keys(), "matching keys")
-                point_indices(limit.space, matchings[key].values(), "matching values")
+                point_indices(member.space.n, matchings[key].keys(), "matching keys")
+                point_indices(limit.space.n, matchings[key].values(), "matching values")
                 dis = _matching_distortion(matchings[key], member.space, limit.space)
             else:
                 sub_a = member.space.restrict(va)

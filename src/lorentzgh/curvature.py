@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace
+from .core import FiniteLorentzSpace, point_indices
 from .errors import ChartDomain, ShapeMismatch, SolverDiverged, Unrealizable
 from .extended import NEG_INF
 
@@ -270,6 +270,7 @@ def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
                      tol: float = 1e-9) -> dict:
     """Compare tau(z1, z2) against the model value; holds iff slack >= -tol."""
     _check_K(K)
+    point_indices(space.n, cfg.points, "configuration points")
     t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z, t_guard = map(float, _config_sides(space, cfg))
     if t_guard >= diameter_bound(K):
         raise Unrealizable("tau(y, z2) >= D_K")

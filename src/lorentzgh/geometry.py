@@ -15,11 +15,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix,
-                   _reverse_triangle_witness, build_space)
+                   _reverse_triangle_witness, build_space, check_labels, point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
-from .nets import DiamondNet, point_indices
+from .nets import DiamondNet
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     it shares `core.validate_matrix`'s triangle check; -d is finite everywhere,
     so that check scans the whole (i, j, k) cube in chunks.
     """
-    d = _float_matrix(labels, d, "d")
+    check_labels(labels)
+    d = _float_matrix(d, "d")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
         raise ShapeMismatch(f"need a square matrix matching {len(labels)} labels")
     fiber = _pointwise_checked_fiber(labels, d)
@@ -178,11 +179,10 @@ def product_ell(gen: ProductGenerator, p: Point, q: Point) -> float:
 
 def product_tau(gen: ProductGenerator, p: Point, q: Point) -> float:
     """max(0, product_ell); the pre asks points to sit inside t_range."""
-    for t, i in (p, q):
+    for t, _ in (p, q):
         if not (gen.t_range[0] - 1e-12 <= t <= gen.t_range[1] + 1e-12):
             raise ShapeMismatch(f"time {t} outside generator range {gen.t_range}")
-        if not (0 <= i < gen.fiber.n):
-            raise ShapeMismatch(f"fiber index {i} out of range")
+    point_indices(gen.fiber.n, (p[1], q[1]), "fiber sites")
     return max(0.0, product_ell(gen, p, q))
 
 
@@ -267,7 +267,7 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
         jitter = rng.uniform(-plan.time_step / 5, plan.time_step / 5, size=m - 2)
         times = [times[0]] + [t + j for t, j in zip(times[1:-1], jitter)] + [times[-1]]
     sites = list(range(gen.fiber.n) if plan.fiber_sites == "all" else plan.fiber_sites)
-    point_indices(gen.fiber, sites, "fiber sites")  # range check only; sites keep their order
+    point_indices(gen.fiber.n, sites, "fiber sites")  # range check only; sites keep their order
     if not times or not sites:
         raise EmptyPlan("plan resolves to no sample points")
     points = [(t, s) for t in times for s in sites]
@@ -298,7 +298,7 @@ class GridNet:
 
 
 def _check_fiber_net(gen: ProductGenerator, fiber_net: Sequence[int], radius: float) -> None:
-    net = point_indices(gen.fiber, fiber_net, "fiber net")
+    net = point_indices(gen.fiber.n, fiber_net, "fiber net")
     if not net.size:
         raise NotAFiberNet(None, "empty fiber net")
     dmin = gen.fiber.d[:, net].min(axis=1)
@@ -354,6 +354,7 @@ def uncovered_samples(gen: ProductGenerator, net: GridNet,
     """Indices of `points` not inside any net diamond (direct membership scan)."""
     ts = np.array([p[0] for p in points])
     sites = np.array([p[1] for p in points], dtype=int)
+    point_indices(gen.fiber.n, sites.tolist(), "sample sites")
     c = gen.cone_scale
     covered = np.zeros(len(points), dtype=bool)
     for a, b in net.pairs:

@@ -16,12 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (CoveredFiniteSpace, FiniteLorentzSpace, _causal_two_cycles,
-                   build_space, covered, timelike_diameter)
+                   build_space, covered, point_indices, timelike_diameter)
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
 from .measured import LIMIT_WINDOW, extract_limit
-from .nets import DiamondNet, doubling_constant, greedy_net, point_indices
+from .nets import DiamondNet, doubling_constant, greedy_net
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
         raise ScheduleViolation("depth selects no net scales")
     _check_schedule(schedules, depth_k, depth_l)
     for cov, sched in zip(members, schedules):
-        point_indices(cov.space, [v for per_k in sched[:depth_k] for net in per_k[:depth_l]
-                                  for v in net.vertices()], "schedule vertices")
+        point_indices(cov.space.n, [v for per_k in sched[:depth_k] for net in per_k[:depth_l]
+                                    for v in net.vertices()], "schedule vertices")
 
     # distinct per-member vertex tuples -> first slot (k, l, i, side); with k
     # outermost, a tuple's first slot carries its lowest cover level
@@ -188,7 +188,7 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     A point of the spec outside the space raises ShapeMismatch.
     """
     space = cov.space
-    point_indices(space, (spec.o_minus, spec.o, spec.o_plus), "blow-up points")
+    point_indices(space.n, (spec.o_minus, spec.o, spec.o_plus), "blow-up points")
     if not (spec.lam > 0):
         raise SpecViolated("lambda > 0")
     if not space.chron[spec.o_minus, spec.o]:
@@ -218,7 +218,7 @@ def select_blowup_spec(cov: CoveredFiniteSpace, o: int, lam: float) -> BlowupSpe
     the space raises ShapeMismatch.
     """
     space = cov.space
-    point_indices(space, (o,), "basepoint")
+    point_indices(space.n, (o,), "basepoint")
     minus = np.flatnonzero(space.chron[:, o])
     plus = np.flatnonzero(space.chron[o, :])
     tau = np.maximum(0.0, space.ell[np.ix_(minus, plus)]).ravel()

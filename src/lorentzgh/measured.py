@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace
+from .core import FiniteLorentzSpace, point_indices
 from .errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
                      UnboundedWeights, UnmappedAtom)
-from .nets import DiamondNet, diamond_masks, point_indices
+from .nets import DiamondNet, diamond_masks
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
     the net is part of its identity. Total mass equals m(A) exactly. A subset
     point or net vertex outside range(space.n) raises ShapeMismatch.
     """
-    point_indices(space, net.vertices(), "net vertices")
-    a_idx = point_indices(space, subset, "subset")
+    point_indices(space.n, net.vertices(), "net vertices")
+    a_idx = point_indices(space.n, subset, "subset")
     masks = diamond_masks(space, net.pairs, a_idx)
     missing = [int(i) for i in a_idx[~masks.any(axis=0)]]
     if missing:

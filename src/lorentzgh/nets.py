@@ -8,6 +8,7 @@ Every membership question "is z in J(p, q)?" goes through one batched
 kernel, `diamond_masks`, which returns the (pairs x points) boolean matrix;
 nets, doubling and `measured.induce_net_measure` all read it. `_admissible`
 marks admissible diamonds (causal, tau <= epsilon + tol) in aligned tables.
+Subsets, net vertices and seed pairs pass `core.point_indices`, the range rule.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CoveredFiniteSpace, FiniteLorentzSpace
-from .errors import ShapeMismatch, Uncoverable
+from .core import CoveredFiniteSpace, FiniteLorentzSpace, point_indices
+from .errors import Uncoverable
 
 ALL_CANDIDATES = "all"
 CHRONOLOGICAL_CANDIDATES = "chronological"
@@ -63,20 +64,6 @@ def diamond_masks(space: FiniteLorentzSpace, pairs: Sequence[tuple[int, int]],
     return m
 
 
-def point_indices(space: FiniteLorentzSpace, indices: Sequence[int], what: str) -> np.ndarray:
-    """`indices` sorted and deduplicated, as an array of points of `space`.
-
-    Raises ShapeMismatch, naming them as `what`, when any index lies outside
-    range(space.n); a negative index is rejected, not wrapped. Only `space.n`
-    is read, so a metric fiber serves as well as a space.
-    """
-    idx = np.array(sorted(set(indices)), dtype=int)
-    if idx.size and (idx[0] < 0 or idx[-1] >= space.n):
-        bad = idx[(idx < 0) | (idx >= space.n)].tolist()
-        raise ShapeMismatch(f"{what} {bad} outside range({space.n})")
-    return idx
-
-
 def _admissible(causal: np.ndarray, tau: np.ndarray, epsilon: float, tol: float) -> np.ndarray:
     """Mask of the causal pairs with tau <= epsilon, within tol, from aligned tables."""
     return causal & (tau <= epsilon + tol)
@@ -87,8 +74,8 @@ def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet
 
     A subset point or net vertex outside range(space.n) raises ShapeMismatch.
     """
-    point_indices(space, net.vertices(), "net vertices")
-    idx = point_indices(space, subset, "subset")
+    point_indices(space.n, net.vertices(), "net vertices")
+    idx = point_indices(space.n, subset, "subset")
     covered = diamond_masks(space, net.pairs, idx).any(axis=0)
     uncovered = tuple(int(i) for i in idx[~covered])
     oversized = tuple((p, q) for p, q in net.pairs
@@ -118,9 +105,10 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
 
     `seed_pairs` are prepended unconditionally (used for net nesting across
     cover levels). Ties break by (p, q) ascending; output is deterministic.
-    A subset point outside range(space.n) raises ShapeMismatch.
+    A subset point or seed vertex outside range(space.n) raises ShapeMismatch.
     """
-    subset_idx = point_indices(space, subset, "subset")
+    subset_idx = point_indices(space.n, subset, "subset")
+    point_indices(space.n, [v for pair in seed_pairs for v in pair], "seed vertices")
     if candidates is None:
         candidates = default_candidates(space, epsilon, candidate_mode)
     candidates = sorted(set(candidates))
@@ -194,7 +182,7 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     larger diamonds get the greedy upper bound and the result is an estimate.
     A subset point outside range(space.n) raises ShapeMismatch.
     """
-    sub = point_indices(space, subset, "subset")
+    sub = point_indices(space.n, subset, "subset")
     causal = space.causal[np.ix_(sub, sub)]
     tau = np.maximum(0.0, space.ell[np.ix_(sub, sub)])
     # causal pairs in (x, y) row-major order, kept when J(x, y) has no point

@@ -336,6 +336,43 @@ class TestPointsOutOfRange:
         assert json.loads(err)["error"] == "shape-mismatch"
 
 
+# argv (inputs written under tmp_path by name) -> words the shape-mismatch message must carry
+INPUT_RULES = {
+    "validate-tol-nan": (["validate", "--space", str(SCHEMAS / "space.json"), "--tol", "nan"],
+                         "tol must be finite and >= 0, got nan"),
+    "validate-tol-inf": (["validate", "--space", str(SCHEMAS / "space.json"), "--tol", "inf"],
+                         "tol must be finite and >= 0, got inf"),
+    "validate-tol-negative": (["validate", "--space", str(SCHEMAS / "space.json"), "--tol=-1"],
+                              "tol must be finite and >= 0, got -1.0"),
+    "converge-tol-nan": (["converge", "--manifest", str(SCHEMAS / "converge_manifest.json"),
+                          "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    "distort-pair-outside": (["distort", "--a", str(SCHEMAS / "space.json"),
+                              "--b", str(SCHEMAS / "space.json"), "--corr", "corr.json"],
+                             "left points [5] outside range(3)"),
+    "causet-unhashable-elements": (["causet", "ell", "--causet", "causet.json"],
+                                   "labels must be hashable"),
+}
+INPUT_FILES = {
+    "corr.json": {"pairs": [[0, 0], [1, 1], [2, 2], [5, 1]], "n_left": 3, "n_right": 3},
+    "causet.json": {"elements": [["x"], ["y"]], "covers": [[0, 1]]},
+}
+
+
+class TestInputRuleRecords:
+    """A bad tol, point index or label from a file or flag is a shape-mismatch record."""
+
+    @pytest.mark.parametrize("case", sorted(INPUT_RULES))
+    def test_exit_1_with_record(self, case, tmp_path, capsys):
+        argv, message = INPUT_RULES[case]
+        for name, data in INPUT_FILES.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        argv = [str(tmp_path / a) if a in INPUT_FILES else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), err
+        record = json.loads(err)
+        assert record["error"] == "shape-mismatch" and message in record["message"]
+
+
 class TestPackaging:
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: the package must not import it

@@ -97,8 +97,10 @@ class TestDistortion:
             assert distortion(r, a, b) == distortion(r.inverse(), b, a)
 
     def test_totality_enforced(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match=r"left points \[1\] unmatched"):
             Correspondence(pairs=((0, 0),), n_left=2, n_right=1)
+        with pytest.raises(ShapeMismatch, match=r"right points \[1, 2\] unmatched"):
+            Correspondence(pairs=((0, 0), (1, 0), (2, 0)), n_left=3, n_right=3)
 
     @pytest.mark.parametrize("pairs, n_left, n_right", [
         ([(0, 0), (1, 1)], 2, 2),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,7 +175,8 @@ class TestSampling:
     @pytest.mark.parametrize("sites", [(0, 8), (-1,)])
     def test_sites_outside_fiber(self, sites):
         gen = product_family(circle_fiber(8), "inf", t_range=(0.0, 1.0))
-        with pytest.raises(ShapeMismatch, match="fiber sites"):
+        bad = [v for v in sites if not 0 <= v < 8]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"fiber sites {bad} outside range(8)")):
             sample_spacetime(gen, SamplePlan(time_step=0.5, fiber_sites=sites))
 
     def test_sites_keep_given_order(self):
@@ -224,7 +226,8 @@ class TestGridNet:
 
     @pytest.mark.parametrize("fiber_net", [[0, 8], [-1]])
     def test_fiber_net_outside_fiber(self, fiber_net):
-        with pytest.raises(ShapeMismatch, match="fiber net"):
+        bad = [v for v in fiber_net if not 0 <= v < 8]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"fiber net {bad} outside range(8)")):
             grid_net_product(self.gen, 1.0, 2.0, 1.0, fiber_net)
 
     def test_diamonds_have_exact_tau(self):

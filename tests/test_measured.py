@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import chain_space, random_causet_space
@@ -59,14 +61,16 @@ class TestInduce:
     def test_vertex_outside_space_rejected(self, pair):
         s = chain_space([0, 1, 2])
         net = DiamondNet(pairs=((0, 2), pair), epsilon=2.0)
-        with pytest.raises(ShapeMismatch):
+        bad = [v for v in pair if not 0 <= v < 3]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"net vertices {bad} outside range(3)")):
             induce_net_measure(s, uniform_measure(s), range(3), net)
 
     @pytest.mark.parametrize("subset", [[0, 3], [-1], [-1, 2]])
     def test_subset_outside_space_rejected(self, subset):
         s = chain_space([0, 1, 2])
         net = DiamondNet(pairs=((0, 2),), epsilon=2.0)
-        with pytest.raises(ShapeMismatch, match="subset"):
+        bad = [v for v in subset if not 0 <= v < 3]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"subset {bad} outside range(3)")):
             induce_net_measure(s, uniform_measure(s), subset, net)
 
     def test_zero_atoms_dropped(self):

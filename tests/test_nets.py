@@ -31,7 +31,8 @@ class TestVerifyNet:
     @pytest.mark.parametrize("pair", [(0, 3), (0, 7), (-1, 2), (-3, 0)])
     def test_vertex_outside_space_rejected(self, pair):
         s = chain_space([0, 1, 2])
-        with pytest.raises(ShapeMismatch):
+        bad = [v for v in pair if not 0 <= v < 3]
+        with pytest.raises(ShapeMismatch, match=re.escape(f"net vertices {bad} outside range(3)")):
             verify_net(s, [1], DiamondNet(pairs=((0, 2), pair), epsilon=2.0))
 
     def test_grid_net_covers_sampled_slab(self):
