@@ -7,7 +7,8 @@ spacetimes uniformly and pulls back the causal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,12 @@ class CausalSet:
     """Elements plus a cover (Hasse-style) relation; order is its transitive closure."""
 
     elements: tuple[str, ...]
-    covers: tuple[tuple[int, int], ...]
+    covers: tuple[tuple[int, int], ...]  # sorted, unique, in range, loop-free: build_causet checks
+    # the least topological order, derived once; the constructor raises CycleDetected on a cycle
+    topological_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "topological_order", tuple(_topological_order(self)))
 
     @property
     def n(self) -> int:
@@ -37,9 +43,7 @@ def build_causet(elements: Sequence[str], covers: Sequence[tuple[int, int]]) -> 
     for a, b in covers:
         if a == b:
             raise CycleDetected(f"self-loop at element {a}")
-    c = CausalSet(elements=tuple(elements), covers=tuple(sorted(set((int(a), int(b)) for a, b in covers))))
-    _topological_order(c)  # raises on cycles
-    return c
+    return CausalSet(tuple(elements), tuple(sorted(set((int(a), int(b)) for a, b in covers))))
 
 
 def _topological_order(c: CausalSet) -> list[int]:
@@ -48,10 +52,8 @@ def _topological_order(c: CausalSet) -> list[int]:
     for a, b in c.covers:
         out[a].append(b)
         indeg[b] += 1
-    queue = sorted(i for i in range(c.n) if indeg[i] == 0)
+    queue = sorted(i for i in range(c.n) if indeg[i] == 0)  # a sorted list is a heap
     order = []
-    from heapq import heapify, heappop, heappush
-    heapify(queue)
     while queue:
         v = heappop(queue)
         order.append(v)
@@ -74,14 +76,13 @@ def chain_ell(c: CausalSet) -> FiniteLorentzSpace:
     longest-path counts satisfy the reverse triangle inequality exactly, so
     the matrix needs no axiom check.
     """
-    order = _topological_order(c)
     n = c.n
     parents: dict[int, list[int]] = {i: [] for i in range(n)}
     for a, b in c.covers:
         parents[b].append(a)
     D = np.full((n, n), NEG_INF)
     np.fill_diagonal(D, 0.0)
-    for v in order:
+    for v in c.topological_order:
         if parents[v]:
             D[:, v] = np.maximum(D[:, v], D[:, parents[v]].max(axis=1) + 1.0)
     return FiniteLorentzSpace(c.elements, D)
@@ -109,7 +110,7 @@ def _order_causet(labels: Sequence[str], causal: np.ndarray) -> CausalSet:
     """The causet whose covers are the Hasse covers of a reflexive causal relation."""
     strict = causal.copy()
     np.fill_diagonal(strict, False)
-    return build_causet(labels, _transitive_reduction(strict))
+    return CausalSet(elements=tuple(labels), covers=tuple(_transitive_reduction(strict)))
 
 
 def _sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,

@@ -216,13 +216,17 @@ def point_indices(n: int, indices: Sequence[int], what: str) -> np.ndarray:
 
     The one range rule for point indices from outside: any index outside
     range(n) raises ShapeMismatch naming them as `what`; a negative index is
-    rejected, not wrapped.
+    rejected, not wrapped, and a fractional or non-finite one, not truncated.
     """
-    idx = np.array(sorted(set(indices)), dtype=int)
+    idx = np.array(sorted(set(indices)))
+    if idx.dtype.kind not in "biu":
+        bad = [v for v in idx.tolist() if not float(v).is_integer()]
+        if bad:
+            raise ShapeMismatch(f"{what} {bad} are not integers")
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         bad = idx[(idx < 0) | (idx >= n)].tolist()
         raise ShapeMismatch(f"{what} {bad} outside range({n})")
-    return idx
+    return idx.astype(int, copy=False)
 
 
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:

@@ -7,7 +7,7 @@ J(p, q) = J+(p) & J-(q) in a given space. Ordering matters downstream
 Every membership question "is z in J(p, q)?" goes through one batched
 kernel, `diamond_masks`, which returns the (pairs x points) boolean matrix;
 nets, doubling and `measured.induce_net_measure` all read it. `_admissible`
-marks admissible diamonds (causal, tau <= epsilon + tol) in aligned tables.
+is the size bound tau <= epsilon + tol; `_greedy_cover` the greedy choice.
 Subsets, net vertices and seed pairs pass `core.point_indices`, the range rule.
 """
 
@@ -64,9 +64,9 @@ def diamond_masks(space: FiniteLorentzSpace, pairs: Sequence[tuple[int, int]],
     return m
 
 
-def _admissible(causal: np.ndarray, tau: np.ndarray, epsilon: float, tol: float) -> np.ndarray:
-    """Mask of the causal pairs with tau <= epsilon, within tol, from aligned tables."""
-    return causal & (tau <= epsilon + tol)
+def _admissible(tau, epsilon: float, tol: float):
+    """The size bound of a net diamond: tau <= epsilon, within tol (scalar or array)."""
+    return tau <= epsilon + tol
 
 
 def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet) -> NetCheck:
@@ -79,7 +79,7 @@ def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet
     covered = diamond_masks(space, net.pairs, idx).any(axis=0)
     uncovered = tuple(int(i) for i in idx[~covered])
     oversized = tuple((p, q) for p, q in net.pairs
-                      if space.tau(p, q) > net.epsilon + space.tol)
+                      if not _admissible(space.tau(p, q), net.epsilon, space.tol))
     return NetCheck(ok=not uncovered and not oversized,
                     uncovered=uncovered, oversized=oversized)
 
@@ -91,14 +91,13 @@ def default_candidates(space: FiniteLorentzSpace, epsilon: float,
     ALL includes degenerate (x, x) diamonds, needed to cover chronologically
     isolated points; CHRONOLOGICAL restricts to tau > 0.
     """
-    ok = _admissible(space.causal, space.tau_matrix(), epsilon, space.tol)
+    ok = space.causal & _admissible(space.tau_matrix(), epsilon, space.tol)
     if mode == CHRONOLOGICAL_CANDIDATES:
         ok &= space.chron
     return [(int(p), int(q)) for p, q in np.argwhere(ok)]
 
 
 def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
-               candidates: Optional[Sequence[tuple[int, int]]] = None,
                seed_pairs: Sequence[tuple[int, int]] = (),
                candidate_mode: str = ALL_CANDIDATES) -> DiamondNet:
     """Greedy maximum-new-coverage cover of `subset` by admissible diamonds.
@@ -109,30 +108,32 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
     """
     subset_idx = point_indices(space.n, subset, "subset")
     point_indices(space.n, [v for pair in seed_pairs for v in pair], "seed vertices")
-    if candidates is None:
-        candidates = default_candidates(space, epsilon, candidate_mode)
-    candidates = sorted(set(candidates))
-
     chosen = [(p, q) for p, q in seed_pairs]
     covered = diamond_masks(space, chosen, subset_idx).any(axis=0)
     if covered.all():
         return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
 
+    candidates = default_candidates(space, epsilon, candidate_mode)
     masks = diamond_masks(space, candidates, subset_idx)
-    reachable = covered | masks.any(axis=0)
-    if not reachable.all():
-        missing = [int(i) for i in subset_idx[~reachable]]
-        raise Uncoverable(missing)
-
-    while not covered.all():
-        gains = (masks & ~covered[None, :]).sum(axis=1)
-        best = int(np.argmax(gains))  # argmax takes the first max: (p, q) ascending
-        if gains[best] == 0:
-            missing = [int(i) for i in subset_idx[~covered]]
-            raise Uncoverable(missing)
-        chosen.append(candidates[best])
-        covered |= masks[best]
+    unreached = ~(covered | masks.any(axis=0))
+    if unreached.any():
+        raise Uncoverable(subset_idx[unreached].tolist())
+    chosen += [candidates[r] for r in _greedy_cover(masks, covered)]
     return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
+
+
+def _greedy_cover(masks: np.ndarray, covered: np.ndarray) -> list[int]:
+    """Greedy rows of `masks` until `covered` (updated in place) is all set.
+
+    Each step takes the first row (argmax) of largest new coverage; the
+    caller has checked that the rows reach every uncovered column.
+    """
+    chosen = []
+    while not covered.all():
+        best = int(np.argmax((masks & ~covered).sum(axis=1)))
+        chosen.append(best)
+        covered |= masks[best]
+    return chosen
 
 
 def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[list[int]]:
@@ -184,33 +185,27 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     """
     sub = point_indices(space.n, subset, "subset")
     causal = space.causal[np.ix_(sub, sub)]
-    tau = np.maximum(0.0, space.ell[np.ix_(sub, sub)])
-    # causal pairs in (x, y) row-major order, kept when J(x, y) has no point
-    # outside the subset (only those diamonds are constrained)
+    # the subset's causal pairs, row-major, with their taus: any can be a candidate;
+    # only those with no point outside the subset are constrained diamonds
     pairs = sub[np.argwhere(causal)]
-    outside = np.delete(np.arange(space.n), sub)
-    pairs = pairs[~diamond_masks(space, pairs, outside).any(axis=1)]
+    taus = np.maximum(0.0, space.ell[np.ix_(sub, sub)])[causal]
+    inside = ~diamond_masks(space, pairs, np.delete(np.arange(space.n), sub)).any(axis=1)
     exact = True
-    worst = 1
     per_diamond = []
-    for (x, y), mask in zip(pairs.tolist(), diamond_masks(space, pairs, sub)):
+    for (x, y), tau, mask in zip(pairs[inside].tolist(), taus[inside].tolist(),
+                                 diamond_masks(space, pairs[inside], sub)):
         members = sub[mask]
-        half = space.tau(x, y) / 2.0
-        cand = sub[np.argwhere(_admissible(causal, tau, half, space.tol))]
-        if not len(cand):
-            raise Uncoverable(members.tolist())
+        masks = diamond_masks(space, pairs[_admissible(taus, tau / 2.0, space.tol)], members)
+        unreached = ~masks.any(axis=0)
+        if unreached.any() or not len(masks):  # an empty diamond needs a candidate too
+            raise Uncoverable(members[unreached].tolist())
         if len(members) <= exact_threshold:
-            cover = exact_min_cover(len(members), diamond_masks(space, cand, members))
-            if cover is None:
-                raise Uncoverable(members.tolist())
-            count = len(cover)
+            count = len(exact_min_cover(len(members), masks))
         else:
-            net = greedy_net(space, members, half,
-                             candidates=[tuple(pq) for pq in cand.tolist()])
-            count = len(net)
+            count = len(_greedy_cover(masks, np.zeros(len(members), dtype=bool)))
             exact = False
         per_diamond.append(((x, y), count))
-        worst = max(worst, count)
+    worst = max([1] + [count for _, count in per_diamond])
     if return_details:
         return worst, {"exact": exact, "per_diamond": per_diamond}
     return worst

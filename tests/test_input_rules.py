@@ -96,6 +96,25 @@ class TestPointIndexRule:
         with pytest.raises(ShapeMismatch, match=message):
             point_indices(4, [9, -1, 0, 4, -2, 3], "points")
 
+    @pytest.mark.parametrize("value", [1.7, -0.5, math.nan, math.inf, -math.inf,
+                                       np.float64(2.5)])
+    def test_non_integer_named(self, value):
+        with pytest.raises(ShapeMismatch, match=re.escape(f"[{float(value)!r}] are not integers")):
+            point_indices(4, [0, value], "points")
+        with pytest.raises(ShapeMismatch, match="are not integers"):
+            timelike_diameter(S3, [0, value])
+
+    @pytest.mark.parametrize("indices", [[2.0, 0], [np.int64(2), np.float32(0.0)],
+                                         np.array([2.0, 0.0]), [True, 2], (2, 0, 2)])
+    def test_integral_values_of_any_type_accepted(self, indices):
+        got = point_indices(4, indices, "points")
+        assert got.dtype == int and got.tolist() == sorted({int(v) for v in indices})
+
+    def test_empty_accepted(self):
+        for empty in ([], (), np.array([])):
+            got = point_indices(4, empty, "points")
+            assert got.dtype == int and got.size == 0
+
     def test_in_range_entries_unchanged(self):
         assert timelike_diameter(S3, [2, 0, 2]) == 2.0
         assert four_point_check(S3, FourPointConfig("future", (0, 1, 2, 2)), 0.0)["holds"]

@@ -14,7 +14,7 @@ from lorentzgh import (DiamondNet, atomic_measure, covered, doubling_constant, g
 from lorentzgh.errors import DomainError, ShapeMismatch, Uncoverable
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.nets import exact_min_cover, default_candidates
-from lorentzgh import build_space
+from lorentzgh import FiniteLorentzSpace, build_space
 
 
 class TestVerifyNet:
@@ -93,7 +93,7 @@ class TestGreedyNet:
         # chronological-only candidate set
         s = build_space(["a", "b"], [[0, NI], [NI, 0]])
         with pytest.raises(Uncoverable):
-            greedy_net(s, [0, 1], 1.0, candidates=[])
+            greedy_net(s, [0, 1], 1.0, candidate_mode="chronological")
 
     def test_ln_n_approximation_vs_exact(self, rng):
         # on instances <= 12 points: greedy <= (1 + ln n) * optimum
@@ -128,6 +128,21 @@ class TestDoubling:
     def test_singleton(self):
         s = build_space(["x"], [[0.0]])
         assert doubling_constant(s, [0]) == 1
+
+    @pytest.mark.parametrize("exact_threshold", [0, 12])
+    @pytest.mark.parametrize("ell,points", [
+        # ell[a][a] = 1 breaks the diagonal axiom: J(a, a) = {a} has tau 1,
+        # so no diamond of tau <= 1/2 covers a; the reachability check must
+        # raise before either solver runs (the greedy loop would never end)
+        ([[1.0]], [0]),
+        # -inf diagonals: J(a, b) is empty and (a, b) has no half-size candidate
+        ([[NI, 1.0], [NI, NI]], []),
+    ])
+    def test_unvalidated_diamond_without_candidates(self, exact_threshold, ell, points):
+        s = FiniteLorentzSpace(["a", "b"][:len(ell)], ell)
+        with pytest.raises(Uncoverable) as err:
+            doubling_constant(s, range(s.n), exact_threshold=exact_threshold)
+        assert err.value.points == points
 
     def test_stable_across_sampling_density(self):
         from lorentzgh import SamplePlan, product_family, sample_spacetime, segment_fiber
