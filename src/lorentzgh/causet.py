@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, build_space, check_labels, point_indices
+from .core import FiniteLorentzSpace, build_space, check_labels, integer_values, point_indices
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
@@ -151,7 +151,7 @@ def faithful_embed_check(c: CausalSet, space: FiniteLorentzSpace,
     missing = [i for i in range(c.n) if mapping.get(i) is None]
     if missing:
         raise ShapeMismatch(f"elements {missing} have no image")
-    phi = [int(mapping[i]) for i in range(c.n)]
+    phi = integer_values([mapping[i] for i in range(c.n)], "element images")
     point_indices(space.n, phi, "element images")
     rel = order_relation(c)
     # both relations are reflexive, so the diagonal never yields a witness

@@ -332,7 +332,7 @@ def _cmd_certify(args):
                      if l < len(member.nets) and len(member.nets[l]) == len(net)}
     elif isinstance(manifest.get("matchings"), dict):
         matchings = {tuple(int(v) for v in key.split(",")):
-                     {int(a): int(b) for a, b in val.items()}
+                     {int(a): b for a, b in val.items()}
                      for key, val in manifest["matchings"].items()}
     report = lgh_certificate(members, limit, matchings=matchings,
                              convergence_tol=manifest.get("convergence_tol"))
@@ -410,7 +410,7 @@ def _cmd_measure(args):
                      "total": mn.induced.total()})
     elif args.measure_command == "push":
         m = ser.measure_from_dict(_read_json(args.measure))
-        mapping = {int(k): int(v) for k, v in _read_json(args.map).items()}
+        mapping = {int(k): v for k, v in _read_json(args.map).items()}
         _emit(args, ser.measure_to_dict(pushforward(mapping, m)))
     elif args.measure_command == "gap":
         a = ser.measure_from_dict(_read_json(args.a))
@@ -477,7 +477,7 @@ def _cmd_causet(args):
     elif args.causet_command == "embed":
         c = ser.causet_from_dict(_read_json(args.causet))
         space = _load_space(args)
-        mapping = {int(k): int(v) for k, v in _read_json(args.map).items()}
+        mapping = {int(k): v for k, v in _read_json(args.map).items()}
         result = faithful_embed_check(c, space, mapping,
                                       one_directional=getattr(args, "one_directional"))
         _emit(args, result)

@@ -60,9 +60,6 @@ class FiniteLorentzSpace:
     def n(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def tau(self, i: int, j: int) -> float:
         return max(0.0, self.ell[i, j])
 
@@ -211,22 +208,29 @@ def check_labels(labels) -> None:
         raise ShapeMismatch(f"labels must be unique, {first!r:.40} repeats")
 
 
+def integer_values(values, what: str) -> np.ndarray:
+    """`values` as an int array: a fractional or non-finite value raises
+    ShapeMismatch naming them as `what`, never truncated; 2.0 reads as 2."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        bad = [v for v in arr.ravel().tolist() if not float(v).is_integer()]
+        if bad:
+            raise ShapeMismatch(f"{what} {bad} are not integers")
+    return arr.astype(int, copy=False)
+
+
 def point_indices(n: int, indices: Sequence[int], what: str) -> np.ndarray:
     """`indices` sorted and deduplicated, as an array of points of range(n).
 
     The one range rule for point indices from outside: any index outside
     range(n) raises ShapeMismatch naming them as `what`; a negative index is
-    rejected, not wrapped, and a fractional or non-finite one, not truncated.
+    rejected, not wrapped, and a fractional one fails `integer_values`.
     """
-    idx = np.array(sorted(set(indices)))
-    if idx.dtype.kind not in "biu":
-        bad = [v for v in idx.tolist() if not float(v).is_integer()]
-        if bad:
-            raise ShapeMismatch(f"{what} {bad} are not integers")
+    idx = integer_values(sorted(set(indices)), what)
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         bad = idx[(idx < 0) | (idx >= n)].tolist()
         raise ShapeMismatch(f"{what} {bad} outside range({n})")
-    return idx.astype(int, copy=False)
+    return idx
 
 
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
@@ -378,19 +382,21 @@ def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float
     return max(0.0, float(space.ell[np.ix_(idx, idx)].max()))
 
 
-def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace,
-                    cap: int = 24) -> Optional[dict[int, int]]:
+ISOMETRY_SIZE_CAP = 24  # the exact search's size cap, as corr.EXACT_SIZE_CAP is the matcher's
+
+
+def isometry_search(a: FiniteLorentzSpace, b: FiniteLorentzSpace) -> Optional[dict[int, int]]:
     """Search for an exactly ell-preserving bijection a -> b; None if there is none.
 
-    Exact mode only (|a| = |b| <= cap); larger instances should fall back
-    to corr.min_distortion for near-isometry evidence. Backtracking with
+    Exact mode only (|a| = |b| <= ISOMETRY_SIZE_CAP); larger instances should
+    fall back to corr.min_distortion for near-isometry evidence. Backtracking with
     row/column signature pruning; result is deterministic (lexicographically
     least image over the search order).
     """
     if a.n != b.n:
         raise SizeMismatch(f"|a| = {a.n} != |b| = {b.n}")
-    if a.n > cap:
-        raise CapExceeded(f"exact mode size cap exceeded ({a.n} > {cap})")
+    if a.n > ISOMETRY_SIZE_CAP:
+        raise CapExceeded(f"exact mode size cap exceeded ({a.n} > {ISOMETRY_SIZE_CAP})")
 
     # an a-point can only map to a b-point with the same sorted row and
     # column; the search takes the points with the fewest such matches first
@@ -444,13 +450,6 @@ class CoveredFiniteSpace:
             prev = s
         if prev != set(range(n)):  # the levels increase, so the last one is their union
             raise ShapeMismatch("union of cover levels must equal the whole point set")
-
-    @property
-    def depth(self) -> int:
-        return len(self.cover)
-
-    def level(self, k: int) -> tuple[int, ...]:
-        return self.cover[k]
 
 
 def covered(space: FiniteLorentzSpace, basepoint: int,

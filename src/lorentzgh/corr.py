@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, point_indices
+from .core import FiniteLorentzSpace, integer_values, point_indices
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
 from .extended import INF_GAP, gap_matrix
@@ -36,13 +36,10 @@ class Correspondence:
             if hit.size != n:
                 raise ShapeMismatch(f"{side} points {np.setdiff1d(range(n), hit).tolist()} unmatched")
 
-    def inverse(self) -> "Correspondence":
-        return Correspondence(tuple(sorted((y, x) for x, y in self.pairs)),
-                              self.n_right, self.n_left)
-
 
 def make_correspondence(pairs: Sequence[tuple[int, int]], n_left: int, n_right: int) -> Correspondence:
-    return Correspondence(tuple(sorted(set((int(x), int(y)) for x, y in pairs))), n_left, n_right)
+    pairs = integer_values(list(pairs), "correspondence points").tolist()
+    return Correspondence(tuple(sorted(set((x, y) for x, y in pairs))), n_left, n_right)
 
 
 def _sup_gap(a, b, xs, ys) -> float:

@@ -87,18 +87,6 @@ def _ell(K: float, t1: float, x1: float, t2: float, x2: float) -> float:
     return r * 2.0 * math.asin(math.sqrt(y / 2.0))
 
 
-def model_ell(K: float, p: ModelPoint, q: ModelPoint) -> float:
-    """Extended time separation from p to q in the model plane L2(K)."""
-    if p.K != K or q.K != K:
-        raise ShapeMismatch("points carry a different curvature than requested")
-    (t1, x1), (t2, x2) = p.coords, q.coords
-    return _ell(K, t1, x1, t2, x2)
-
-
-def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
-    return max(0.0, model_ell(K, p, q))
-
-
 # ---------------------------------------------------------------------------
 # comparison configurations
 # ---------------------------------------------------------------------------

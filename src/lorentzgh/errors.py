@@ -117,10 +117,6 @@ class UnmappedAtom(DomainError):
     code = "unmapped-atom"
 
 
-class SupportMismatch(DomainError):
-    code = "support-mismatch"
-
-
 class UnboundedWeights(DomainError):
     code = "unbounded-weights"
 

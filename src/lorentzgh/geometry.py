@@ -177,15 +177,6 @@ def product_ell(gen: ProductGenerator, p: Point, q: Point) -> float:
     return math.sqrt(max(c * c * dt * dt - d * d, 0.0))
 
 
-def product_tau(gen: ProductGenerator, p: Point, q: Point) -> float:
-    """max(0, product_ell); the pre asks points to sit inside t_range."""
-    for t, _ in (p, q):
-        if not (gen.t_range[0] - 1e-12 <= t <= gen.t_range[1] + 1e-12):
-            raise ShapeMismatch(f"time {t} outside generator range {gen.t_range}")
-    point_indices(gen.fiber.n, (p[1], q[1]), "fiber sites")
-    return max(0.0, product_ell(gen, p, q))
-
-
 def _ell_matrix(gen: ProductGenerator, points: Sequence[Point]) -> np.ndarray:
     ts = np.array([p[0] for p in points])
     sites = np.array([p[1] for p in points], dtype=int)

@@ -1,4 +1,4 @@
-"""Diagonal limits at finite truncation, completeness checks, blow-ups.
+"""Diagonal limits at finite truncation and blow-ups.
 
 The diagonal construction aligns net diamonds by their position in each
 member's schedule, extracts a convergent subsequence entry by entry (shared
@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (CoveredFiniteSpace, FiniteLorentzSpace, _causal_two_cycles,
-                   build_space, covered, point_indices, timelike_diameter)
+from .core import CoveredFiniteSpace, build_space, covered, point_indices, timelike_diameter
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
@@ -162,18 +161,6 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
     return covered(space, base_class, cover_levels), log
 
 
-def forward_complete_check(space: FiniteLorentzSpace) -> dict:
-    """A finite space is forward complete iff the causal relation has no
-    nontrivial cycle; any 2-cycle witnesses an alternating non-convergent
-    monotone bounded sequence (and cycles reduce to 2-cycles by transitivity).
-    """
-    bad = _causal_two_cycles(space)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        return {"complete": False, "witness": (i, j)}
-    return {"complete": True, "witness": None}
-
-
 @dataclass(frozen=True)
 class BlowupSpec:
     o: int
@@ -198,9 +185,7 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     if not space.tau(spec.o_minus, spec.o_plus) < 1.0 / spec.lam:
         raise SpecViolated("tau(o_minus, o_plus) < 1/lambda")
     mask = space.chron_diamond(spec.o_minus, spec.o_plus)
-    keep = [int(i) for i in np.flatnonzero(mask)]
-    if spec.o not in keep:
-        raise SpecViolated("o inside I(o_minus, o_plus)")
+    keep = [int(i) for i in np.flatnonzero(mask)]  # holds o, by the two chron checks
     pos = {orig: new for new, orig in enumerate(keep)}
     ell = spec.lam * space.ell[np.ix_(keep, keep)]
     sub = build_space([space.labels[i] for i in keep], ell, tol=space.tol)

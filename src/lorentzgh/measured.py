@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, point_indices
-from .errors import (NetDoesNotCover, ShapeMismatch, SupportMismatch,
-                     UnboundedWeights, UnmappedAtom)
+from .core import FiniteLorentzSpace, integer_values, point_indices
+from .errors import NetDoesNotCover, ShapeMismatch, UnboundedWeights, UnmappedAtom
 from .nets import DiamondNet, diamond_masks
 
 
@@ -45,15 +44,6 @@ class AtomicMeasure:
 def atomic_measure(weights: dict[int, float]) -> AtomicMeasure:
     items = tuple(sorted((int(i), float(w)) for i, w in weights.items() if w != 0.0))
     return AtomicMeasure(weights=items)
-
-
-def uniform_measure(space: FiniteLorentzSpace, total: float = 1.0) -> AtomicMeasure:
-    w = total / space.n
-    return atomic_measure({i: w for i in range(space.n)})
-
-
-def dirac(i: int, w: float = 1.0) -> AtomicMeasure:
-    return atomic_measure({i: w})
 
 
 @dataclass(frozen=True)
@@ -100,21 +90,14 @@ def pushforward(f: dict[int, int], m: AtomicMeasure) -> AtomicMeasure:
         j = f.get(i)
         if j is None:
             raise UnmappedAtom(f"atom {i} has no image under the point map", atom=i)
-        buckets.setdefault(int(j), []).append(w)
+        buckets.setdefault(int(integer_values(j, "atom images")), []).append(w)
     return atomic_measure({j: math.fsum(ws) for j, ws in buckets.items()})
 
 
-def weak_gap(mu: AtomicMeasure, nu: AtomicMeasure,
-             support: Optional[Sequence[int]] = None) -> float:
+def weak_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """Atomwise sup gap; metrizes weak convergence on a finite discrete space."""
     a, b = mu.as_dict(), nu.as_dict()
     atoms = set(a) | set(b)
-    if support is not None:
-        allowed = set(support)
-        outside = sorted(atoms - allowed)
-        if outside:
-            raise SupportMismatch(f"atoms {outside} outside the common point set",
-                                  atoms=outside)
     if not atoms:
         return 0.0
     return max(abs(a.get(i, 0.0) - b.get(i, 0.0)) for i in atoms)

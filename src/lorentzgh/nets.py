@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CoveredFiniteSpace, FiniteLorentzSpace, point_indices
+from .core import FiniteLorentzSpace, point_indices
 from .errors import Uncoverable
 
 ALL_CANDIDATES = "all"
@@ -102,7 +102,7 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
                candidate_mode: str = ALL_CANDIDATES) -> DiamondNet:
     """Greedy maximum-new-coverage cover of `subset` by admissible diamonds.
 
-    `seed_pairs` are prepended unconditionally (used for net nesting across
+    `seed_pairs` are prepended unconditionally (for nets nested across
     cover levels). Ties break by (p, q) ascending; output is deterministic.
     A subset point or seed vertex outside range(space.n) raises ShapeMismatch.
     """
@@ -166,10 +166,10 @@ def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[
     full = (1 << universe_size) - 1
     if functools.reduce(operator.or_, bits, 0) != full:
         return None
-    for k in range(1, len(bits) + 1):
+    for k in range(len(bits) + 1):  # k = 0: the empty family covers an empty universe
         for combo, members in zip(itertools.combinations(kept, k),
                                   itertools.combinations(bits, k)):
-            if functools.reduce(operator.or_, members) == full:
+            if functools.reduce(operator.or_, members, 0) == full:
                 return list(combo)
     return None
 
@@ -197,7 +197,7 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
         members = sub[mask]
         masks = diamond_masks(space, pairs[_admissible(taus, tau / 2.0, space.tol)], members)
         unreached = ~masks.any(axis=0)
-        if unreached.any() or not len(masks):  # an empty diamond needs a candidate too
+        if unreached.any():
             raise Uncoverable(members[unreached].tolist())
         if len(members) <= exact_threshold:
             count = len(exact_min_cover(len(members), masks))
@@ -209,34 +209,3 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
     if return_details:
         return worst, {"exact": exact, "per_diamond": per_diamond}
     return worst
-
-
-@dataclass(frozen=True)
-class NetGrowthTable:
-    rows: tuple[tuple[int, float, int], ...]  # (cover level k, epsilon, cardinality)
-    nets: dict  # (k, epsilon) -> DiamondNet
-
-    def cardinality(self, k: int, epsilon: float) -> int:
-        for kk, e, c in self.rows:
-            if kk == k and e == epsilon:
-                return c
-        raise KeyError((k, epsilon))
-
-
-def net_growth_profile(cov: CoveredFiniteSpace, epsilons: Sequence[float]) -> NetGrowthTable:
-    """Greedy nets per (cover level, epsilon), nested across levels.
-
-    The level-k net reuses the level-(k-1) net as a seed, so vertex sets are
-    nested in k for each fixed epsilon.
-    """
-    space = cov.space
-    rows = []
-    nets = {}
-    for eps in epsilons:
-        prev_pairs: tuple[tuple[int, int], ...] = ()
-        for k in range(cov.depth):
-            net = greedy_net(space, cov.level(k), eps, seed_pairs=prev_pairs)
-            rows.append((k, float(eps), len(net)))
-            nets[(k, float(eps))] = net
-            prev_pairs = net.pairs
-    return NetGrowthTable(rows=tuple(rows), nets=nets)

@@ -16,7 +16,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CoveredFiniteSpace, FiniteLorentzSpace, build_space, covered
+from .core import (DEFAULT_TOL, CoveredFiniteSpace, FiniteLorentzSpace, build_space, covered,
+                   integer_values)
 from .corr import Correspondence, make_correspondence
 from .causet import CausalSet, build_causet
 from .errors import ShapeMismatch
@@ -43,7 +44,7 @@ def covered_to_dict(cov: CoveredFiniteSpace) -> dict:
 
 def covered_from_dict(data: dict, tol: float = DEFAULT_TOL) -> CoveredFiniteSpace:
     space = space_from_dict(data, tol)
-    return covered(space, int(data["basepoint"]), data["cover"])
+    return covered(space, int(integer_values(data["basepoint"], "basepoint")), data["cover"])
 
 
 def net_to_dict(net: DiamondNet) -> dict:
@@ -52,7 +53,8 @@ def net_to_dict(net: DiamondNet) -> dict:
 
 
 def net_from_dict(data: dict) -> DiamondNet:
-    return DiamondNet(pairs=tuple((int(p), int(q)) for p, q in data["pairs"]),
+    pairs = integer_values(data["pairs"], "net vertices").tolist()
+    return DiamondNet(pairs=tuple((p, q) for p, q in pairs),
                       epsilon=float(data["epsilon"]))
 
 
@@ -62,8 +64,8 @@ def correspondence_to_dict(r: Correspondence) -> dict:
 
 
 def correspondence_from_dict(data: dict) -> Correspondence:
-    return make_correspondence([(int(x), int(y)) for x, y in data["pairs"]],
-                               int(data["n_left"]), int(data["n_right"]))
+    sizes = integer_values([data["n_left"], data["n_right"]], "correspondence sizes")
+    return make_correspondence(data["pairs"], *sizes.tolist())
 
 
 def fiber_to_dict(fiber: FiniteMetricFiber) -> dict:
@@ -96,7 +98,7 @@ def causet_to_dict(c: CausalSet) -> dict:
 
 
 def causet_from_dict(data: dict) -> CausalSet:
-    return build_causet(data["elements"], [(int(a), int(b)) for a, b in data["covers"]])
+    return build_causet(data["elements"], data["covers"])
 
 
 def generator_to_dict(gen: ProductGenerator) -> dict:

@@ -1,8 +1,8 @@
 """Geodesic-shooting reference for model-plane time separations.
 
 Independent of the quadric bilinear form that `lorentzgh.curvature` uses:
-the tests compare `model_ell` and the closed-form comparison placements
-against it.
+the tests compare the float core `curvature._ell` and the closed-form
+comparison placements against it.
 """
 
 import math

@@ -351,10 +351,37 @@ INPUT_RULES = {
                              "left points [5] outside range(3)"),
     "causet-unhashable-elements": (["causet", "ell", "--causet", "causet.json"],
                                    "labels must be hashable"),
+    # a fractional index read from a file is named, never truncated
+    "verify-net-fractional-vertex": (["verify-net", "--space", str(SCHEMAS / "space.json"),
+                                      "--net", "net.json"], "net vertices [2.7] are not integers"),
+    "distort-fractional-pair": (["distort", "--a", str(SCHEMAS / "space.json"),
+                                 "--b", str(SCHEMAS / "space.json"), "--corr", "corr-frac.json"],
+                                "correspondence points [2.9] are not integers"),
+    "causet-fractional-cover": (["causet", "ell", "--causet", "causet-frac.json"],
+                                "cover endpoints [0.5] are not integers"),
+    "blowup-fractional-basepoint": (["blowup", "--covered", "covered.json", "--o-minus", "0",
+                                     "--o-plus", "2", "--lam", "0.4"],
+                                    "basepoint [1.5] are not integers"),
+    "measure-push-fractional-image": (["measure", "push", "--measure", "measure.json",
+                                       "--map", "map.json"], "atom images [2.9] are not integers"),
+    "causet-embed-fractional-image": (["causet", "embed", "--causet", str(SCHEMAS / "causet.json"),
+                                       "--space", str(SCHEMAS / "space.json"), "--map", "map.json"],
+                                      "element images [2.9] are not integers"),
+    "certify-fractional-matching": (["certify", "--manifest", "certify.json"],
+                                    "matching values [2.5] are not integers"),
 }
+CERTIFY = json.loads((SCHEMAS / "certify_manifest.json").read_text())
 INPUT_FILES = {
     "corr.json": {"pairs": [[0, 0], [1, 1], [2, 2], [5, 1]], "n_left": 3, "n_right": 3},
     "causet.json": {"elements": [["x"], ["y"]], "covers": [[0, 1]]},
+    "net.json": {"epsilon": 2.0, "pairs": [[0, 2.7]]},
+    "corr-frac.json": {"pairs": [[0, 0], [1, 1], [2, 2.9]], "n_left": 3, "n_right": 3},
+    "causet-frac.json": {"elements": ["x", "y"], "covers": [[0, 0.5]]},
+    "covered.json": {**json.loads((SCHEMAS / "covered_space.json").read_text()), "basepoint": 1.5},
+    "measure.json": {"weights": {"0": 1.0}},
+    "map.json": {"0": 2.9, "1": 1, "2": 1, "3": 2},
+    "certify.json": {**CERTIFY, "matchings": {"0,0": {"0": 0, "2": 2.5},
+                                              "0,1": {"0": 0, "2": 2}}},
 }
 
 

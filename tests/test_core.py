@@ -278,6 +278,20 @@ class TestCausality:
         assert not rep.causal
         assert (0, 1) in rep.witnesses["causal"]
 
+    def test_causal_witnesses_are_the_two_cycles(self, rng):
+        # the pairs i < j related causally both ways, row-major
+        for _ in range(30):
+            s = layered_space(rng, layers=3, width=int(rng.integers(1, 4)))
+            cycles = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)
+                      if s.causal[i, j] and s.causal[j, i]]
+            assert causality_class(s).witnesses["causal"] == cycles
+
+    def test_quotient_removes_symmetric_pair(self):
+        s = build_space(["a", "b"], [[0, 0], [0, 0]])
+        assert causality_class(s).witnesses["causal"] == [(0, 1)]
+        q, _ = quotient_tau_indistinguishable(s)
+        assert causality_class(q).witnesses["causal"] == []
+
     def test_duplicate_rows_break_pdp(self):
         s = layered_space(np.random.default_rng(3), layers=2, width=2)
         rep = causality_class(s)
@@ -463,9 +477,9 @@ class TestIsometry:
             isometry_search(chain_space([0, 1]), chain_space([0, 1, 2]))
 
     def test_cap(self):
-        s = chain_space(np.arange(6.0))
-        with pytest.raises(CapExceeded):
-            isometry_search(s, s, cap=4)
+        s = chain_space(np.arange(25.0))
+        with pytest.raises(CapExceeded, match=r"\(25 > 24\)"):
+            isometry_search(s, s)
 
     def test_isometric_spaces_share_causality_class(self, rng):
         for _ in range(30):
@@ -544,7 +558,7 @@ class TestCovered:
     def test_validation(self):
         s = chain_space([0, 1, 2])
         cov = covered(s, 0, [[0, 1], [0, 1, 2]])
-        assert cov.depth == 2
+        assert cov.cover == ((0, 1), (0, 1, 2))
         with pytest.raises(ShapeMismatch):
             covered(s, 0, [[0, 1]])  # union misses point 2
         with pytest.raises(ShapeMismatch):

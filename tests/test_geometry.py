@@ -6,8 +6,8 @@ import pytest
 
 from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, circle_fiber,
                        cone_dominates, grid_net_product, product_ell, product_family,
-                       product_tau, sample_spacetime, segment_fiber, slab_net,
-                       uncovered_samples, verify_net, embed_net)
+                       sample_spacetime, segment_fiber, slab_net, uncovered_samples,
+                       verify_net, embed_net)
 from lorentzgh.errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge,
                               NotAFiberNet, ShapeMismatch, UnsupportedMetricFamily)
 from lorentzgh.extended import NEG_INF as NI
@@ -126,10 +126,10 @@ class TestProductTau:
                                     t_range=(0.0, 6.0))
 
     def test_pure_time(self):
-        assert product_tau(self.gen, (0.0, 0), (1.0, 0)) == 1.0
+        assert product_ell(self.gen, (0.0, 0), (1.0, 0)) == 1.0
         g3 = ProductGenerator(fiber=segment_fiber(2, 3.0), cone_scale=2.5,
                               t_range=(0.0, 6.0))
-        assert product_tau(g3, (0.0, 0), (1.0, 0)) == 2.5
+        assert product_ell(g3, (0.0, 0), (1.0, 0)) == 2.5
 
     def test_null_boundary(self):
         g = ProductGenerator(fiber=segment_fiber(2, 2.0), cone_scale=1.0,
@@ -137,7 +137,7 @@ class TestProductTau:
         assert product_ell(g, (0.0, 0), (2.0, 1)) == 0.0  # causal, not chronological
 
     def test_timelike_value(self):
-        assert product_tau(self.gen, (0.0, 0), (5.0, 1)) == pytest.approx(4.0)
+        assert product_ell(self.gen, (0.0, 0), (5.0, 1)) == pytest.approx(4.0)
 
     def test_spacelike_and_past(self):
         assert product_ell(self.gen, (0.0, 0), (1.0, 1)) == NI

@@ -1,18 +1,24 @@
-"""No leftover names in the library: unused imports and unreferenced private helpers.
+"""No leftover names in the library: unused imports, unreferenced private helpers, unused API.
 
 Stdlib `ast` checks, so they need no linter. A library module (the package
 `__init__` re-exports and is left out) must reference each name it imports
 by `from ... import`; `__future__` imports are directives, not names. Every
 module-level `_private` function, class or constant must be referenced by
-some library module, its own included.
+some library module, its own included. Every module-level public function
+or class must be referenced by the library, the acceptance criteria, the
+benchmark (its sources or its `SPANS` table) or the README; a name that only
+unit tests call is not part of the surface. Re-exports do not count.
 """
 
 import ast
+import re
+import runpy
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lorentzgh"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lorentzgh"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -23,6 +29,14 @@ def unused_from_imports(source: str) -> list[str]:
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used)
+
+
+def referenced(trees) -> set[str]:
+    """Names the trees load by name or reach as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
 
 
 def private_names(tree: ast.Module) -> set[str]:
@@ -41,12 +55,19 @@ def private_names(tree: ast.Module) -> set[str]:
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """`module:name` for each private name that no source loads by name or attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-            or isinstance(node, ast.Attribute)}
+    used = referenced(trees.values())
     return sorted(f"{module}:{name}" for module, tree in trees.items()
                   for name in private_names(tree) - used)
+
+
+def unused_public(sources: dict[str, str], outside: list[str], words: set[str]) -> list[str]:
+    """`module:name` for each public module-level function or class of `sources`
+    that neither they, the `outside` sources nor `words` reference."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = referenced([*trees.values(), *map(ast.parse, outside)]) | words
+    return sorted(f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in used)
 
 
 def test_modules_found():
@@ -75,3 +96,21 @@ def test_private_check_sees_a_leftover():
                        "class _Old:\n    pass\n__version__ = '1'\n",
                "b.py": "from . import a\ndef f():\n    return a._helper() + a._B\n"}
     assert unreferenced_privates(sources) == ["a.py:_A", "a.py:_Old"]
+
+
+def test_public_surface_is_used():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    outside = [p.read_text() for p in [ROOT / "tests" / "test_acceptance.py",
+                                       *sorted((ROOT / "perfbench").glob("*.py"))]]
+    spans = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["SPANS"]
+    words = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert unused_public(sources, outside, words | {f for fs in spans.values() for f in fs}) == []
+
+
+def test_surface_check_sees_an_unused_name():
+    sources = {"a.py": "def called():\n    pass\ndef tested_only():\n    pass\n"
+                       "class Documented:\n    pass\ndef benched():\n    return _helper()\n"
+                       "def _helper():\n    return called()\n",
+               "__init__.py": "from .a import called, tested_only\n"}
+    outside = ["import lorentzgh as lg\nlg.a.benched()\n"]
+    assert unused_public(sources, outside, {"Documented"}) == ["a.py:tested_only"]

@@ -24,7 +24,6 @@ from lorentzgh.core import point_indices
 from lorentzgh.curvature import FourPointConfig, four_point_check
 from lorentzgh.errors import ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
-from lorentzgh.geometry import product_tau
 
 S3 = chain_space([0, 1, 2])
 GEN = product_family(circle_fiber(8), "inf", t_range=(0.0, 3.0))
@@ -48,7 +47,6 @@ ENTRIES = {
     "build_causet": (3, lambda bad: build_causet(["a", "b", "c"], [(0, 1), (1, bad)])),
     "faithful_embed_check": (3, lambda bad: faithful_embed_check(
         build_causet(["a", "b", "c"], [(0, 1), (1, 2)]), S3, {0: 0, 1: bad, 2: 2})),
-    "product_tau": (8, lambda bad: product_tau(GEN, (0.5, 0), (1.0, bad))),
     "correspondence-left": (3, lambda bad: make_correspondence(
         [(0, 0), (1, 1), (2, 2), (bad, 0)], 3, 3)),
     "correspondence-right": (3, lambda bad: make_correspondence(

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain_space, layered_space, random_causet_space
+from conftest import chain_space
 from lorentzgh import (BlowupSpec, CoveredSequence, DiamondNet, blow_up, covered,
-                       diagonal_limit, forward_complete_check, isometry_search,
-                       select_blowup_spec, tangent_experiment, timelike_diameter,
-                       causality_class, build_space, circle_fiber, segment_fiber)
+                       causality_class, diagonal_limit, isometry_search, select_blowup_spec,
+                       tangent_experiment, timelike_diameter, build_space, circle_fiber,
+                       segment_fiber)
 from lorentzgh.errors import (NoAdmissibleBasepoints, NonCauchy, ScheduleViolation,
                               SpecViolated)
 from lorentzgh.extended import NEG_INF as NI
@@ -51,7 +51,7 @@ class TestDiagonalLimit:
                               schedules=tuple((nets,) for _ in ns),
                               member_indices=tuple(ns))
         limit, log = diagonal_limit(seq, (1, 1, len(ns)), tol=5e-3)
-        a, b = limit.space.index("o"), limit.space.index("v0.0.0.q")
+        a, b = limit.space.labels.index("o"), limit.space.labels.index("v0.0.0.q")
         assert limit.space.ell[a, b] == pytest.approx(1.0, abs=1e-4)
         assert log["final_subsequence"]  # extraction trace recorded
 
@@ -115,31 +115,6 @@ class TestDiagonalLimit:
         limit, _ = diagonal_limit(seq, (1, 1, len(ns)), tol=1e-2)
         assert (np.abs(limit.space.ell[np.isfinite(limit.space.ell)]
                        - base.ell[np.isfinite(base.ell)]) < 1e-3).all()
-
-
-class TestForwardComplete:
-    def test_causal_space_complete(self, rng):
-        for _ in range(30):
-            s = random_causet_space(rng)
-            rep = causality_class(s)
-            out = forward_complete_check(s)
-            if rep.causal:
-                assert out["complete"]
-
-    def test_witness_is_first_causal_witness(self, rng):
-        for _ in range(30):
-            s = layered_space(rng, layers=3, width=int(rng.integers(1, 4)))
-            causal = causality_class(s).witnesses["causal"]
-            out = forward_complete_check(s)
-            assert out["witness"] == (causal[0] if causal else None)
-
-    def test_symmetric_pair_incomplete_then_quotient_completes(self):
-        from lorentzgh import quotient_tau_indistinguishable
-        s = build_space(["a", "b"], [[0, 0], [0, 0]])
-        out = forward_complete_check(s)
-        assert not out["complete"] and out["witness"] == (0, 1)
-        q, _ = quotient_tau_indistinguishable(s)
-        assert forward_complete_check(q)["complete"]
 
 
 class TestBlowUp:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import chain_space, random_causet_space
-from lorentzgh import (DiamondNet, atomic_measure, covered, doubling_constant, greedy_net,
-                       induce_net_measure, net_growth_profile, verify_net)
+from lorentzgh import (DiamondNet, atomic_measure, doubling_constant, greedy_net,
+                       induce_net_measure, verify_net)
 from lorentzgh.errors import DomainError, ShapeMismatch, Uncoverable
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.nets import exact_min_cover, default_candidates
@@ -135,11 +135,18 @@ class TestDoubling:
         # so no diamond of tau <= 1/2 covers a; the reachability check must
         # raise before either solver runs (the greedy loop would never end)
         ([[1.0]], [0]),
-        # -inf diagonals: J(a, b) is empty and (a, b) has no half-size candidate
+        # -inf diagonals: J(a, b) is empty and (a, b) has no half-size
+        # candidate, but the empty family covers it; the floor keeps N at 1
         ([[NI, 1.0], [NI, NI]], []),
     ])
     def test_unvalidated_diamond_without_candidates(self, exact_threshold, ell, points):
+        """`points` are the uncoverable points; with none, every diamond is covered."""
         s = FiniteLorentzSpace(["a", "b"][:len(ell)], ell)
+        if not points:
+            assert doubling_constant(s, range(s.n), exact_threshold=exact_threshold,
+                                     return_details=True) == \
+                (1, {"exact": True, "per_diamond": [((0, 1), 0)]})
+            return
         with pytest.raises(Uncoverable) as err:
             doubling_constant(s, range(s.n), exact_threshold=exact_threshold)
         assert err.value.points == points
@@ -154,29 +161,28 @@ class TestDoubling:
         assert abs(ns[0] - ns[1]) <= 1
 
 
-class TestGrowthProfile:
-    def test_single_cover_one_row_per_epsilon(self):
-        s = chain_space([0, 1, 2, 3])
-        cov = covered(s, 0, [range(4)])
-        table = net_growth_profile(cov, [3.0, 1.5])
-        assert len(table.rows) == 2
+def nested_nets(space, levels, epsilon):
+    """Greedy nets of increasing levels, each seeded with the net of the level below."""
+    nets, seed = [], ()
+    for level in levels:
+        nets.append(greedy_net(space, level, epsilon, seed_pairs=seed))
+        seed = nets[-1].pairs
+    return nets
 
+
+class TestGrowthProfile:
     def test_nested_vertices_across_levels(self, rng):
         s = chain_space(np.sort(rng.uniform(0, 4, size=8)))
-        cov = covered(s, 0, [range(4), range(6), range(8)])
-        table = net_growth_profile(cov, [2.0, 1.0])
         for eps in (2.0, 1.0):
             prev = set()
-            for k in range(3):
-                verts = set(table.nets[(k, eps)].vertices())
+            for net in nested_nets(s, [range(4), range(6), range(8)], eps):
+                verts = set(net.vertices())
                 assert prev <= verts
                 prev = verts
 
     def test_halving_epsilon_non_decreasing(self):
         s = chain_space(np.linspace(0, 4, 9))
-        cov = covered(s, 0, [range(9)])
-        table = net_growth_profile(cov, [2.0, 1.0, 0.5])
-        cards = [table.cardinality(0, e) for e in (2.0, 1.0, 0.5)]
+        cards = [len(greedy_net(s, range(9), e)) for e in (2.0, 1.0, 0.5)]
         assert cards[0] <= cards[1] <= cards[2]
 
     def test_product_slab_cardinality_vs_greedy_scaling(self):
@@ -189,11 +195,9 @@ class TestGrowthProfile:
         levels = []
         for k in (1, 2):
             levels.append([i for i, p in enumerate(pts) if -k <= p[0] <= k])
-        cov = covered(sampled.space, pts.index((0.0, 0)),
-                      levels + [range(len(pts))])
         eps = 1.0
-        table = net_growth_profile(cov, [eps])
-        c1, c2 = table.cardinality(0, eps), table.cardinality(1, eps)
+        c1, c2, _ = (len(net) for net in nested_nets(sampled.space,
+                                                     levels + [range(len(pts))], eps))
         assert c1 <= c2
         # within factor 2 of ceil(2k/eps) * N(eps/2) for the 6-point circle
         for k, c in ((1, c1), (2, c2)):
@@ -209,7 +213,7 @@ def numpy_min_cover(universe_size, sets):
         full |= m
     if not full.all():
         return None
-    for k in range(1, len(sets) + 1):
+    for k in range(len(sets) + 1):
         for combo in itertools.combinations(range(len(sets)), k):
             acc = np.zeros(universe_size, dtype=bool)
             for i in combo:
@@ -257,8 +261,8 @@ class TestExactMinCover:
         assert exact_min_cover(size, sets) == numpy_min_cover(size, sets)
 
     @pytest.mark.parametrize("size,sets,want", [
-        (0, [], None), (4, [], None),
-        (0, [np.zeros(0, dtype=bool)] * 3, [0]),
+        (0, [], []), (4, [], None),
+        (0, [np.zeros(0, dtype=bool)] * 3, []),
         # a repeat (2), a submask of an earlier mask (3), a supermask of one (4)
         (3, [np.array(m, dtype=bool) for m in
              ([1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 1, 0])], [0, 1]),
