@@ -2,7 +2,8 @@
 
 One binary, many subcommands; all randomness is seeded and identical
 invocations produce byte-identical output. Exit codes: 0 success, 1 domain
-error (machine-readable record on stderr), 2 usage error.
+error (machine-readable record on stderr; a malformed input file is a
+shape-mismatch), 2 usage error (bad flags, an unreadable or non-JSON file).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from pathlib import Path
 
 from . import serialize as ser
 from .causet import chain_ell, faithful_embed_check, hauptvermutung_trial, sprinkle
-from .core import (DEFAULT_TOL, causality_class, classify_special_points,
+from .core import (DEFAULT_TOL, causality_class, classify_special_points, integer_values,
                    isometry_search, quotient_tau_indistinguishable)
 from .corr import (CertificateMember, distortion, lgh_certificate,
                    min_distortion, slot_matching)
 from .curvature import curvature_bound_scan
-from .errors import DomainError
+from .errors import DomainError, ShapeMismatch
 from .geometry import (SamplePlan, cone_dominates, grid_net_product,
                        sample_spacetime, uncovered_samples)
 from .limits import (BlowupSpec, CoveredSequence, blow_up, diagonal_limit,
@@ -30,15 +31,29 @@ from .measured import induce_net_measure, measured_limit_builder, pushforward, w
 from .nets import doubling_constant, greedy_net, verify_net
 
 
-def _read_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _load(path, loader, *extra):
+    """`loader(data, *extra)` on the JSON `data` in the file at `path`: the one
+    step that reads an input file. A KeyError, TypeError, AttributeError or
+    ValueError from `loader` (a missing or mistyped field) becomes a
+    shape-mismatch that names the file; an unreadable file or bad JSON stays
+    a usage error."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loader(data, *extra)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ShapeMismatch(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _resolve(data, base: Path, loader):
     """Manifest entries may be inline dicts or file paths relative to the manifest."""
     if isinstance(data, str):
-        return loader(json.loads((base / data).read_text(encoding="utf-8")))
+        return _load(base / data, loader)
     return loader(data)
+
+
+def _index_keys(mapping: dict, what: str) -> dict:
+    """`mapping` with its JSON object keys read as point indices."""
+    return dict(zip(integer_values(list(mapping), what).tolist(), mapping.values()))
 
 
 def _emit(args, payload, csv_rows=None) -> None:
@@ -67,7 +82,7 @@ def _floats(arg: str) -> list[float]:
 
 
 def _load_space(args, attr="space"):
-    return ser.space_from_dict(_read_json(getattr(args, attr)), tol=args.tol)
+    return _load(getattr(args, attr), ser.space_from_dict, args.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +293,7 @@ def _cmd_net(args):
 
 def _cmd_verify_net(args):
     space = _load_space(args)
-    net = ser.net_from_dict(_read_json(args.net))
+    net = _load(args.net, ser.net_from_dict)
     check = verify_net(space, _indices(args.subset, space.n), net)
     _emit(args, {"ok": check.ok, "uncovered": list(check.uncovered),
                  "oversized": [list(p) for p in check.oversized]})
@@ -286,15 +301,14 @@ def _cmd_verify_net(args):
 
 def _cmd_doubling(args):
     space = _load_space(args)
-    n, details = doubling_constant(space, _indices(args.subset, space.n),
-                                   return_details=True)
+    n, details = doubling_constant(space, _indices(args.subset, space.n))
     _emit(args, {"N": n, "exact": details["exact"]})
 
 
 def _cmd_distort(args):
     a = _load_space(args, "a")
     b = _load_space(args, "b")
-    r = ser.correspondence_from_dict(_read_json(args.corr))
+    r = _load(args.corr, ser.correspondence_from_dict)
     _emit(args, {"distortion": distortion(r, a, b)})
 
 
@@ -317,25 +331,32 @@ def _member_from_manifest(entry, base, tol) -> CertificateMember:
                              index=entry.get("index"))
 
 
+def _certify_manifest(manifest, base, tol):
+    """Members, limit, matchings ("slots", an "l,n"-keyed dict or None) and convergence tol."""
+    members = [_member_from_manifest(e, base, tol) for e in manifest["members"]]
+    limit = _member_from_manifest(manifest["limit"], base, tol)
+    matchings = manifest.get("matchings")
+    if isinstance(matchings, dict):
+        matchings = {tuple(integer_values(key.split(","), "matching scale keys").tolist()):
+                     _index_keys(val, "matching keys") for key, val in matchings.items()}
+    elif matchings != "slots":
+        matchings = None
+    return members, limit, matchings, manifest.get("convergence_tol")
+
+
 def _cmd_certify(args):
     base = Path(args.manifest).parent
-    manifest = _read_json(args.manifest)
-    members = [_member_from_manifest(e, base, args.tol) for e in manifest["members"]]
-    limit = _member_from_manifest(manifest["limit"], base, args.tol)
-    matchings = None
-    if manifest.get("matchings") == "slots":
+    members, limit, matchings, convergence_tol = _load(
+        args.manifest, _certify_manifest, base, args.tol)
+    if matchings == "slots":
         # a missing or differently sized net gets no slot map, so that
         # lgh_certificate reports it as a cardinality mismatch
         matchings = {(l, n): slot_matching(member.nets[l], net)
                      for n, member in enumerate(members)
                      for l, net in enumerate(limit.nets)
                      if l < len(member.nets) and len(member.nets[l]) == len(net)}
-    elif isinstance(manifest.get("matchings"), dict):
-        matchings = {tuple(int(v) for v in key.split(",")):
-                     {int(a): b for a, b in val.items()}
-                     for key, val in manifest["matchings"].items()}
     report = lgh_certificate(members, limit, matchings=matchings,
-                             convergence_tol=manifest.get("convergence_tol"))
+                             convergence_tol=convergence_tol)
     payload = {"stages": list(report.stages),
                "extension_ok": report.extension_ok,
                "forward_density_ok": report.forward_density_ok,
@@ -346,7 +367,7 @@ def _cmd_certify(args):
 
 
 def _cmd_sample(args):
-    gen = ser.generator_from_dict(_read_json(args.generator))
+    gen = _load(args.generator, ser.generator_from_dict)
     window = tuple(_floats(args.window)) if args.window else None
     sites = "all" if not args.sites else tuple(int(v) for v in args.sites.split(","))
     plan = SamplePlan(time_step=args.step, fiber_sites=sites, seed=args.jitter_seed)
@@ -355,7 +376,7 @@ def _cmd_sample(args):
 
 
 def _cmd_grid_net(args):
-    gen = ser.generator_from_dict(_read_json(args.generator))
+    gen = _load(args.generator, ser.generator_from_dict)
     fiber_net = _indices(args.fiber_net, gen.fiber.n)
     net = grid_net_product(gen, args.t_minus, args.t_plus, args.epsilon, fiber_net)
     payload = {"epsilon": net.epsilon, "columns": net.columns,
@@ -372,7 +393,7 @@ def _cmd_grid_net(args):
 
 
 def _cmd_cones(args):
-    gen = ser.generator_from_dict(_read_json(args.generator))
+    gen = _load(args.generator, ser.generator_from_dict)
     result = cone_dominates((gen.cone_scale, gen.fiber), (args.beta, args.omega))
     _emit(args, result)
 
@@ -402,46 +423,53 @@ def _cmd_scan(args):
 def _cmd_measure(args):
     if args.measure_command == "induce":
         space = _load_space(args)
-        m = ser.measure_from_dict(_read_json(args.measure), space)
-        net = ser.net_from_dict(_read_json(args.net))
+        m = _load(args.measure, ser.measure_from_dict, space)
+        net = _load(args.net, ser.net_from_dict)
         mn = induce_net_measure(space, m, _indices(args.subset, space.n), net)
         _emit(args, {"measure": ser.measure_to_dict(mn.induced, space),
                      "residual_masses": list(mn.residual_masses),
                      "total": mn.induced.total()})
     elif args.measure_command == "push":
-        m = ser.measure_from_dict(_read_json(args.measure))
-        mapping = {int(k): v for k, v in _read_json(args.map).items()}
+        m = _load(args.measure, ser.measure_from_dict)
+        mapping = _load(args.map, _index_keys, "map keys")
         _emit(args, ser.measure_to_dict(pushforward(mapping, m)))
     elif args.measure_command == "gap":
-        a = ser.measure_from_dict(_read_json(args.a))
-        b = ser.measure_from_dict(_read_json(args.b))
+        a = _load(args.a, ser.measure_from_dict)
+        b = _load(args.b, ser.measure_from_dict)
         _emit(args, {"gap": weak_gap(a, b)})
     else:  # limit
-        manifest = _read_json(args.manifest)
-        sequence = {}
-        for entry in manifest["sequence"]:
-            key = (int(entry["k"]), int(entry["l"]))
-            sequence[key] = [ser.measure_from_dict(m) for m in entry["measures"]]
-        bounds = ({int(k): float(v) for k, v in manifest["bounds"].items()}
-                  if "bounds" in manifest else None)
-        member_indices = manifest.get("member_indices")
+        sequence, bounds, member_indices = _load(args.manifest, _measure_limit_manifest)
         measure, log = measured_limit_builder(sequence, bounds, member_indices)
         _emit(args, {"measure": ser.measure_to_dict(measure),
                      "final_subsequence": log["final_positions"]})
 
 
-def _cmd_converge(args):
-    base = Path(args.manifest).parent
-    manifest = _read_json(args.manifest)
+def _measure_limit_manifest(manifest):
+    """The (k, l)-keyed measure sequence, the bounds and the member indices."""
+    sequence = {}
+    for entry in manifest["sequence"]:
+        key = tuple(integer_values([entry["k"], entry["l"]], "sequence (k, l)").tolist())
+        sequence[key] = [ser.measure_from_dict(m) for m in entry["measures"]]
+    bounds = ({k: float(v) for k, v in _index_keys(manifest["bounds"], "bound keys").items()}
+              if "bounds" in manifest else None)
+    return sequence, bounds, manifest.get("member_indices")
+
+
+def _covered_sequence(manifest, base):
     members = tuple(_resolve(m, base, ser.covered_from_dict) for m in manifest["members"])
     schedules = tuple(
         tuple(tuple(ser.net_from_dict(net) for net in per_k) for per_k in sched)
         for sched in manifest["schedules"])
     indices = tuple(manifest["member_indices"]) if "member_indices" in manifest else None
-    seq = CoveredSequence(members=members, schedules=schedules, member_indices=indices)
+    return CoveredSequence(members=members, schedules=schedules, member_indices=indices)
+
+
+def _cmd_converge(args):
+    base = Path(args.manifest).parent
+    seq = _load(args.manifest, _covered_sequence, base)
     K, L, N = (int(v) for v in args.depth.split(","))
     if N == 0:
-        N = len(members)
+        N = len(seq.members)
     limit, log = diagonal_limit(seq, (K, L, N), tol=args.tol)
     _emit(args, {"space": ser.covered_to_dict(limit),
                  "final_subsequence": log["final_subsequence"],
@@ -449,7 +477,7 @@ def _cmd_converge(args):
 
 
 def _cmd_blowup(args):
-    cov = ser.covered_from_dict(_read_json(args.covered), tol=args.tol)
+    cov = _load(args.covered, ser.covered_from_dict, args.tol)
     o = cov.basepoint if args.o is None else args.o
     spec = BlowupSpec(o=o, o_minus=getattr(args, "o_minus"),
                       o_plus=getattr(args, "o_plus"), lam=args.lam)
@@ -457,7 +485,7 @@ def _cmd_blowup(args):
 
 
 def _cmd_tangent(args):
-    cov = ser.covered_from_dict(_read_json(args.covered), tol=args.tol)
+    cov = _load(args.covered, ser.covered_from_dict, args.tol)
     report = tangent_experiment(cov, args.o, _floats(args.lambdas), levels=args.levels)
     payload = {"records": list(report.records), "notes": list(report.notes),
                "limit": None if report.limit is None else ser.covered_to_dict(report.limit)}
@@ -466,24 +494,24 @@ def _cmd_tangent(args):
 
 def _cmd_causet(args):
     if args.causet_command == "ell":
-        c = ser.causet_from_dict(_read_json(args.causet))
+        c = _load(args.causet, ser.causet_from_dict)
         _emit(args, ser.space_to_dict(chain_ell(c)))
     elif args.causet_command == "sprinkle":
-        gen = ser.generator_from_dict(_read_json(args.generator))
+        gen = _load(args.generator, ser.generator_from_dict)
         region = tuple(_floats(args.region))
         causet, site_map = sprinkle(gen, region, args.count, args.seed)
         _emit(args, {"causet": ser.causet_to_dict(causet),
                      "site_map": {str(k): [t, s] for k, (t, s) in sorted(site_map.items())}})
     elif args.causet_command == "embed":
-        c = ser.causet_from_dict(_read_json(args.causet))
+        c = _load(args.causet, ser.causet_from_dict)
         space = _load_space(args)
-        mapping = {int(k): v for k, v in _read_json(args.map).items()}
+        mapping = _load(args.map, _index_keys, "map keys")
         result = faithful_embed_check(c, space, mapping,
                                       one_directional=getattr(args, "one_directional"))
         _emit(args, result)
     else:  # trial
-        gen_a = ser.generator_from_dict(_read_json(args.a))
-        gen_b = ser.generator_from_dict(_read_json(args.b))
+        gen_a = _load(args.a, ser.generator_from_dict)
+        gen_b = _load(args.b, ser.generator_from_dict)
         counts = [int(v) for v in args.counts.split(",")]
         report = hauptvermutung_trial(gen_a, gen_b, counts, args.seed)
         rows = [["count", "tau_distortion", "chain_distortion"]] + \
@@ -514,7 +542,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(ser.dumps(exc.record()) + "\n")
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(ser.dumps({"error": "usage", "message": str(exc)}) + "\n")
         return 2
     return 0

@@ -209,14 +209,23 @@ def check_labels(labels) -> None:
 
 
 def integer_values(values, what: str) -> np.ndarray:
-    """`values` as an int array: a fractional or non-finite value raises
-    ShapeMismatch naming them as `what`, never truncated; 2.0 reads as 2."""
+    """`values` as an int array: a fractional, non-finite or non-numeric value
+    raises ShapeMismatch naming them as `what`, never truncated; 2.0 and the
+    JSON object key "2.0" read as 2."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
-        bad = [v for v in arr.ravel().tolist() if not float(v).is_integer()]
+        bad = [v for v in arr.ravel().tolist() if not _is_integral(v)]
         if bad:
             raise ShapeMismatch(f"{what} {bad} are not integers")
+        arr = arr.astype(float, copy=False)
     return arr.astype(int, copy=False)
+
+
+def _is_integral(value) -> bool:
+    try:
+        return float(value).is_integer()
+    except (TypeError, ValueError):
+        return False
 
 
 def point_indices(n: int, indices: Sequence[int], what: str) -> np.ndarray:

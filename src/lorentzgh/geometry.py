@@ -217,10 +217,10 @@ class SampledSpace:
     generator: ProductGenerator
 
     def index_of(self, point: Point) -> int:
-        """Index of the sample point at `point` by `_find_point`; KeyError if none."""
+        """Index of the sample point at `point` by `_find_point`; ShapeMismatch if none."""
         k = _find_point(self.points, point)
         if k is None:
-            raise KeyError(point)
+            raise ShapeMismatch(f"no sample point at {point}")
         return k
 
 

@@ -242,7 +242,7 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
         every = list(range(blown.space.n))
         diam = timelike_diameter(blown.space, every)
         try:
-            doubling = doubling_constant(blown.space, every, exact_threshold=10)
+            doubling, _ = doubling_constant(blown.space, every, exact_threshold=10)
         except Uncoverable:
             doubling = None
             notes.append(f"doubling failed at lambda={lam}")

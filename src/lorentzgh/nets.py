@@ -8,7 +8,7 @@ Every membership question "is z in J(p, q)?" goes through one batched
 kernel, `diamond_masks`, which returns the (pairs x points) boolean matrix;
 nets, doubling and `measured.induce_net_measure` all read it. `_admissible`
 is the size bound tau <= epsilon + tol; `_greedy_cover` the greedy choice.
-Subsets, net vertices and seed pairs pass `core.point_indices`, the range rule.
+Subsets and net vertices pass `core.point_indices`, the range rule.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def verify_net(space: FiniteLorentzSpace, subset: Sequence[int], net: DiamondNet
 
 
 def default_candidates(space: FiniteLorentzSpace, epsilon: float,
-                       mode: str = ALL_CANDIDATES) -> list[tuple[int, int]]:
-    """Admissible diamonds: causal pairs with tau <= epsilon.
+                       mode: str = ALL_CANDIDATES) -> np.ndarray:
+    """Admissible diamonds: the row-major (m, 2) array of causal pairs, tau <= epsilon.
 
     ALL includes degenerate (x, x) diamonds, needed to cover chronologically
     isolated points; CHRONOLOGICAL restricts to tau > 0.
@@ -94,40 +94,33 @@ def default_candidates(space: FiniteLorentzSpace, epsilon: float,
     ok = space.causal & _admissible(space.tau_matrix(), epsilon, space.tol)
     if mode == CHRONOLOGICAL_CANDIDATES:
         ok &= space.chron
-    return [(int(p), int(q)) for p, q in np.argwhere(ok)]
+    return np.argwhere(ok)
 
 
 def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
-               seed_pairs: Sequence[tuple[int, int]] = (),
                candidate_mode: str = ALL_CANDIDATES) -> DiamondNet:
     """Greedy maximum-new-coverage cover of `subset` by admissible diamonds.
 
-    `seed_pairs` are prepended unconditionally (for nets nested across
-    cover levels). Ties break by (p, q) ascending; output is deterministic.
-    A subset point or seed vertex outside range(space.n) raises ShapeMismatch.
+    Ties break by (p, q) ascending; output is deterministic.
+    A subset point outside range(space.n) raises ShapeMismatch.
     """
     subset_idx = point_indices(space.n, subset, "subset")
-    point_indices(space.n, [v for pair in seed_pairs for v in pair], "seed vertices")
-    chosen = [(p, q) for p, q in seed_pairs]
-    covered = diamond_masks(space, chosen, subset_idx).any(axis=0)
-    if covered.all():
-        return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
-
     candidates = default_candidates(space, epsilon, candidate_mode)
     masks = diamond_masks(space, candidates, subset_idx)
-    unreached = ~(covered | masks.any(axis=0))
+    unreached = ~masks.any(axis=0)
     if unreached.any():
         raise Uncoverable(subset_idx[unreached].tolist())
-    chosen += [candidates[r] for r in _greedy_cover(masks, covered)]
-    return DiamondNet(pairs=tuple(chosen), epsilon=epsilon)
+    chosen = candidates[_greedy_cover(masks)].tolist()
+    return DiamondNet(pairs=tuple((p, q) for p, q in chosen), epsilon=epsilon)
 
 
-def _greedy_cover(masks: np.ndarray, covered: np.ndarray) -> list[int]:
-    """Greedy rows of `masks` until `covered` (updated in place) is all set.
+def _greedy_cover(masks: np.ndarray) -> list[int]:
+    """Greedy rows of the bool (rows x points) `masks` until all columns are covered.
 
     Each step takes the first row (argmax) of largest new coverage; the
-    caller has checked that the rows reach every uncovered column.
+    caller has checked that the rows reach every column.
     """
+    covered = np.zeros(masks.shape[1], dtype=bool)
     chosen = []
     while not covered.all():
         best = int(np.argmax((masks & ~covered).sum(axis=1)))
@@ -136,34 +129,30 @@ def _greedy_cover(masks: np.ndarray, covered: np.ndarray) -> list[int]:
     return chosen
 
 
-def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[list[int]]:
-    """Smallest subfamily of boolean masks covering range(universe_size).
+def exact_min_cover(masks: np.ndarray) -> Optional[list[int]]:
+    """Smallest set of rows of the bool (rows x points) `masks` covering every column.
 
     The answer is the least cover in (size, lexicographic) order: exhaustive
     search by increasing cardinality, combinations in lexicographic order;
-    intended for universes <= ~12. Each mask is packed into one Python int,
-    so a combination is tested with integer ORs.
+    intended for universes <= ~12 points. Each row is packed into one
+    Python int, so a combination is tested with integer ORs.
 
-    A mask that an earlier mask contains (a repeat included) is never in
-    that cover, so only the other masks are enumerated. If such a mask i
+    A row that an earlier row contains (a repeat included) is never in
+    that cover, so only the other rows are enumerated. If such a row i
     were in it, swapping in the earlier i' < i would keep a cover and make
     the sorted indices lexicographically smaller; had i' been in it
     already, dropping i would leave a smaller cover. Containment is
-    transitive, so testing a mask against the kept ones suffices.
-    Returns indices into `sets`, or None if even the full family fails.
+    transitive, so testing a row against the kept ones suffices.
+    Returns row indices, or None if even all rows together fail.
     """
-    packed = np.packbits(np.asarray(sets, dtype=bool).reshape(len(sets), universe_size),
-                         axis=1, bitorder="little")
-    kept, bits, seen = [], [], set()
-    for i, row in enumerate(map(bytes, packed)):
-        if row in seen:
-            continue
-        seen.add(row)
-        b = int.from_bytes(row, "little")
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    kept, bits = [], []
+    for i, row in enumerate(packed):
+        b = int.from_bytes(row.tobytes(), "little")
         if all(b | k != k for k in bits):
             kept.append(i)
             bits.append(b)
-    full = (1 << universe_size) - 1
+    full = (1 << masks.shape[1]) - 1
     if functools.reduce(operator.or_, bits, 0) != full:
         return None
     for k in range(len(bits) + 1):  # k = 0: the empty family covers an empty universe
@@ -175,12 +164,13 @@ def exact_min_cover(universe_size: int, sets: Sequence[np.ndarray]) -> Optional[
 
 
 def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
-                      exact_threshold: int = 12, return_details: bool = False):
+                      exact_threshold: int = 12) -> tuple[int, dict]:
     """Smallest N with: every diamond J(x,y) inside `subset` is covered by N
     half-tau-size diamonds with vertices in `subset`.
 
     Exact covers are computed when the diamond has <= exact_threshold points;
     larger diamonds get the greedy upper bound and the result is an estimate.
+    Returns (N, {"exact": bool, "per_diamond": [((x, y), count), ...]}).
     A subset point outside range(space.n) raises ShapeMismatch.
     """
     sub = point_indices(space.n, subset, "subset")
@@ -199,13 +189,13 @@ def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],
         unreached = ~masks.any(axis=0)
         if unreached.any():
             raise Uncoverable(members[unreached].tolist())
+        # a row empty on the diamond is in no least cover and never the greedy choice
+        masks = masks[masks.any(axis=1)]
         if len(members) <= exact_threshold:
-            count = len(exact_min_cover(len(members), masks))
+            count = len(exact_min_cover(masks))
         else:
-            count = len(_greedy_cover(masks, np.zeros(len(members), dtype=bool)))
+            count = len(_greedy_cover(masks))
             exact = False
         per_diamond.append(((x, y), count))
     worst = max([1] + [count for _, count in per_diamond])
-    if return_details:
-        return worst, {"exact": exact, "per_diamond": per_diamond}
-    return worst
+    return worst, {"exact": exact, "per_diamond": per_diamond}

@@ -83,14 +83,12 @@ def measure_to_dict(m: AtomicMeasure, space: FiniteLorentzSpace = None) -> dict:
 
 
 def measure_from_dict(data: dict, space: FiniteLorentzSpace = None) -> AtomicMeasure:
-    weights = {}
-    for key, w in data["weights"].items():
-        if space is not None and key in space.labels:
-            idx = space.labels.index(key)
-        else:
-            idx = int(key)
-        weights[idx] = float(w)
-    return atomic_measure(weights)
+    """Weights keyed by the labels of `space`, or else by point index."""
+    weights = data["weights"]
+    index = {} if space is None else {label: i for i, label in enumerate(space.labels)}
+    others = [key for key in weights if key not in index]
+    index.update(zip(others, integer_values(others, "measure atoms").tolist()))
+    return atomic_measure({index[key]: float(w) for key, w in weights.items()})
 
 
 def causet_to_dict(c: CausalSet) -> dict:

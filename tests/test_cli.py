@@ -369,8 +369,24 @@ INPUT_RULES = {
                                       "element images [2.9] are not integers"),
     "certify-fractional-matching": (["certify", "--manifest", "certify.json"],
                                     "matching values [2.5] are not integers"),
+    # a JSON object key that names a point is read by the same rule
+    "measure-gap-fractional-atom": (["measure", "gap", "--a", "measure-key.json",
+                                     "--b", "measure-key.json"],
+                                    "measure atoms ['2.5'] are not integers"),
+    "measure-push-fractional-key": (["measure", "push", "--measure", "measure.json",
+                                     "--map", "map-key.json"], "map keys ['2.5'] are not integers"),
+    "causet-embed-fractional-key": (["causet", "embed", "--causet", str(SCHEMAS / "causet.json"),
+                                     "--space", str(SCHEMAS / "space.json"),
+                                     "--map", "map-key.json"], "map keys ['2.5'] are not integers"),
+    "certify-fractional-scale-key": (["certify", "--manifest", "certify-scale-key.json"],
+                                     "matching scale keys ['2.5'] are not integers"),
+    "certify-fractional-matching-key": (["certify", "--manifest", "certify-key.json"],
+                                        "matching keys ['2.5'] are not integers"),
+    "measure-limit-fractional-bound-key": (["measure", "limit", "--manifest", "limit-key.json"],
+                                           "bound keys ['2.5'] are not integers"),
 }
 CERTIFY = json.loads((SCHEMAS / "certify_manifest.json").read_text())
+MEASURE_LIMIT = json.loads((SCHEMAS / "measure_limit_manifest.json").read_text())
 INPUT_FILES = {
     "corr.json": {"pairs": [[0, 0], [1, 1], [2, 2], [5, 1]], "n_left": 3, "n_right": 3},
     "causet.json": {"elements": [["x"], ["y"]], "covers": [[0, 1]]},
@@ -382,6 +398,12 @@ INPUT_FILES = {
     "map.json": {"0": 2.9, "1": 1, "2": 1, "3": 2},
     "certify.json": {**CERTIFY, "matchings": {"0,0": {"0": 0, "2": 2.5},
                                               "0,1": {"0": 0, "2": 2}}},
+    "measure-key.json": {"weights": {"0": 0.5, "2.5": 1.0}},
+    "map-key.json": {"0": 1, "2.5": 1},
+    "certify-scale-key.json": {**CERTIFY, "matchings": {"0,2.5": {"0": 0, "2": 2}}},
+    "certify-key.json": {**CERTIFY, "matchings": {"0,0": {"0": 0, "2.5": 2},
+                                                  "0,1": {"0": 0, "2": 2}}},
+    "limit-key.json": {**MEASURE_LIMIT, "bounds": {"2.5": 2.0}},
 }
 
 
@@ -398,6 +420,60 @@ class TestInputRuleRecords:
         assert (code, out) == (1, ""), err
         record = json.loads(err)
         assert record["error"] == "shape-mismatch" and message in record["message"]
+
+
+# argv (inputs written under tmp_path by name) -> the malformed file the record names
+MALFORMED_FILES = {
+    "measure-gap-weights-list": (["measure", "gap", "--a", "weights-list.json",
+                                  "--b", str(SCHEMAS / "measure.json")], "weights-list.json"),
+    "verify-net-pairs-number": (["verify-net", "--space", str(SCHEMAS / "space.json"),
+                                 "--net", "pairs-number.json"], "pairs-number.json"),
+    "validate-top-level-list": (["validate", "--space", "list.json"], "list.json"),
+    "validate-missing-ell": (["validate", "--space", "labels-only.json"], "labels-only.json"),
+    "certify-named-space-missing-ell": (["certify", "--manifest", "certify-named.json"],
+                                        "labels-only.json"),
+    "converge-missing-schedules": (["converge", "--manifest", "converge-no-schedules.json"],
+                                   "converge-no-schedules.json"),
+    "measure-limit-missing-sequence": (["measure", "limit", "--manifest", "limit-no-sequence.json"],
+                                       "limit-no-sequence.json"),
+}
+MALFORMED_INPUTS = {
+    "weights-list.json": {"weights": [1, 2]},
+    "pairs-number.json": {"epsilon": 1, "pairs": 5},
+    "list.json": [1, 2],
+    "labels-only.json": {"labels": ["a"]},
+    "certify-named.json": {**CERTIFY, "limit": {**CERTIFY["limit"], "space": "labels-only.json"}},
+    "converge-no-schedules.json": {
+        key: value for key, value in
+        json.loads((SCHEMAS / "converge_manifest.json").read_text()).items()
+        if key != "schedules"},
+    "limit-no-sequence.json": {"bounds": {"0": 2.0}},
+}
+
+
+class TestMalformedFiles:
+    """A readable JSON file with a missing or mistyped field is a shape-mismatch
+    record that names the file: never a traceback, never a usage error."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_exit_1_with_record(self, case, tmp_path, capsys):
+        argv, name = MALFORMED_FILES[case]
+        for file, data in MALFORMED_INPUTS.items():
+            (tmp_path / file).write_text(json.dumps(data))
+        argv = [str(tmp_path / a) if a in MALFORMED_INPUTS else a for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), err
+        assert "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "shape-mismatch" and name in record["message"], record
+
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        for path in (bad, tmp_path / "missing.json"):
+            code, out, err = run_cli(["validate", "--space", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["error"] == "usage"
 
 
 class TestPackaging:
@@ -437,6 +513,15 @@ class TestMeasureCommands:
         m2.write_text(json.dumps({"weights": {"1": 0.9}}))
         gap = run_json(["measure", "gap", "--a", str(m_file), "--b", str(m2)], capsys)
         assert gap["gap"] == pytest.approx(0.25)
+
+    def test_integral_text_keys_read_as_indices(self, tmp_path, capsys):
+        m_file = tmp_path / "m.json"
+        m_file.write_text(json.dumps({"weights": {"0.0": 0.25, "1": 0.75}}))
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps({"0": 1, "1.0": 1}))
+        pushed = run_json(["measure", "push", "--measure", str(m_file),
+                           "--map", str(map_file)], capsys)
+        assert pushed["weights"] == {"1": 1.0}
 
     def test_measure_limit(self, capsys):
         payload = run_json(["measure", "limit", "--manifest",

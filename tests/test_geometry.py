@@ -166,6 +166,14 @@ class TestSampling:
         sub = fine.space.ell[np.ix_(idx, idx)]
         assert (sub == coarse.space.ell).all()
 
+    @pytest.mark.parametrize("point", [(0.1, 0), (0.5, 5)])
+    def test_index_of_missing_point_named(self, point):
+        gen = ProductGenerator(fiber=segment_fiber(2, 0.5), cone_scale=1.0,
+                               t_range=(0.0, 1.0))
+        s = sample_spacetime(gen, SamplePlan(time_step=0.5))
+        with pytest.raises(ShapeMismatch, match=re.escape(f"no sample point at {point}")):
+            s.index_of(point)
+
     def test_empty_plan(self):
         gen = ProductGenerator(fiber=segment_fiber(1, 1.0), cone_scale=1.0,
                                t_range=(0.0, 1.0))

@@ -17,9 +17,9 @@ import pytest
 from conftest import chain_space
 from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNet,
                        blow_up, build_causet, build_fiber, build_space, circle_fiber, covered,
-                       diagonal_limit, faithful_embed_check, grid_net_product, greedy_net,
-                       lgh_certificate, make_correspondence, product_family,
-                       select_blowup_spec, timelike_diameter, uncovered_samples)
+                       diagonal_limit, faithful_embed_check, grid_net_product, lgh_certificate,
+                       make_correspondence, product_family, select_blowup_spec,
+                       timelike_diameter, uncovered_samples)
 from lorentzgh.core import point_indices
 from lorentzgh.curvature import FourPointConfig, four_point_check
 from lorentzgh.errors import ShapeMismatch
@@ -56,8 +56,6 @@ ENTRIES = {
         S3, FourPointConfig("future", (0, 1, 2, bad)), 0.0)),
     "uncovered_samples": (8, lambda bad: uncovered_samples(
         GEN, grid_net_product(GEN, 1.0, 2.0, 1.0, range(8)), [(1.5, 0), (1.5, bad)])),
-    "greedy_net-seed_pairs": (3, lambda bad: greedy_net(S3, range(3), 2.0,
-                                                        seed_pairs=[(0, bad)])),
     "lgh_certificate-limit_subset": (3, lambda bad: lgh_certificate(
         [_member()], _member(subset=(0, bad)))),
     "lgh_certificate-limit_net": (3, lambda bad: lgh_certificate(
@@ -116,7 +114,6 @@ class TestPointIndexRule:
     def test_in_range_entries_unchanged(self):
         assert timelike_diameter(S3, [2, 0, 2]) == 2.0
         assert four_point_check(S3, FourPointConfig("future", (0, 1, 2, 2)), 0.0)["holds"]
-        assert greedy_net(S3, range(3), 2.0, seed_pairs=[(0, 2)]).pairs == ((0, 2),)
 
 
 # builder -> call with labels for two points

@@ -66,15 +66,19 @@ class TestSubsetRange:
             self.OPS[op](chain_space([0, 1, 2]), subset)
 
 
+def candidate_masks(space, epsilon):
+    """The (candidates x points) diamond masks of `default_candidates` on every point."""
+    ps, qs = default_candidates(space, epsilon).T
+    return space.causal[ps] & space.causal[:, qs].T
+
+
 class TestGreedyNet:
     def test_three_chain_single_diamond(self):
         s = chain_space([0, 1, 2])
         net = greedy_net(s, [0, 1, 2], 2.0)
         assert net.pairs == ((0, 2),)
         # optimal by brute force
-        cands = default_candidates(s, 2.0)
-        masks = [s.causal[p, :] & s.causal[:, q] for p, q in cands]
-        assert len(exact_min_cover(s.n, masks)) == 1
+        assert len(exact_min_cover(candidate_masks(s, 2.0))) == 1
 
     def test_degenerate_diamond_for_isolated_point(self):
         s = build_space(["x"], [[0.0]])
@@ -101,9 +105,7 @@ class TestGreedyNet:
             s = random_causet_space(rng, n_min=5, n_max=9)
             eps = float(rng.uniform(1.0, 3.0))
             net = greedy_net(s, range(s.n), eps)
-            cands = default_candidates(s, eps)
-            masks = [s.causal[p, :] & s.causal[:, q] for p, q in cands]
-            best = exact_min_cover(s.n, masks)
+            best = exact_min_cover(candidate_masks(s, eps))
             assert best is not None
             assert len(net) <= (1 + math.log(s.n)) * len(best)
 
@@ -113,9 +115,7 @@ class TestGreedyNet:
         s = sample_spacetime(gen, SamplePlan(time_step=0.3)).space  # 12 points
         eps = 0.25
         net = greedy_net(s, range(s.n), eps)
-        cands = default_candidates(s, eps)
-        masks = [s.causal[p, :] & s.causal[:, q] for p, q in cands]
-        best = exact_min_cover(s.n, masks)
+        best = exact_min_cover(candidate_masks(s, eps))
         assert best is not None
         assert len(net) <= 4 * len(best)
 
@@ -123,11 +123,11 @@ class TestGreedyNet:
 class TestDoubling:
     def test_chain_with_midpoint(self):
         s = chain_space([0, 1, 2])
-        assert doubling_constant(s, [0, 1, 2]) == 2
+        assert doubling_constant(s, [0, 1, 2])[0] == 2
 
     def test_singleton(self):
         s = build_space(["x"], [[0.0]])
-        assert doubling_constant(s, [0]) == 1
+        assert doubling_constant(s, [0])[0] == 1
 
     @pytest.mark.parametrize("exact_threshold", [0, 12])
     @pytest.mark.parametrize("ell,points", [
@@ -143,8 +143,7 @@ class TestDoubling:
         """`points` are the uncoverable points; with none, every diamond is covered."""
         s = FiniteLorentzSpace(["a", "b"][:len(ell)], ell)
         if not points:
-            assert doubling_constant(s, range(s.n), exact_threshold=exact_threshold,
-                                     return_details=True) == \
+            assert doubling_constant(s, range(s.n), exact_threshold=exact_threshold) == \
                 (1, {"exact": True, "per_diamond": [((0, 1), 0)]})
             return
         with pytest.raises(Uncoverable) as err:
@@ -157,29 +156,11 @@ class TestDoubling:
         for step in (0.5, 0.25):
             gen = product_family(segment_fiber(3, 0.5), "inf", t_range=(0.0, 1.0))
             s = sample_spacetime(gen, SamplePlan(time_step=step)).space
-            ns.append(doubling_constant(s, range(s.n), exact_threshold=8))
+            ns.append(doubling_constant(s, range(s.n), exact_threshold=8)[0])
         assert abs(ns[0] - ns[1]) <= 1
 
 
-def nested_nets(space, levels, epsilon):
-    """Greedy nets of increasing levels, each seeded with the net of the level below."""
-    nets, seed = [], ()
-    for level in levels:
-        nets.append(greedy_net(space, level, epsilon, seed_pairs=seed))
-        seed = nets[-1].pairs
-    return nets
-
-
 class TestGrowthProfile:
-    def test_nested_vertices_across_levels(self, rng):
-        s = chain_space(np.sort(rng.uniform(0, 4, size=8)))
-        for eps in (2.0, 1.0):
-            prev = set()
-            for net in nested_nets(s, [range(4), range(6), range(8)], eps):
-                verts = set(net.vertices())
-                assert prev <= verts
-                prev = verts
-
     def test_halving_epsilon_non_decreasing(self):
         s = chain_space(np.linspace(0, 4, 9))
         cards = [len(greedy_net(s, range(9), e)) for e in (2.0, 1.0, 0.5)]
@@ -192,12 +173,10 @@ class TestGrowthProfile:
         gen = product_family(circle_fiber(6), "inf", t_range=(-2.0, 2.0))
         sampled = sample_spacetime(gen, SamplePlan(time_step=0.25))
         pts = sampled.points
-        levels = []
-        for k in (1, 2):
-            levels.append([i for i, p in enumerate(pts) if -k <= p[0] <= k])
         eps = 1.0
-        c1, c2, _ = (len(net) for net in nested_nets(sampled.space,
-                                                     levels + [range(len(pts))], eps))
+        c1, c2 = (len(greedy_net(sampled.space,
+                                 [i for i, p in enumerate(pts) if -k <= p[0] <= k], eps))
+                  for k in (1, 2))
         assert c1 <= c2
         # within factor 2 of ceil(2k/eps) * N(eps/2) for the 6-point circle
         for k, c in ((1, c1), (2, c2)):
@@ -254,11 +233,16 @@ def mask_families(draw):
     return size, family
 
 
+def as_matrix(size, sets):
+    """The (rows x points) bool matrix `exact_min_cover` reads."""
+    return np.array(sets, dtype=bool).reshape(len(sets), size)
+
+
 class TestExactMinCover:
     @given(mask_families())
     def test_matches_numpy_enumeration(self, family):
         size, sets = family
-        assert exact_min_cover(size, sets) == numpy_min_cover(size, sets)
+        assert exact_min_cover(as_matrix(size, sets)) == numpy_min_cover(size, sets)
 
     @pytest.mark.parametrize("size,sets,want", [
         (0, [], []), (4, [], None),
@@ -268,7 +252,7 @@ class TestExactMinCover:
              ([1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 1, 0])], [0, 1]),
     ])
     def test_edge_families(self, size, sets, want):
-        assert exact_min_cover(size, sets) == numpy_min_cover(size, sets) == want
+        assert exact_min_cover(as_matrix(size, sets)) == numpy_min_cover(size, sets) == want
 
 
 COVER_PINS = json.loads((Path(__file__).parent / "data" / "cover_pins.json").read_text())
@@ -286,10 +270,10 @@ class TestPinnedCovers:
 
     The corpus holds four chains, five random causets (5 to 11 elements) and
     an 18-point sampled slab. Greedy nets run at three epsilons in both
-    candidate modes, on the full point set and every other point, with and
-    without seed pairs; each unseeded net is verified as is, without its
-    first diamond and at a quarter of its epsilon, and induces a uniform and
-    a random measure. Doubling runs at exact thresholds 0, 4 and 12.
+    candidate modes, on the full point set and every other point; each net
+    is verified as is, without its first diamond and at a quarter of its
+    epsilon, and induces a uniform and a random measure. Doubling runs at
+    exact thresholds 0, 4 and 12.
     """
 
     spaces = [build_space(rec["labels"],
@@ -305,7 +289,6 @@ class TestPinnedCovers:
         for rec in COVER_PINS["greedy_net"]:
             got = _outcome(lambda: [list(p) for p in greedy_net(
                 self.spaces[rec["space"]], rec["subset"], rec["epsilon"],
-                seed_pairs=[tuple(p) for p in rec["seed_pairs"]],
                 candidate_mode=rec["mode"]).pairs])
             assert got == (rec["pairs"] if "pairs" in rec else {"error": rec["error"]}), rec
 
@@ -319,8 +302,7 @@ class TestPinnedCovers:
     def test_doubling_constant(self):
         for rec in COVER_PINS["doubling_constant"]:
             n, details = doubling_constant(self.spaces[rec["space"]], rec["subset"],
-                                           exact_threshold=rec["exact_threshold"],
-                                           return_details=True)
+                                           exact_threshold=rec["exact_threshold"])
             assert (n, details["exact"]) == (rec["N"], rec["exact"]), rec
             assert [[list(xy), c] for xy, c in details["per_diamond"]] == rec["per_diamond"]
 
