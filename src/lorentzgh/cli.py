@@ -13,7 +13,10 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from . import serialize as ser
 from .causet import chain_ell, faithful_embed_check, hauptvermutung_trial, sprinkle
@@ -65,16 +68,19 @@ def _emit(args, payload, csv_rows=None) -> None:
         text = buf.getvalue()
     else:
         text = ser.dumps(payload) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _indices(arg: str, n: int) -> list[int]:
-    if arg in (None, "all"):
-        return list(range(n))
+def _ints(arg: str) -> list[int]:
+    """An integer-list flag: comma-separated, with empty entries skipped."""
     return [int(v) for v in arg.split(",") if v != ""]
+
+
+def _indices(arg: str, n: int) -> list[int]:
+    return list(range(n)) if arg == "all" else _ints(arg)
 
 
 def _floats(arg: str) -> list[float]:
@@ -85,179 +91,168 @@ def _load_space(args, attr="space"):
     return _load(getattr(args, attr), ser.space_from_dict, args.tol)
 
 
+@contextmanager
+def _leaf(parent, name, run, fmt=False, tol=True, **kwargs):
+    """A leaf command parser of `parent` that runs `run(args)`. Its own flags,
+    added in the `with` body, come before `--out`, `--tol` (for commands that
+    read a space) and `--format` (for the tabular reports) in its usage line."""
+    p = parent.add_parser(name, **kwargs)
+    p.set_defaults(run=run)
+    yield p
+    p.add_argument("--out")
+    if tol:
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="load tolerance for input spaces (default 1e-9)")
+    if fmt:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="lorentzgh")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=False, tol=True):
-        p.add_argument("--out")
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="load tolerance for input spaces (default 1e-9)")
-        if fmt:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
+    with _leaf(sub, "validate", _cmd_validate, help="axiom-check a space file") as p:
+        p.add_argument("--space", required=True)
 
-    p = sub.add_parser("validate", help="axiom-check a space file")
-    p.add_argument("--space", required=True)
-    common(p)
+    with _leaf(sub, "class", _cmd_class, help="causality classification report") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--special", action="store_true", help="also classify special points")
 
-    p = sub.add_parser("class", help="causality classification report")
-    p.add_argument("--space", required=True)
-    p.add_argument("--special", action="store_true", help="also classify special points")
-    common(p)
+    with _leaf(sub, "quotient", _cmd_quotient, help="collapse ell-indistinguishable points") as p:
+        p.add_argument("--space", required=True)
 
-    p = sub.add_parser("quotient", help="collapse ell-indistinguishable points")
-    p.add_argument("--space", required=True)
-    common(p)
+    with _leaf(sub, "net", _cmd_net, help="greedy diamond net for a subset") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--subset", default="all")
+        p.add_argument("--epsilon", type=float, required=True)
+        p.add_argument("--net-candidates", choices=["all", "chronological"], default="all")
 
-    p = sub.add_parser("net", help="greedy diamond net for a subset")
-    p.add_argument("--space", required=True)
-    p.add_argument("--subset", default="all")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--net-candidates", choices=["all", "chronological"], default="all")
-    common(p)
+    with _leaf(sub, "verify-net", _cmd_verify_net, help="check a net against a space subset") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--net", required=True)
+        p.add_argument("--subset", default="all")
 
-    p = sub.add_parser("verify-net", help="check a net against a space subset")
-    p.add_argument("--space", required=True)
-    p.add_argument("--net", required=True)
-    p.add_argument("--subset", default="all")
-    common(p)
+    with _leaf(sub, "doubling", _cmd_doubling, help="doubling constant of a subset") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--subset", default="all")
 
-    p = sub.add_parser("doubling", help="doubling constant of a subset")
-    p.add_argument("--space", required=True)
-    p.add_argument("--subset", default="all")
-    common(p)
+    with _leaf(sub, "distort", _cmd_distort, help="distortion of a supplied correspondence") as p:
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--corr", required=True)
 
-    p = sub.add_parser("distort", help="distortion of a supplied correspondence")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--corr", required=True)
-    common(p)
+    with _leaf(sub, "match", _cmd_match, help="minimal-distortion correspondence search") as p:
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--mode", choices=["exact", "heuristic"], default="heuristic")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--isometry", action="store_true",
+                       help="also run the exact isometry search (equal sizes)")
 
-    p = sub.add_parser("match", help="minimal-distortion correspondence search")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--mode", choices=["exact", "heuristic"], default="heuristic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--isometry", action="store_true",
-                   help="also run the exact isometry search (equal sizes)")
-    common(p)
+    with _leaf(sub, "certify", _cmd_certify, fmt=True,
+               help="LGH convergence certificate from a manifest") as p:
+        p.add_argument("--manifest", required=True)
 
-    p = sub.add_parser("certify", help="LGH convergence certificate from a manifest")
-    p.add_argument("--manifest", required=True)
-    common(p, fmt=True)
+    with _leaf(sub, "sample", _cmd_sample, tol=False,
+               help="sample a product generator into a space") as p:
+        p.add_argument("--generator", required=True)
+        p.add_argument("--step", type=float, required=True)
+        p.add_argument("--window", help="t_lo,t_hi inside the generator range")
+        p.add_argument("--sites", help="fiber site indices, default all")
+        p.add_argument("--jitter-seed", type=int, default=None)
 
-    p = sub.add_parser("sample", help="sample a product generator into a space")
-    p.add_argument("--generator", required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--window", help="t_lo,t_hi inside the generator range")
-    p.add_argument("--sites", help="fiber site indices, default all")
-    p.add_argument("--jitter-seed", type=int, default=None)
-    common(p, tol=False)
+    with _leaf(sub, "grid-net", _cmd_grid_net, tol=False,
+               help="explicit slab-covering grid net") as p:
+        p.add_argument("--generator", required=True)
+        p.add_argument("--t-minus", type=float, required=True)
+        p.add_argument("--t-plus", type=float, required=True)
+        p.add_argument("--epsilon", type=float, required=True)
+        p.add_argument("--fiber-net", default="all")
+        p.add_argument("--check-samples", type=int, default=0,
+                       help="verify coverage on an n-point sample of the slab")
 
-    p = sub.add_parser("grid-net", help="explicit slab-covering grid net")
-    p.add_argument("--generator", required=True)
-    p.add_argument("--t-minus", type=float, required=True)
-    p.add_argument("--t-plus", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--fiber-net", default="all")
-    p.add_argument("--check-samples", type=int, default=0,
-                   help="verify coverage on an n-point sample of the slab")
-    common(p, tol=False)
+    with _leaf(sub, "cones", _cmd_cones, tol=False,
+               help="cone domination check (constant beta/omega)") as p:
+        p.add_argument("--generator", required=True)
+        p.add_argument("--beta", type=float, required=True)
+        p.add_argument("--omega", type=float, required=True)
 
-    p = sub.add_parser("cones", help="cone domination check (constant beta/omega)")
-    p.add_argument("--generator", required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--omega", type=float, required=True)
-    common(p, tol=False)
+    with _leaf(sub, "fourpoint", _cmd_fourpoint, fmt=True, help="four-point condition scan") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--K", type=float, required=True)
+        p.add_argument("--budget", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("fourpoint", help="four-point condition scan")
-    p.add_argument("--space", required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=True)
+    with _leaf(sub, "scan", _cmd_scan, fmt=True,
+               help="four-point scan over several K values") as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--K-list", required=True)
+        p.add_argument("--budget", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("scan", help="four-point scan over several K values")
-    p.add_argument("--space", required=True)
-    p.add_argument("--K-list", required=True)
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, fmt=True)
+    msub = sub.add_parser("measure", help="atomic measure operations").add_subparsers(
+        dest="measure_command", required=True)
 
-    p = sub.add_parser("measure", help="atomic measure operations")
-    msub = p.add_subparsers(dest="measure_command", required=True)
+    with _leaf(msub, "induce", _cmd_measure_induce) as p:
+        p.add_argument("--space", required=True)
+        p.add_argument("--measure", required=True)
+        p.add_argument("--net", required=True)
+        p.add_argument("--subset", default="all")
 
-    pm = msub.add_parser("induce")
-    pm.add_argument("--space", required=True)
-    pm.add_argument("--measure", required=True)
-    pm.add_argument("--net", required=True)
-    pm.add_argument("--subset", default="all")
-    common(pm)
+    with _leaf(msub, "push", _cmd_measure_push, tol=False) as p:
+        p.add_argument("--measure", required=True)
+        p.add_argument("--map", required=True, help="JSON object atom->target")
 
-    pm = msub.add_parser("push")
-    pm.add_argument("--measure", required=True)
-    pm.add_argument("--map", required=True, help="JSON object atom->target")
-    common(pm, tol=False)
+    with _leaf(msub, "gap", _cmd_measure_gap, tol=False) as p:
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
 
-    pm = msub.add_parser("gap")
-    pm.add_argument("--a", required=True)
-    pm.add_argument("--b", required=True)
-    common(pm, tol=False)
+    with _leaf(msub, "limit", _cmd_measure_limit, tol=False) as p:
+        p.add_argument("--manifest", required=True)
 
-    pm = msub.add_parser("limit")
-    pm.add_argument("--manifest", required=True)
-    common(pm, tol=False)
+    with _leaf(sub, "converge", _cmd_converge, tol=False,
+               help="diagonal limit of a covered sequence manifest") as p:
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--depth", default="1,1,0", help="K,L,N (N=0 means all members)")
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="Cauchy tolerance of the limit (default 1e-6)")
 
-    p = sub.add_parser("converge", help="diagonal limit of a covered sequence manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--depth", default="1,1,0", help="K,L,N (N=0 means all members)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="Cauchy tolerance of the limit (default 1e-6)")
-    common(p, tol=False)
+    with _leaf(sub, "blowup", _cmd_blowup, help="lambda blow-up of a covered space") as p:
+        p.add_argument("--covered", required=True)
+        p.add_argument("--o-minus", type=int, required=True)
+        p.add_argument("--o-plus", type=int, required=True)
+        p.add_argument("--lam", type=float, required=True)
+        p.add_argument("--o", type=int, default=None)
 
-    p = sub.add_parser("blowup", help="lambda blow-up of a covered space")
-    p.add_argument("--covered", required=True)
-    p.add_argument("--o-minus", type=int, required=True)
-    p.add_argument("--o-plus", type=int, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--o", type=int, default=None)
-    common(p)
+    with _leaf(sub, "tangent", _cmd_tangent, help="blow-up tangent experiment") as p:
+        p.add_argument("--covered", required=True)
+        p.add_argument("--o", type=int, required=True)
+        p.add_argument("--lambdas", required=True)
+        p.add_argument("--levels", type=int, default=3)
 
-    p = sub.add_parser("tangent", help="blow-up tangent experiment")
-    p.add_argument("--covered", required=True)
-    p.add_argument("--o", type=int, required=True)
-    p.add_argument("--lambdas", required=True)
-    p.add_argument("--levels", type=int, default=3)
-    common(p)
+    csub = sub.add_parser("causet", help="causal set operations").add_subparsers(
+        dest="causet_command", required=True)
 
-    p = sub.add_parser("causet", help="causal set operations")
-    csub = p.add_subparsers(dest="causet_command", required=True)
+    with _leaf(csub, "ell", _cmd_causet_ell, tol=False) as p:
+        p.add_argument("--causet", required=True)
 
-    pc = csub.add_parser("ell")
-    pc.add_argument("--causet", required=True)
-    common(pc, tol=False)
+    with _leaf(csub, "sprinkle", _cmd_causet_sprinkle, tol=False) as p:
+        p.add_argument("--generator", required=True)
+        p.add_argument("--region", required=True, help="t_lo,t_hi")
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
 
-    pc = csub.add_parser("sprinkle")
-    pc.add_argument("--generator", required=True)
-    pc.add_argument("--region", required=True, help="t_lo,t_hi")
-    pc.add_argument("--count", type=int, required=True)
-    pc.add_argument("--seed", type=int, required=True)
-    common(pc, tol=False)
+    with _leaf(csub, "embed", _cmd_causet_embed) as p:
+        p.add_argument("--causet", required=True)
+        p.add_argument("--space", required=True)
+        p.add_argument("--map", required=True)
+        p.add_argument("--one-directional", action="store_true")
 
-    pc = csub.add_parser("embed")
-    pc.add_argument("--causet", required=True)
-    pc.add_argument("--space", required=True)
-    pc.add_argument("--map", required=True)
-    pc.add_argument("--one-directional", action="store_true")
-    common(pc)
-
-    pc = csub.add_parser("trial")
-    pc.add_argument("--a", required=True)
-    pc.add_argument("--b", required=True)
-    pc.add_argument("--counts", required=True)
-    pc.add_argument("--seed", type=int, required=True)
-    common(pc, fmt=True, tol=False)
+    with _leaf(csub, "trial", _cmd_causet_trial, fmt=True, tol=False) as p:
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--counts", required=True)
+        p.add_argument("--seed", type=int, required=True)
 
     return top
 
@@ -286,8 +281,7 @@ def _cmd_quotient(args):
 def _cmd_net(args):
     space = _load_space(args)
     subset = _indices(args.subset, space.n)
-    net = greedy_net(space, subset, args.epsilon,
-                     candidate_mode=getattr(args, "net_candidates"))
+    net = greedy_net(space, subset, args.epsilon, candidate_mode=args.net_candidates)
     _emit(args, ser.net_to_dict(net))
 
 
@@ -369,7 +363,7 @@ def _cmd_certify(args):
 def _cmd_sample(args):
     gen = _load(args.generator, ser.generator_from_dict)
     window = tuple(_floats(args.window)) if args.window else None
-    sites = "all" if not args.sites else tuple(int(v) for v in args.sites.split(","))
+    sites = "all" if not args.sites else tuple(_ints(args.sites))
     plan = SamplePlan(time_step=args.step, fiber_sites=sites, seed=args.jitter_seed)
     sampled = sample_spacetime(gen, plan, t_window=window)
     _emit(args, ser.space_to_dict(sampled.space))
@@ -383,7 +377,6 @@ def _cmd_grid_net(args):
                "pairs": [list(p) for p in net.pairs],
                "vertex_points": [[t, s] for t, s in net.vertex_points]}
     if args.check_samples:
-        import numpy as np
         rng = np.random.default_rng(0)
         ts = rng.uniform(args.t_minus, args.t_plus, size=args.check_samples)
         sites = rng.integers(0, gen.fiber.n, size=args.check_samples)
@@ -394,8 +387,7 @@ def _cmd_grid_net(args):
 
 def _cmd_cones(args):
     gen = _load(args.generator, ser.generator_from_dict)
-    result = cone_dominates((gen.cone_scale, gen.fiber), (args.beta, args.omega))
-    _emit(args, result)
+    _emit(args, cone_dominates((gen.cone_scale, gen.fiber), (args.beta, args.omega)))
 
 
 def _cmd_fourpoint(args):
@@ -409,7 +401,7 @@ def _cmd_fourpoint(args):
 def _cmd_scan(args):
     space = _load_space(args)
     out = []
-    for K in _floats(getattr(args, "K_list")):
+    for K in _floats(args.K_list):
         result = curvature_bound_scan(space, K, args.budget, args.seed)
         out.append({"K": K, "tested": result["tested"],
                     "violations": len(result["violations"]),
@@ -420,28 +412,33 @@ def _cmd_scan(args):
     _emit(args, {"per_K": out}, csv_rows=rows)
 
 
-def _cmd_measure(args):
-    if args.measure_command == "induce":
-        space = _load_space(args)
-        m = _load(args.measure, ser.measure_from_dict, space)
-        net = _load(args.net, ser.net_from_dict)
-        mn = induce_net_measure(space, m, _indices(args.subset, space.n), net)
-        _emit(args, {"measure": ser.measure_to_dict(mn.induced, space),
-                     "residual_masses": list(mn.residual_masses),
-                     "total": mn.induced.total()})
-    elif args.measure_command == "push":
-        m = _load(args.measure, ser.measure_from_dict)
-        mapping = _load(args.map, _index_keys, "map keys")
-        _emit(args, ser.measure_to_dict(pushforward(mapping, m)))
-    elif args.measure_command == "gap":
-        a = _load(args.a, ser.measure_from_dict)
-        b = _load(args.b, ser.measure_from_dict)
-        _emit(args, {"gap": weak_gap(a, b)})
-    else:  # limit
-        sequence, bounds, member_indices = _load(args.manifest, _measure_limit_manifest)
-        measure, log = measured_limit_builder(sequence, bounds, member_indices)
-        _emit(args, {"measure": ser.measure_to_dict(measure),
-                     "final_subsequence": log["final_positions"]})
+def _cmd_measure_induce(args):
+    space = _load_space(args)
+    m = _load(args.measure, ser.measure_from_dict, space)
+    net = _load(args.net, ser.net_from_dict)
+    mn = induce_net_measure(space, m, _indices(args.subset, space.n), net)
+    _emit(args, {"measure": ser.measure_to_dict(mn.induced, space),
+                 "residual_masses": list(mn.residual_masses),
+                 "total": mn.induced.total()})
+
+
+def _cmd_measure_push(args):
+    m = _load(args.measure, ser.measure_from_dict)
+    mapping = _load(args.map, _index_keys, "map keys")
+    _emit(args, ser.measure_to_dict(pushforward(mapping, m)))
+
+
+def _cmd_measure_gap(args):
+    a = _load(args.a, ser.measure_from_dict)
+    b = _load(args.b, ser.measure_from_dict)
+    _emit(args, {"gap": weak_gap(a, b)})
+
+
+def _cmd_measure_limit(args):
+    sequence, bounds, member_indices = _load(args.manifest, _measure_limit_manifest)
+    measure, log = measured_limit_builder(sequence, bounds, member_indices)
+    _emit(args, {"measure": ser.measure_to_dict(measure),
+                 "final_subsequence": log["final_positions"]})
 
 
 def _measure_limit_manifest(manifest):
@@ -467,7 +464,7 @@ def _covered_sequence(manifest, base):
 def _cmd_converge(args):
     base = Path(args.manifest).parent
     seq = _load(args.manifest, _covered_sequence, base)
-    K, L, N = (int(v) for v in args.depth.split(","))
+    K, L, N = _ints(args.depth)
     if N == 0:
         N = len(seq.members)
     limit, log = diagonal_limit(seq, (K, L, N), tol=args.tol)
@@ -479,8 +476,7 @@ def _cmd_converge(args):
 def _cmd_blowup(args):
     cov = _load(args.covered, ser.covered_from_dict, args.tol)
     o = cov.basepoint if args.o is None else args.o
-    spec = BlowupSpec(o=o, o_minus=getattr(args, "o_minus"),
-                      o_plus=getattr(args, "o_plus"), lam=args.lam)
+    spec = BlowupSpec(o=o, o_minus=args.o_minus, o_plus=args.o_plus, lam=args.lam)
     _emit(args, ser.covered_to_dict(blow_up(cov, spec)))
 
 
@@ -492,43 +488,32 @@ def _cmd_tangent(args):
     _emit(args, payload)
 
 
-def _cmd_causet(args):
-    if args.causet_command == "ell":
-        c = _load(args.causet, ser.causet_from_dict)
-        _emit(args, ser.space_to_dict(chain_ell(c)))
-    elif args.causet_command == "sprinkle":
-        gen = _load(args.generator, ser.generator_from_dict)
-        region = tuple(_floats(args.region))
-        causet, site_map = sprinkle(gen, region, args.count, args.seed)
-        _emit(args, {"causet": ser.causet_to_dict(causet),
-                     "site_map": {str(k): [t, s] for k, (t, s) in sorted(site_map.items())}})
-    elif args.causet_command == "embed":
-        c = _load(args.causet, ser.causet_from_dict)
-        space = _load_space(args)
-        mapping = _load(args.map, _index_keys, "map keys")
-        result = faithful_embed_check(c, space, mapping,
-                                      one_directional=getattr(args, "one_directional"))
-        _emit(args, result)
-    else:  # trial
-        gen_a = _load(args.a, ser.generator_from_dict)
-        gen_b = _load(args.b, ser.generator_from_dict)
-        counts = [int(v) for v in args.counts.split(",")]
-        report = hauptvermutung_trial(gen_a, gen_b, counts, args.seed)
-        rows = [["count", "tau_distortion", "chain_distortion"]] + \
-               [[r["count"], r["tau_distortion"], r["chain_distortion"]]
-                for r in report["rows"]]
-        _emit(args, report, csv_rows=rows)
+def _cmd_causet_ell(args):
+    c = _load(args.causet, ser.causet_from_dict)
+    _emit(args, ser.space_to_dict(chain_ell(c)))
 
 
-_HANDLERS = {
-    "validate": _cmd_validate, "class": _cmd_class, "quotient": _cmd_quotient,
-    "net": _cmd_net, "verify-net": _cmd_verify_net, "doubling": _cmd_doubling,
-    "distort": _cmd_distort, "match": _cmd_match, "certify": _cmd_certify,
-    "sample": _cmd_sample, "grid-net": _cmd_grid_net, "cones": _cmd_cones,
-    "fourpoint": _cmd_fourpoint, "scan": _cmd_scan, "measure": _cmd_measure,
-    "converge": _cmd_converge, "blowup": _cmd_blowup, "tangent": _cmd_tangent,
-    "causet": _cmd_causet,
-}
+def _cmd_causet_sprinkle(args):
+    gen = _load(args.generator, ser.generator_from_dict)
+    causet, site_map = sprinkle(gen, tuple(_floats(args.region)), args.count, args.seed)
+    _emit(args, {"causet": ser.causet_to_dict(causet),
+                 "site_map": {str(k): [t, s] for k, (t, s) in sorted(site_map.items())}})
+
+
+def _cmd_causet_embed(args):
+    c = _load(args.causet, ser.causet_from_dict)
+    space = _load_space(args)
+    mapping = _load(args.map, _index_keys, "map keys")
+    _emit(args, faithful_embed_check(c, space, mapping, one_directional=args.one_directional))
+
+
+def _cmd_causet_trial(args):
+    gen_a = _load(args.a, ser.generator_from_dict)
+    gen_b = _load(args.b, ser.generator_from_dict)
+    report = hauptvermutung_trial(gen_a, gen_b, _ints(args.counts), args.seed)
+    rows = [["count", "tau_distortion", "chain_distortion"]] + \
+           [[r["count"], r["tau_distortion"], r["chain_distortion"]] for r in report["rows"]]
+    _emit(args, report, csv_rows=rows)
 
 
 def main(argv=None) -> int:
@@ -538,7 +523,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _HANDLERS[args.command](args)
+        args.run(args)
     except DomainError as exc:
         sys.stderr.write(ser.dumps(exc.record()) + "\n")
         return 1

@@ -169,6 +169,12 @@ class BlowupSpec:
     lam: float
 
 
+def _check_lambda(lam: float) -> None:
+    """The blow-up factor rule: lambda > 0 (so NaN fails too), else SpecViolated."""
+    if not lam > 0:
+        raise SpecViolated("lambda > 0")
+
+
 def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     """Rescale ell by lambda on the chronological diamond I(o-, o+).
 
@@ -176,8 +182,7 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     """
     space = cov.space
     point_indices(space.n, (spec.o_minus, spec.o, spec.o_plus), "blow-up points")
-    if not (spec.lam > 0):
-        raise SpecViolated("lambda > 0")
+    _check_lambda(spec.lam)
     if not space.chron[spec.o_minus, spec.o]:
         raise SpecViolated("o_minus << o")
     if not space.chron[spec.o, spec.o_plus]:
@@ -200,10 +205,11 @@ def select_blowup_spec(cov: CoveredFiniteSpace, o: int, lam: float) -> BlowupSpe
     """Tightest admissible (o-, o+): minimal tau(o-, o+) < 1/lam, then richest diamond.
 
     Ties go to the first pair in (o-, o+) row-major order. An `o` outside
-    the space raises ShapeMismatch.
+    the space raises ShapeMismatch, and a lambda that is not > 0 SpecViolated.
     """
     space = cov.space
     point_indices(space.n, (o,), "basepoint")
+    _check_lambda(lam)
     minus = np.flatnonzero(space.chron[:, o])
     plus = np.flatnonzero(space.chron[o, :])
     tau = np.maximum(0.0, space.ell[np.ix_(minus, plus)]).ravel()
@@ -277,9 +283,7 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
                     pairs.append(pairs[-1])
                 per_k.append(DiamondNet(pairs=tuple(pairs), epsilon=s[l].epsilon))
             aligned.append((tuple(per_k),))  # single cover level per blow-up
-        flat_members = tuple(
-            covered(m.space, m.basepoint, [list(range(m.space.n))]) for m in members)
-        seq = CoveredSequence(members=flat_members, schedules=tuple(aligned),
+        seq = CoveredSequence(members=tuple(members), schedules=tuple(aligned),
                               member_indices=tuple(int(r["lambda"]) for r in records))
         try:
             limit, _ = diagonal_limit(seq, (1, levels, len(members)), strict=False)

@@ -112,16 +112,19 @@ def generator_to_dict(gen: ProductGenerator) -> dict:
 def generator_from_dict(data: dict) -> ProductGenerator:
     if "fiber" in data:
         fiber = fiber_from_dict(data["fiber"])
-    elif data.get("fiber_kind") == "circle":
-        fiber = circle_fiber(int(data["fiber_points"]), float(data.get("fiber_radius", 1.0)))
-    elif data.get("fiber_kind") == "segment":
-        fiber = segment_fiber(int(data["fiber_points"]), float(data.get("fiber_length", 1.0)))
+    elif data.get("fiber_kind") in ("circle", "segment"):
+        n = int(integer_values(data["fiber_points"], "fiber points"))
+        if data["fiber_kind"] == "circle":
+            fiber = circle_fiber(n, float(data.get("fiber_radius", 1.0)))
+        else:
+            fiber = segment_fiber(n, float(data.get("fiber_length", 1.0)))
     else:
         raise ShapeMismatch("generator spec needs a fiber")
     t_range = tuple(float(v) for v in data.get("t_range", (-1.0, 1.0)))
     if "family_index" in data:
         n = data["family_index"]
-        return product_family(fiber, n if n == "inf" else int(n), t_range)
+        return product_family(fiber, n if n == "inf" else int(integer_values(n, "family index")),
+                              t_range)
     return ProductGenerator(fiber=fiber, cone_scale=float(data.get("cone_scale", 1)),
                             t_range=t_range)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lorentzgh
-from lorentzgh.cli import main
+from lorentzgh.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMAS = ROOT / "docs" / "schemas"
@@ -199,6 +200,12 @@ class TestGeometryCommands:
         assert json.loads(err)["error"] == "shape-mismatch"
         assert "Traceback" not in err
 
+    def test_integer_list_skips_empty_entries(self, capsys):
+        argv = ["sample", "--generator", str(SCHEMAS / "generator.json"), "--step", "0.5"]
+        code, out, err = run_cli(argv + ["--sites", "0,,1"], capsys)
+        assert code == 0, err
+        assert (code, out, err) == run_cli(argv + ["--sites", "0,1"], capsys)
+
     def test_scan(self, capsys):
         payload = run_json(["scan", "--space", str(SCHEMAS / "space.json"),
                             "--K-list", "0,0.5", "--budget", "20", "--seed", "1"],
@@ -384,6 +391,13 @@ INPUT_RULES = {
                                         "matching keys ['2.5'] are not integers"),
     "measure-limit-fractional-bound-key": (["measure", "limit", "--manifest", "limit-key.json"],
                                            "bound keys ['2.5'] are not integers"),
+    # generator counts are read by the same rule
+    "sample-fractional-fiber-points": (["sample", "--generator", "gen-points.json", "--step",
+                                        "0.5"], "fiber points [8.7] are not integers"),
+    "causet-sprinkle-fractional-family-index": (["causet", "sprinkle", "--generator",
+                                                 "gen-family.json", "--region", "0,0.5",
+                                                 "--count", "5", "--seed", "1"],
+                                                "family index [10.9] are not integers"),
 }
 CERTIFY = json.loads((SCHEMAS / "certify_manifest.json").read_text())
 MEASURE_LIMIT = json.loads((SCHEMAS / "measure_limit_manifest.json").read_text())
@@ -404,6 +418,8 @@ INPUT_FILES = {
     "certify-key.json": {**CERTIFY, "matchings": {"0,0": {"0": 0, "2.5": 2},
                                                   "0,1": {"0": 0, "2": 2}}},
     "limit-key.json": {**MEASURE_LIMIT, "bounds": {"2.5": 2.0}},
+    "gen-points.json": {"fiber_kind": "circle", "fiber_points": 8.7, "family_index": 10},
+    "gen-family.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10.9},
 }
 
 
@@ -570,6 +586,14 @@ class TestLimitsCommands:
                             "--lambdas", "1,2", "--levels", "2"], capsys)
         assert all(rec["diameter"] <= 1.0 for rec in tangent["records"])
 
+    @pytest.mark.parametrize("lam", ["0", "nan", "-1"])
+    def test_tangent_lambda_not_positive_exit_1(self, lam, capsys):
+        code, out, err = run_cli(["tangent", "--covered", str(SCHEMAS / "covered_space.json"),
+                                  "--o", "1", f"--lambdas={lam}"], capsys)
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "spec-violated"
+
     def test_tol_reaches_covered_loaders(self, tmp_path, capsys):
         f = tmp_path / "cov.json"
         f.write_text(json.dumps(SHORT_CHAIN))
@@ -666,6 +690,32 @@ class TestCausetCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "count,tau_distortion,chain_distortion"
         assert lines[1].startswith("20,")
+
+
+def leaf_parsers(parser, path=()):
+    """(command words, parser) for each leaf command under `parser`."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from leaf_parsers(child, (*path, name))
+
+
+class TestCommandTable:
+    """The parser is the one command table: each leaf names its handler."""
+
+    LEAVES = list(leaf_parsers(build_parser()))
+
+    def test_every_command_is_a_leaf(self):
+        commands = [path for path, _ in self.LEAVES]
+        assert len(commands) == 25 and ("measure", "induce") in commands
+
+    @pytest.mark.parametrize("path, parser", LEAVES, ids=[" ".join(p) for p, _ in LEAVES])
+    def test_leaf_runs_a_handler_and_has_help(self, path, parser, capsys):
+        assert callable(parser.get_default("run"))
+        code, out, _ = run_cli([*path, "--help"], capsys)
+        assert code == 0 and out.startswith(f"usage: lorentzgh {' '.join(path)} ")
 
 
 def test_subprocess_entry_point(tmp_path):

@@ -7,7 +7,8 @@ module-level `_private` function, class or constant must be referenced by
 some library module, its own included. Every module-level public function
 or class must be referenced by the library, the acceptance criteria, the
 benchmark (its sources or its `SPANS` table) or the README; a name that only
-unit tests call is not part of the surface. Re-exports do not count.
+unit tests call is not part of the surface. Re-exports do not count. Imports
+sit at module level: no library function body holds an `import` statement.
 """
 
 import ast
@@ -70,6 +71,14 @@ def unused_public(sources: dict[str, str], outside: list[str], words: set[str]) 
                   and not node.name.startswith("_") and node.name not in used)
 
 
+def imports_in_functions(source: str) -> list[str]:
+    """`function:line` for each import statement inside a function body."""
+    tree = ast.parse(source)
+    return sorted(f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
 def test_modules_found():
     assert "core.py" in MODULES and "__init__.py" not in MODULES
 
@@ -84,6 +93,18 @@ def test_check_sees_an_unused_name():
               "from .core import build_space, point_indices as pi\n"
               "def f(n):\n    return build_space(n)\n")
     assert unused_from_imports(source) == ["pi"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    assert imports_in_functions((SRC / module).read_text()) == []
+
+
+def test_function_import_check_sees_one():
+    source = ("import math\n"
+              "def f():\n    from . import core\n    return core\n"
+              "def g():\n    return math.pi\n")
+    assert imports_in_functions(source) == ["f:3"]
 
 
 def test_no_unreferenced_private_name():

@@ -210,6 +210,12 @@ class TestTangent:
         with pytest.raises(NoAdmissibleBasepoints):
             select_blowup_spec(cov, cov.basepoint, 1e9)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_lambda_not_positive_is_spec_violated(self, lam):
+        cov = self._minkowski_cov()
+        with pytest.raises(SpecViolated, match="lambda > 0"):
+            select_blowup_spec(cov, cov.basepoint, lam)
+
 
 def reference_blowup_spec(cov, o, lam):
     """The per-pair loop `select_blowup_spec` replaced: the least (tau, -size, o-, o+)."""
