@@ -387,7 +387,7 @@ def _cmd_grid_net(args):
 
 def _cmd_cones(args):
     gen = _load(args.generator, ser.generator_from_dict)
-    _emit(args, cone_dominates((gen.cone_scale, gen.fiber), (args.beta, args.omega)))
+    _emit(args, cone_dominates(gen.cone_scale, args.beta, args.omega))
 
 
 def _cmd_fourpoint(args):

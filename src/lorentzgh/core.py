@@ -352,8 +352,7 @@ def quotient_tau_indistinguishable(space: FiniteLorentzSpace):
     roots = sorted({find(i) for i in range(n)})
     class_of_root = {r: c for c, r in enumerate(roots)}
     projection = np.array([class_of_root[find(i)] for i in range(n)], dtype=int)
-    return FiniteLorentzSpace([space.labels[r] for r in roots],
-                              space.ell[np.ix_(roots, roots)], space.tol), projection
+    return space.restrict(roots), projection
 
 
 def classify_special_points(space: FiniteLorentzSpace) -> dict[str, Optional[int]]:

@@ -234,24 +234,12 @@ class FourPointConfig:
     points: tuple[int, int, int, int]  # (y, x, z1, z2)
 
 
-def _config_sides(space: FiniteLorentzSpace, cfg: FourPointConfig):
-    y, x, z1, z2 = cfg.points
-    if cfg.kind == "future":
-        ok = space.chron[y, x] and space.chron[x, z1] and space.causal[z1, z2]
-        tau = space.tau
-        pattern = (tau(y, x), tau(y, z1), tau(y, z2), tau(x, z1), tau(x, z2),
-                   tau(z1, z2), tau(y, z2))
-    elif cfg.kind == "past":
-        # past configurations are future ones of the time-reversed space
-        ok = space.chron[x, y] and space.chron[z1, x] and space.causal[z2, z1]
-        tau = space.tau
-        pattern = (tau(x, y), tau(z1, y), tau(z2, y), tau(z1, x), tau(z2, x),
-                   tau(z2, z1), tau(z2, y))
-    else:
-        raise ShapeMismatch(f"unknown configuration kind {cfg.kind!r}")
-    if not ok:
-        raise ShapeMismatch(f"points {cfg.points} do not form a {cfg.kind} four-point configuration")
-    return pattern
+def _sides(item, y: int, x: int, z1: int, z2: int) -> list[float]:
+    """tau = max(0, ell) of (y, x), (y, z1), (y, z2), (x, z1), (x, z2) and (z1, z2),
+    read as Python floats through `item`, an ell matrix's `item` method."""
+    return [v if v > 0.0 else 0.0
+            for v in (item(y, x), item(y, z1), item(y, z2), item(x, z1), item(x, z2),
+                      item(z1, z2))]
 
 
 def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
@@ -259,8 +247,17 @@ def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
     """Compare tau(z1, z2) against the model value; holds iff slack >= -tol."""
     _check_K(K)
     point_indices(space.n, cfg.points, "configuration points")
-    t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z, t_guard = map(float, _config_sides(space, cfg))
-    if t_guard >= diameter_bound(K):
+    y, x, z1, z2 = cfg.points
+    ell, chron, causal = space.ell, space.chron, space.causal
+    if cfg.kind == "past":
+        # past configurations are future ones of the time-reversed space
+        ell, chron, causal = ell.T, chron.T, causal.T
+    elif cfg.kind != "future":
+        raise ShapeMismatch(f"unknown configuration kind {cfg.kind!r}")
+    if not (chron[y, x] and chron[x, z1] and causal[z1, z2]):
+        raise ShapeMismatch(f"points {cfg.points} do not form a {cfg.kind} four-point configuration")
+    t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z = _sides(ell.item, y, x, z1, z2)
+    if t_yz2 >= diameter_bound(K):
         raise Unrealizable("tau(y, z2) >= D_K")
     slack, model_val, residual = _slack(K, t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z)
     return {"holds": bool(slack >= -tol), "slack": float(slack),
@@ -302,11 +299,7 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
         if z2s.size == 0:
             continue
         z2 = int(z2s[draw(z2s.size)])
-        # tau = max(0, ell), read as Python floats
-        t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z = [
-            v if v > 0.0 else 0.0
-            for v in (item(y, x), item(y, z1), item(y, z2), item(x, z1), item(x, z2),
-                      item(z1, z2))]
+        t_yx, t_yz1, t_yz2, t_xz1, t_xz2, t_z = _sides(item, y, x, z1, z2)
         if t_yz2 >= dk:
             continue
         try:

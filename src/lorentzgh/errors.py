@@ -4,13 +4,25 @@ from __future__ import annotations
 
 
 class DomainError(Exception):
-    """Base for all domain errors; `payload` is JSON-serializable."""
+    """Base for all domain errors; `payload` is JSON-serializable.
+
+    A class names its positional payload in `fields`; one argument past them
+    is the message, which defaults to `template` formatted with the payload.
+    Every payload value is also an attribute.
+    """
 
     code = "domain-error"
+    fields: tuple[str, ...] = ()
+    template = ""
 
-    def __init__(self, message: str, **payload):
-        super().__init__(message)
+    def __init__(self, *args):
+        if not len(self.fields) <= len(args) <= len(self.fields) + 1:
+            raise TypeError(f"{type(self).__name__} takes {self.fields} and a message")
+        payload = dict(zip(self.fields, args))
+        message = args[len(self.fields)] if len(args) > len(self.fields) else ""
+        super().__init__(message or self.template.format(**payload))
         self.payload = payload
+        self.__dict__.update(payload)
 
     def record(self) -> dict:
         return {"error": self.code, "message": str(self), **self.payload}
@@ -21,15 +33,12 @@ class ShapeMismatch(DomainError):
 
 
 class AxiomViolation(DomainError):
-    """A space axiom failed; `kind` is 'reverse-triangle', 'diagonal' or 'codomain'."""
+    """A space or fiber axiom failed; `kind` is 'reverse-triangle', 'triangle',
+    'diagonal', 'symmetry' or 'codomain'."""
 
     code = "axiom-violation"
-
-    def __init__(self, kind: str, witness, message: str = ""):
-        super().__init__(message or f"{kind} violated at {witness}",
-                         kind=kind, witness=witness)
-        self.kind = kind
-        self.witness = witness
+    fields = ("kind", "witness")
+    template = "{kind} violated at {witness}"
 
 
 class PrePDPRequired(DomainError):
@@ -50,11 +59,8 @@ class CapExceeded(DomainError):
 
 class Uncoverable(DomainError):
     code = "uncoverable"
-
-    def __init__(self, points, message: str = ""):
-        super().__init__(message or f"points not coverable: {sorted(points)}",
-                         points=sorted(points))
-        self.points = sorted(points)
+    fields = ("points",)
+    template = "points not coverable: {points}"
 
 
 class MiddleMismatch(DomainError):
@@ -63,12 +69,8 @@ class MiddleMismatch(DomainError):
 
 class CardinalityMismatch(DomainError):
     code = "cardinality-mismatch"
-
-    def __init__(self, scale, member, message: str = ""):
-        super().__init__(message or f"net cardinality mismatch at scale {scale}, member {member}",
-                         scale=scale, member=member)
-        self.scale = scale
-        self.member = member
+    fields = ("scale", "member")
+    template = "net cardinality mismatch at scale {scale}, member {member}"
 
 
 class EmptyPlan(DomainError):
@@ -81,11 +83,8 @@ class EpsilonTooLarge(DomainError):
 
 class NotAFiberNet(DomainError):
     code = "not-a-fiber-net"
-
-    def __init__(self, witness, message: str = ""):
-        super().__init__(message or f"fiber point {witness} not within net radius of any site",
-                         witness=witness)
-        self.witness = witness
+    fields = ("witness",)
+    template = "fiber point {witness} not within net radius of any site"
 
 
 class UnsupportedMetricFamily(DomainError):
@@ -98,11 +97,8 @@ class ChartDomain(DomainError):
 
 class Unrealizable(DomainError):
     code = "unrealizable"
-
-    def __init__(self, constraint: str, message: str = ""):
-        super().__init__(message or f"side constraint not realizable: {constraint}",
-                         constraint=constraint)
-        self.constraint = constraint
+    fields = ("constraint",)
+    template = "side constraint not realizable: {constraint}"
 
 
 class SolverDiverged(DomainError):
@@ -111,29 +107,26 @@ class SolverDiverged(DomainError):
 
 class NetDoesNotCover(DomainError):
     code = "net-does-not-cover"
+    fields = ("points",)
+    template = "net misses subset points {points}"
 
 
 class UnmappedAtom(DomainError):
     code = "unmapped-atom"
+    fields = ("atom",)
+    template = "atom {atom} has no image under the point map"
 
 
 class UnboundedWeights(DomainError):
     code = "unbounded-weights"
-
-    def __init__(self, cover_index, message: str = ""):
-        super().__init__(message or f"weights violate the mass bound at cover level {cover_index}",
-                         cover_index=cover_index)
-        self.cover_index = cover_index
+    fields = ("cover_index",)
+    template = "weights violate the mass bound at cover level {cover_index}"
 
 
 class NonCauchy(DomainError):
     code = "non-cauchy"
-
-    def __init__(self, entry, depth, message: str = ""):
-        super().__init__(message or f"entry {entry} not Cauchy at depth {depth}",
-                         entry=entry, depth=depth)
-        self.entry = entry
-        self.depth = depth
+    fields = ("entry", "depth")
+    template = "entry {entry} not Cauchy at depth {depth}"
 
 
 class ScheduleViolation(DomainError):
@@ -142,18 +135,14 @@ class ScheduleViolation(DomainError):
 
 class SpecViolated(DomainError):
     code = "spec-violated"
-
-    def __init__(self, which: str, message: str = ""):
-        super().__init__(message or f"blow-up spec invariant violated: {which}", which=which)
-        self.which = which
+    fields = ("which",)
+    template = "blow-up spec invariant violated: {which}"
 
 
 class NoAdmissibleBasepoints(DomainError):
     code = "no-admissible-basepoints"
-
-    def __init__(self, lam, message: str = ""):
-        super().__init__(message or f"no basepoint pair with tau < 1/{lam}", lam=lam)
-        self.lam = lam
+    fields = ("lam",)
+    template = "no basepoint pair with tau < 1/{lam}"
 
 
 class CycleDetected(DomainError):

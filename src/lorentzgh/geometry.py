@@ -2,15 +2,16 @@
 
 The closed-form time separation of the scaled product  -C^2 dt^2 + h  over a
 finite fiber drives sampling, explicit grid nets, and the nested-cone family
-(cone scale 1 + 1/n). Warped metrics -beta dt^2 + omega(t)^2 h0 exist only
-for the cone-domination check; their tau has no closed form here.
+(cone scale 1 + 1/n). Warped metrics -beta dt^2 + omega^2 h0 with constant
+beta and omega exist only for the cone-domination check, which is their
+analytic certificate; their tau is never computed here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -178,17 +179,37 @@ def product_ell(gen: ProductGenerator, p: Point, q: Point) -> float:
 
 
 def _ell_matrix(gen: ProductGenerator, points: Sequence[Point]) -> np.ndarray:
-    ts = np.array([p[0] for p in points])
+    """The `product_ell` matrix of `points`, built in four n x n float buffers.
+
+    The rounded steps are those of the scalar formula, in its order; only the
+    buffers are shared. |margin| <= scale is read as -scale <= margin <= scale,
+    and margin >= -scale as -margin <= scale, which exact negation makes equal.
+    """
+    ts = np.array([p[0] for p in points], dtype=float)
     sites = np.array([p[1] for p in points], dtype=int)
+    c = gen.cone_scale
     dt = ts[None, :] - ts[:, None]
     d = gen.fiber.d[np.ix_(sites, sites)]
-    c = gen.cone_scale
-    margin = c * dt - d
-    scale = _NULL_SNAP * np.maximum(c * np.abs(dt), d)
-    causal = (dt >= 0) & (margin >= -scale)
-    val = np.sqrt(np.maximum(c * c * dt * dt - d * d, 0.0))
-    val[(dt >= 0) & (np.abs(margin) <= scale)] = 0.0
-    return np.where(causal, val, NEG_INF)
+    out = np.multiply(dt, c)
+    out -= d  # margin = c dt - d
+    scale = np.abs(dt)
+    scale *= c
+    np.maximum(scale, d, out=scale)
+    scale *= _NULL_SNAP
+    null = out <= scale
+    np.negative(out, out=out)
+    causal = out <= scale
+    causal &= dt >= 0
+    null &= causal
+    np.multiply(dt, c * c, out=out)
+    out *= dt
+    d *= d
+    out -= d
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    out[null] = 0.0
+    out[~causal] = NEG_INF
+    return out
 
 
 @dataclass(frozen=True)
@@ -373,48 +394,22 @@ def net_vertex_points(net: GridNet) -> tuple[Point, ...]:
 
 
 # ---------------------------------------------------------------------------
-# cone domination for warped metrics -beta dt^2 + omega(t)^2 h0
+# cone domination for constant warped metrics -beta dt^2 + omega^2 h0
 # ---------------------------------------------------------------------------
 
 
-def cone_dominates(coarse: tuple[float, FiniteMetricFiber],
-                   fine: tuple[Union[float, Callable], Union[float, Callable]],
-                   t_samples: Sequence[float] = (0.0,),
-                   direction_samples: int = 32,
-                   seed: int = 0) -> dict:
+def cone_dominates(cone_scale: float, beta: float, omega: float) -> dict:
     """Check that rho_C-causal directions are causal for -beta dt^2 + omega^2 h0.
 
-    Constant beta/omega get the analytic certificate (inf beta / sup omega^2
-    >= C^2); otherwise directions |v_x| <= C (with v_t = 1) are sampled per
-    (t, site), always including the extreme ray |v_x| = C.
+    Constant beta and omega make this the analytic certificate beta / omega^2
+    >= C^2 with C = cone_scale; a failure is witnessed by the extreme ray
+    |v_x| = C at (t, site) = (0.0, 0).
     """
-    c, fiber = coarse
-    beta, omega = fine
-    analytic = not callable(beta) and not callable(omega)
-    if analytic:
-        b, w = float(beta), float(omega)
-        if not (0 < b <= 1):
-            raise UnsupportedMetricFamily(f"beta must lie in (0, 1], got {b}")
-        if not (w > 0):
-            raise UnsupportedMetricFamily(f"omega must be positive, got {w}")
-        holds = b / (w * w) >= c * c
-        return {"holds": bool(holds), "witness": None if holds else (t_samples[0], 0, c),
-                "certificate": "analytic"}
-
-    beta_f = beta if callable(beta) else (lambda t, s, _b=float(beta): _b)
-    omega_f = omega if callable(omega) else (lambda t, _w=float(omega): _w)
-    rng = np.random.default_rng(seed)
-    for t in t_samples:
-        w = float(omega_f(t))
-        if not (w > 0):
-            raise UnsupportedMetricFamily(f"omega({t}) must be positive")
-        vx = np.concatenate([[0.0, c], rng.uniform(0.0, c, size=max(0, direction_samples - 2))])
-        for s in range(fiber.n):
-            b = float(beta_f(t, s))
-            if not (0 < b <= 1):
-                raise UnsupportedMetricFamily(f"beta({t}, site {s}) must lie in (0, 1]")
-            bad = vx[b < (w * w) * vx * vx - 1e-15]
-            if bad.size:
-                return {"holds": False, "witness": (float(t), int(s), float(bad[0])),
-                        "certificate": "sampled"}
-    return {"holds": True, "witness": None, "certificate": "sampled"}
+    b, w = float(beta), float(omega)
+    if not (0 < b <= 1):
+        raise UnsupportedMetricFamily(f"beta must lie in (0, 1], got {b}")
+    if not (w > 0):
+        raise UnsupportedMetricFamily(f"omega must be positive, got {w}")
+    holds = b / (w * w) >= cone_scale * cone_scale
+    return {"holds": bool(holds), "witness": None if holds else (0.0, 0, cone_scale),
+            "certificate": "analytic"}

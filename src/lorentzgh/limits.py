@@ -194,11 +194,7 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     pos = {orig: new for new, orig in enumerate(keep)}
     ell = spec.lam * space.ell[np.ix_(keep, keep)]
     sub = build_space([space.labels[i] for i in keep], ell, tol=space.tol)
-    cover_levels = []
-    for level in cov.cover:
-        traced = sorted(pos[i] for i in level if i in pos)
-        cover_levels.append(traced)
-    return covered(sub, pos[spec.o], cover_levels)
+    return covered(sub, pos[spec.o], [[pos[i] for i in level if i in pos] for level in cov.cover])
 
 
 def select_blowup_spec(cov: CoveredFiniteSpace, o: int, lam: float) -> BlowupSpec:

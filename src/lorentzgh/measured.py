@@ -66,7 +66,7 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
     masks = diamond_masks(space, net.pairs, a_idx)
     missing = [int(i) for i in a_idx[~masks.any(axis=0)]]
     if missing:
-        raise NetDoesNotCover(f"net misses subset points {missing}", points=missing)
+        raise NetDoesNotCover(missing)
 
     weights = m.as_dict()
     out: dict[int, float] = {}
@@ -89,7 +89,7 @@ def pushforward(f: dict[int, int], m: AtomicMeasure) -> AtomicMeasure:
     for i, w in m.weights:
         j = f.get(i)
         if j is None:
-            raise UnmappedAtom(f"atom {i} has no image under the point map", atom=i)
+            raise UnmappedAtom(i)
         buckets.setdefault(int(integer_values(j, "atom images")), []).append(w)
     return atomic_measure({j: math.fsum(ws) for j, ws in buckets.items()})
 
@@ -107,21 +107,21 @@ LIMIT_WINDOW = 5  # tail length of every limit fit, here and in limits.diagonal_
 
 
 def _monotone_candidates(values: Sequence[float]) -> list[list[int]]:
-    """Non-increasing and non-decreasing leader subsequences (positions)."""
-    n = len(values)
-    lead_down, best = [], -math.inf
-    for k in range(n - 1, -1, -1):
-        if values[k] >= best:
-            lead_down.append(k)
-            best = values[k]
-    lead_down.reverse()
-    lead_up, best = [], math.inf
-    for k in range(n - 1, -1, -1):
-        if values[k] <= best:
-            lead_up.append(k)
-            best = values[k]
-    lead_up.reverse()
-    return [lead_down, lead_up]
+    """Non-increasing and non-decreasing leader subsequences (positions).
+
+    One leader scan (keep a value >= every later one) serves both: on the
+    negated values it picks the non-decreasing one, negation being exact for
+    every float, NaN included.
+    """
+    candidates = []
+    for vals in (values, [-v for v in values]):
+        lead, best = [], -math.inf
+        for k in range(len(vals) - 1, -1, -1):
+            if vals[k] >= best:
+                lead.append(k)
+                best = vals[k]
+        candidates.append(lead[::-1])
+    return candidates
 
 
 def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int]] = None):

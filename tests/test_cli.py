@@ -188,6 +188,15 @@ class TestGeometryCommands:
                             "--beta", "1.0", "--omega", "1.0"], capsys)
         assert not payload["holds"]  # family cone scale 1.1 > sqrt(beta)/omega
 
+    @pytest.mark.parametrize("beta, omega, stdout", [
+        ("0.5", "2.0", '{"certificate":"analytic","holds":false,"witness":[0.0,0,1.1]}\n'),
+        ("1.0", "0.5", '{"certificate":"analytic","holds":true,"witness":null}\n'),
+    ])
+    def test_cones_stdout_bytes(self, beta, omega, stdout, capsys):
+        code, out, _ = run_cli(["cones", "--generator", str(SCHEMAS / "generator.json"),
+                                "--beta", beta, "--omega", omega], capsys)
+        assert (code, out) == (0, stdout)
+
     @pytest.mark.parametrize("kind, points", [("circle", 0), ("segment", 0), ("segment", -2)])
     @pytest.mark.parametrize("argv", [["sample", "--step", "0.5"],
                                       ["cones", "--beta", "1", "--omega", "1"]])

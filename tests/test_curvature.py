@@ -275,6 +275,32 @@ class TestComparisonConfig:
             comparison_config(0.0, (1.0, 1.2, 2.5, 1.0, 1.4))  # 1.2 < 1 + 1
 
 
+def _outcome(call):
+    """The result of `call`, or the record of the domain error it raises."""
+    try:
+        return call()
+    except DomainError as exc:
+        return exc.record()
+
+
+@st.composite
+def past_configurations(draw):
+    """A jittered product sample and a past four-point configuration (y, x, z1, z2)
+    of it: x << y, z1 << x and z2 <= z1."""
+    fiber = draw(st.sampled_from([circle_fiber, segment_fiber]))(
+        draw(st.integers(1, 4)), draw(st.floats(0.2, 2.0)))
+    gen = ProductGenerator(fiber=fiber, cone_scale=draw(st.floats(0.5, 2.0)), t_range=(0.0, 3.0))
+    space = sample_spacetime(gen, SamplePlan(time_step=0.5, seed=draw(st.integers(0, 999)))).space
+    chron, causal = space.chron, space.causal
+    has_past = chron.any(axis=0)
+    ys = np.flatnonzero((chron & has_past[:, None]).any(axis=0))
+    y = draw(st.sampled_from(ys.tolist()))
+    x = draw(st.sampled_from(np.flatnonzero(chron[:, y] & has_past).tolist()))
+    z1 = draw(st.sampled_from(np.flatnonzero(chron[:, x]).tolist()))
+    z2 = draw(st.sampled_from(np.flatnonzero(causal[:, z1]).tolist()))
+    return space, (y, x, z1, z2)
+
+
 class TestFourPoint:
     def test_collinear_zero_slack(self):
         s = minkowski_sample()
@@ -291,6 +317,17 @@ class TestFourPoint:
                                       s.index_of((0.25, 0)), s.index_of((0.0, 0))))
         out = four_point_check(s.space, cfg, 0.0)
         assert out["holds"] and abs(out["slack"]) <= 1e-10
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_past_is_future_of_time_reversal(self, data):
+        """A past configuration checks as the same points' future configuration
+        in the space with ell transposed, error records included."""
+        space, points = data.draw(past_configurations())
+        K = data.draw(st.sampled_from([0.0, 0.5, -0.5, 3.0]) | st.floats(-4.0, 4.0))
+        reversed_space = FiniteLorentzSpace(space.labels, space.ell.T, space.tol)
+        assert _outcome(lambda: four_point_check(space, FourPointConfig("past", points), K)) == \
+            _outcome(lambda: four_point_check(reversed_space, FourPointConfig("future", points), K))
 
     def test_relabel_invariance_when_both_orders_admissible(self):
         # z1 = z2 satisfies both orders; slack must agree
