@@ -246,6 +246,8 @@ def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
                      tol: float = 1e-9) -> dict:
     """Compare tau(z1, z2) against the model value; holds iff slack >= -tol."""
     _check_K(K)
+    if len(cfg.points) != 4:
+        raise ShapeMismatch(f"a four-point configuration needs 4 points, got {len(cfg.points)}")
     point_indices(space.n, cfg.points, "configuration points")
     y, x, z1, z2 = cfg.points
     ell, chron, causal = space.ell, space.chron, space.causal
@@ -291,9 +293,7 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
         if xs.size == 0:
             continue
         x = int(xs[draw(xs.size)])
-        z1s = chron[x].nonzero()[0]
-        if z1s.size == 0:
-            continue
+        z1s = chron[x].nonzero()[0]  # never empty: x has a future
         z1 = int(z1s[draw(z1s.size)])
         z2s = causal[z1].nonzero()[0]
         if z2s.size == 0:

@@ -19,7 +19,7 @@ from .core import CoveredFiniteSpace, build_space, covered, point_indices, timel
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
-from .measured import LIMIT_WINDOW, extract_limit
+from .measured import _refine
 from .nets import DiamondNet, doubling_constant, greedy_net
 
 
@@ -48,11 +48,7 @@ class CoveredSequence:
 def _check_schedule(schedules, depth_k: int, depth_l: int) -> None:
     for k in range(depth_k):
         for l in range(depth_l):
-            sizes = set()
-            for m, sched in enumerate(schedules):
-                if len(sched) <= k or len(sched[k]) <= l:
-                    raise ScheduleViolation(f"member {m} lacks a net at (k={k}, l={l})")
-                sizes.add(len(sched[k][l].pairs))
+            sizes = {len(sched[k][l].pairs) for sched in schedules}
             if len(sizes) != 1:
                 raise ScheduleViolation(f"net cardinalities differ at (k={k}, l={l}): {sorted(sizes)}")
         # nets nested in k, per member
@@ -65,28 +61,17 @@ def _check_schedule(schedules, depth_k: int, depth_l: int) -> None:
 
 
 def _entry_limit(series, positions, member_indices, tol, entry, strict, log):
-    """Limit of one ell-entry along the shared subsequence; refines `positions`."""
-    tail_vals = [series[p] for p in positions[-LIMIT_WINDOW:]]
-    if all(v == NEG_INF for v in tail_vals):
-        # eventually causally unrelated; keep the unrelated members
-        positions[:] = [p for p in positions if series[p] == NEG_INF]
-        value, spread = NEG_INF, 0.0
-    elif all(v > NEG_INF for v in tail_vals):
-        positions[:] = [p for p in positions if series[p] > NEG_INF]
-        vals = [series[p] for p in positions]
-        idx = [member_indices[p] for p in positions] if member_indices is not None else None
-        value, kept_rel, spread = extract_limit(vals, idx)
-        positions[:] = [positions[i] for i in kept_rel]
-        if spread > tol:
-            if strict:
-                raise NonCauchy(entry, len(series))
-            log["non_cauchy"].append({"entry": entry, "spread": spread})
-    else:
+    """Limit of one ell-entry by the diagonal step; NonCauchy when strict, else logged."""
+    value, spread = _refine(series, positions, member_indices)
+    if spread == math.inf:  # a tail mixing unrelated and related members, whatever tol is
         if strict:
             raise NonCauchy(entry, len(series),
                             f"entry {entry} mixes unrelated and related members in the tail")
         log["non_cauchy"].append({"entry": entry, "spread": None})
-        value, spread = tail_vals[-1], math.inf
+    elif spread > tol and not (value == NEG_INF and spread == 0.0):  # all -inf: exact at any tol
+        if strict:
+            raise NonCauchy(entry, len(series))
+        log["non_cauchy"].append({"entry": entry, "spread": spread})
     log["entries"][entry] = {"value": value, "kept": len(positions), "spread": spread}
     return value
 
@@ -146,10 +131,13 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
            "note": "finite truncation carries the discrete topology "
                    "(source construction uses the chronological one)"}
     ell = np.full((len(classes), len(classes)), NEG_INF)
+    columns = [np.array(col) for col in zip(*classes)]  # per member, its vertex of each class
     for a, ca in enumerate(classes):
-        for b, cb in enumerate(classes):
-            series = [cov.space.ell[x, y] for cov, x, y in zip(members, ca, cb)]
-            ell[a, b] = _entry_limit(series, positions, member_idx, tol, (a, b), strict, log)
+        # class row a of every member at once: rows[b, m] is member m's ell entry (a, b)
+        rows = np.array([cov.space.ell[x, col] for cov, x, col in zip(members, ca, columns)]).T
+        for b in range(len(classes)):  # one series at a time keeps the allocation peak low
+            ell[a, b] = _entry_limit(rows[b].tolist(), positions, member_idx, tol, (a, b), strict, log)
+    del columns, rows  # freed before build_space, where this call's allocations peak
     log["final_subsequence"] = ([member_idx[p] for p in positions]
                                 if member_idx is not None else positions)
 
@@ -263,26 +251,17 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
 
     limit = None
     if len(members) >= 2:
-        padded = []
-        for l in range(levels):
-            target = max(len(s[l]) for s in schedules)
-            for s in schedules:
-                if len(s[l]) < target:
-                    notes.append("schedule padded to align cardinalities")
-            padded.append(target)
-        aligned = []
-        for s in schedules:
-            per_k = []
-            for l in range(levels):
-                pairs = list(s[l].pairs)
-                while len(pairs) < padded[l]:
-                    pairs.append(pairs[-1])
-                per_k.append(DiamondNet(pairs=tuple(pairs), epsilon=s[l].epsilon))
-            aligned.append((tuple(per_k),))  # single cover level per blow-up
-        seq = CoveredSequence(members=tuple(members), schedules=tuple(aligned),
+        targets = [max(len(s[l]) for s in schedules) for l in range(levels)]
+        notes.extend("schedule padded to align cardinalities"
+                     for l, target in enumerate(targets) for s in schedules if len(s[l]) < target)
+        aligned = tuple((tuple(DiamondNet(pairs=net.pairs + net.pairs[-1:] * (target - len(net)),
+                                          epsilon=net.epsilon)
+                               for net, target in zip(s, targets)),)  # one cover level
+                        for s in schedules)
+        seq = CoveredSequence(members=tuple(members), schedules=aligned,
                               member_indices=tuple(int(r["lambda"]) for r in records))
         try:
             limit, _ = diagonal_limit(seq, (1, levels, len(members)), strict=False)
-        except (ScheduleViolation, NonCauchy, AxiomViolation) as exc:
+        except (ScheduleViolation, AxiomViolation) as exc:
             notes.append(f"limit construction failed: {exc}")
     return TangentReport(records=tuple(records), limit=limit, notes=tuple(notes))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import FiniteLorentzSpace, integer_values, point_indices
 from .errors import NetDoesNotCover, ShapeMismatch, UnboundedWeights, UnmappedAtom
+from .extended import NEG_INF
 from .nets import DiamondNet, diamond_masks
 
 
@@ -103,7 +104,7 @@ def weak_gap(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return max(abs(a.get(i, 0.0) - b.get(i, 0.0)) for i in atoms)
 
 
-LIMIT_WINDOW = 5  # tail length of every limit fit, here and in limits.diagonal_limit
+LIMIT_WINDOW = 5  # tail length read by every limit fit and by the diagonal step `_refine`
 
 
 def _monotone_candidates(values: Sequence[float]) -> list[list[int]]:
@@ -158,20 +159,46 @@ def extract_limit(values: Sequence[float], member_indices: Optional[Sequence[int
     return float(limit), pos, float(spread)
 
 
+def _refine(series, positions: list[int], member_indices: Optional[Sequence[int]]):
+    """One diagonal step: (limit, spread) of member values `series[p]` along `positions`,
+    which it refines in place, read off their last LIMIT_WINDOW. An all -inf tail keeps
+    the -inf members: (-inf, 0.0). A mixed tail keeps every member: (its last value,
+    inf). Otherwise `extract_limit` chooses among the finite members."""
+    tail = [series[p] for p in positions[-LIMIT_WINDOW:]]
+    if all(v == NEG_INF for v in tail):
+        positions[:] = [p for p in positions if series[p] == NEG_INF]
+        return NEG_INF, 0.0
+    if not all(v > NEG_INF for v in tail):
+        return tail[-1], math.inf
+    positions[:] = [p for p in positions if series[p] > NEG_INF]
+    idx = None if member_indices is None else [member_indices[p] for p in positions]
+    limit, kept, spread = extract_limit([series[p] for p in positions], idx)
+    positions[:] = [positions[k] for k in kept]
+    return limit, spread
+
+
 def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasure]],
                            bounds: Optional[dict[int, float]] = None,
                            member_indices: Optional[Sequence[int]] = None):
     """Vertex-wise limits of pushforward measures indexed by (cover k, scale l).
 
-    Per (k, l) the per-vertex weight sequences are refined to a shared
-    subsequence (diagonal extraction, reused across increasing k so earlier
-    cover levels stay consistent). `bounds` holds the per-level mass bounds
-    C_k; members violating 1/C_k <= mass <= C_k raise UnboundedWeights.
+    Every key holds one measure per member, and `member_indices`, when
+    given, one index per member; other lengths raise ShapeMismatch. Per
+    (k, l) the per-vertex weight sequences refine one shared subsequence by
+    the diagonal step `_refine`, reused across increasing k so earlier cover
+    levels stay consistent. `bounds` holds the per-level mass bounds C_k;
+    members violating 1/C_k <= mass <= C_k raise UnboundedWeights.
     Returns (limit measure, extraction log).
     """
     keys = sorted(sequence.keys())
     if not keys:
         raise ShapeMismatch("empty measured sequence")
+    lengths = {str(key): len(sequence[key]) for key in keys}
+    if member_indices is not None:
+        lengths["member_indices"] = len(member_indices)
+    if len(set(lengths.values())) > 1:
+        raise ShapeMismatch("measure lists and member_indices need one length per member, got "
+                            + ", ".join(f"{name}: {n}" for name, n in lengths.items()))
     if bounds:
         for (k, l), measures in sequence.items():
             ck = bounds.get(k)
@@ -185,23 +212,15 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
     log: dict = {"per_key": {}}
     limit_weights: dict[int, float] = {}
     # process cover levels in order; the subsequence chosen at level k seeds k+1
-    current_positions: Optional[list[int]] = None
+    positions = list(range(len(sequence[keys[0]])))
     for key in keys:
-        measures = list(sequence[key])
-        if current_positions is None or max(current_positions, default=-1) >= len(measures):
-            current_positions = list(range(len(measures)))
-        atoms = sorted({i for m in measures for i, _ in m.weights})
+        weights = [m.as_dict() for m in sequence[key]]
         key_log = {}
-        for atom in atoms:
-            series = [measures[p].mass(atom) for p in current_positions]
-            idx = None
-            if member_indices is not None:
-                idx = [member_indices[p] for p in current_positions]
-            limit, kept, spread = extract_limit(series, idx)
-            current_positions = [current_positions[k2] for k2 in kept]
-            key_log[atom] = {"limit": limit, "kept": list(current_positions),
-                             "spread": spread}
+        for atom in sorted({i for w in weights for i in w}):
+            limit, spread = _refine([w.get(atom, 0.0) for w in weights], positions,
+                                    member_indices)
+            key_log[atom] = {"limit": limit, "kept": list(positions), "spread": spread}
             limit_weights.setdefault(atom, limit)
         log["per_key"][key] = key_log
-    log["final_positions"] = list(current_positions)
+    log["final_positions"] = list(positions)
     return atomic_measure(limit_weights), log

@@ -400,6 +400,11 @@ INPUT_RULES = {
                                         "matching keys ['2.5'] are not integers"),
     "measure-limit-fractional-bound-key": (["measure", "limit", "--manifest", "limit-key.json"],
                                            "bound keys ['2.5'] are not integers"),
+    # every key holds one measure per member, and member_indices one index per member
+    "measure-limit-key-lengths": (["measure", "limit", "--manifest", "limit-lengths.json"],
+                                  "(0, 0): 4, (1, 0): 3"),
+    "measure-limit-short-member-indices": (["measure", "limit", "--manifest",
+                                            "limit-indices.json"], "(0, 0): 4, member_indices: 2"),
     # generator counts are read by the same rule
     "sample-fractional-fiber-points": (["sample", "--generator", "gen-points.json", "--step",
                                         "0.5"], "fiber points [8.7] are not integers"),
@@ -427,6 +432,9 @@ INPUT_FILES = {
     "certify-key.json": {**CERTIFY, "matchings": {"0,0": {"0": 0, "2.5": 2},
                                                   "0,1": {"0": 0, "2": 2}}},
     "limit-key.json": {**MEASURE_LIMIT, "bounds": {"2.5": 2.0}},
+    "limit-lengths.json": {**MEASURE_LIMIT, "sequence": MEASURE_LIMIT["sequence"] + [
+        {"k": 1, "l": 0, "measures": MEASURE_LIMIT["sequence"][0]["measures"][:3]}]},
+    "limit-indices.json": {**MEASURE_LIMIT, "member_indices": [1, 2]},
     "gen-points.json": {"fiber_kind": "circle", "fiber_points": 8.7, "family_index": 10},
     "gen-family.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10.9},
 }

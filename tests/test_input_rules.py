@@ -18,12 +18,13 @@ from conftest import chain_space
 from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNet,
                        blow_up, build_causet, build_fiber, build_space, circle_fiber, covered,
                        diagonal_limit, faithful_embed_check, grid_net_product, lgh_certificate,
-                       make_correspondence, product_family, select_blowup_spec,
-                       timelike_diameter, uncovered_samples)
+                       make_correspondence, measured_limit_builder, product_family,
+                       select_blowup_spec, timelike_diameter, uncovered_samples)
 from lorentzgh.core import point_indices
 from lorentzgh.curvature import FourPointConfig, four_point_check
 from lorentzgh.errors import ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
+from lorentzgh.measured import atomic_measure
 
 S3 = chain_space([0, 1, 2])
 GEN = product_family(circle_fiber(8), "inf", t_range=(0.0, 3.0))
@@ -114,6 +115,33 @@ class TestPointIndexRule:
     def test_in_range_entries_unchanged(self):
         assert timelike_diameter(S3, [2, 0, 2]) == 2.0
         assert four_point_check(S3, FourPointConfig("future", (0, 1, 2, 2)), 0.0)["holds"]
+
+
+HALVES = atomic_measure({0: 0.5, 1: 0.5})
+# entry -> (call with inputs of mismatched shape, words the ShapeMismatch must carry)
+SHAPES = {
+    "four_point_check-three-points": (lambda: four_point_check(
+        S3, FourPointConfig("future", (0, 1, 2)), 0.0), "needs 4 points, got 3"),
+    "four_point_check-five-points": (lambda: four_point_check(
+        S3, FourPointConfig("future", (0, 1, 2, 2, 2)), 0.0), "needs 4 points, got 5"),
+    "measured_limit_builder-key-lengths": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 6, (1, 0): [HALVES] * 3}), "(0, 0): 6, (1, 0): 3"),
+    "measured_limit_builder-short-member_indices": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 6}, member_indices=[1, 2]), "(0, 0): 6, member_indices: 2"),
+    "measured_limit_builder-long-member_indices": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, member_indices=[1, 2, 3]), "(0, 0): 2, member_indices: 3"),
+}
+
+
+class TestShapeRule:
+    """A configuration or a measured sequence of the wrong shape is a ShapeMismatch
+    naming the lengths, never a bare ValueError, an IndexError or a silent restart."""
+
+    @pytest.mark.parametrize("entry", sorted(SHAPES))
+    def test_mismatch_named(self, entry):
+        call, message = SHAPES[entry]
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            call()
 
 
 # builder -> call with labels for two points

@@ -1,12 +1,16 @@
+import math
 import re
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import chain_space, random_causet_space
 from lorentzgh import (DiamondNet, atomic_measure, greedy_net, induce_net_measure,
                        measured_limit_builder, pushforward, weak_gap)
 from lorentzgh.errors import NetDoesNotCover, ShapeMismatch, UnboundedWeights, UnmappedAtom
-from lorentzgh.measured import extract_limit
+from lorentzgh.extended import NEG_INF
+from lorentzgh.measured import LIMIT_WINDOW, _refine, extract_limit
 
 
 def uniform(space):
@@ -186,3 +190,94 @@ class TestLimitBuilder:
 def test_extract_limit_exact_on_constants():
     val, pos, spread = extract_limit([2.0] * 10, list(range(1, 11)))
     assert val == 2.0 and spread == 0.0
+
+
+def reference_entry_extraction(series, positions, member_indices):
+    """The extraction `limits._entry_limit` ran before the diagonal step was
+    shared, without its NonCauchy policy: refines `positions`, returns
+    (value, spread)."""
+    tail_vals = [series[p] for p in positions[-LIMIT_WINDOW:]]
+    if all(v == NEG_INF for v in tail_vals):
+        positions[:] = [p for p in positions if series[p] == NEG_INF]
+        return NEG_INF, 0.0
+    if all(v > NEG_INF for v in tail_vals):
+        positions[:] = [p for p in positions if series[p] > NEG_INF]
+        vals = [series[p] for p in positions]
+        idx = [member_indices[p] for p in positions] if member_indices is not None else None
+        value, kept_rel, spread = extract_limit(vals, idx)
+        positions[:] = [positions[i] for i in kept_rel]
+        return value, spread
+    return tail_vals[-1], math.inf
+
+
+def reference_measured_loop(sequence, member_indices):
+    """The per-atom loop of `measured_limit_builder` before it ran the shared
+    diagonal step (restart branch dropped: equal lengths never reach it)."""
+    log = {"per_key": {}}
+    limit_weights = {}
+    current_positions = None
+    for key in sorted(sequence):
+        measures = list(sequence[key])
+        if current_positions is None:
+            current_positions = list(range(len(measures)))
+        key_log = {}
+        for atom in sorted({i for m in measures for i, _ in m.weights}):
+            series = [measures[p].mass(atom) for p in current_positions]
+            idx = None if member_indices is None else [member_indices[p] for p in current_positions]
+            limit, kept, spread = extract_limit(series, idx)
+            current_positions = [current_positions[k] for k in kept]
+            key_log[atom] = {"limit": limit, "kept": list(current_positions), "spread": spread}
+            limit_weights.setdefault(atom, limit)
+        log["per_key"][key] = key_log
+    log["final_positions"] = list(current_positions)
+    return atomic_measure(limit_weights), log
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+FINITE = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 10.0)
+VALUE = st.just(NEG_INF) | FINITE
+
+
+@st.composite
+def refine_inputs(draw):
+    """A member series, a shared subsequence and optional member indices;
+    the tail (last LIMIT_WINDOW positions) is all -inf, all finite or mixed."""
+    n = draw(st.integers(1, 30))
+    positions = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    series = [draw(VALUE) for _ in range(n)]
+    tail = positions[-LIMIT_WINDOW:]
+    kind = draw(st.sampled_from(["-inf", "finite", "mixed"]))
+    for p in tail:
+        series[p] = NEG_INF if kind == "-inf" else draw(FINITE) if kind == "finite" else series[p]
+    if kind == "mixed" and len(tail) >= 2:
+        series[tail[0]], series[tail[-1]] = draw(st.permutations([NEG_INF, draw(FINITE)]))
+    member_indices = draw(st.none() | st.lists(st.integers(0, 50), min_size=n, max_size=n)
+                          | st.just(list(range(1, n + 1))))
+    return series, positions, member_indices
+
+
+class TestDiagonalStep:
+    @settings(max_examples=300)
+    @given(refine_inputs())
+    def test_matches_entry_extraction_bit_for_bit(self, case):
+        series, positions, member_indices = case
+        want_positions = list(positions)
+        want = reference_entry_extraction(series, want_positions, member_indices)
+        got = _refine(series, positions, member_indices)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert positions == want_positions
+
+    def test_builder_matches_per_atom_loop(self):
+        ns = list(range(1, 25))
+        seq = {(0, 0): [atomic_measure({0: 1 + (-1) ** n / n, 2: 0.5}) for n in ns],
+               (0, 1): [atomic_measure({1: 2 - 1 / n} if n % 3 else {0: 0.25}) for n in ns],
+               (1, 0): [atomic_measure({0: 1 + 1 / n, 1: 2 - (-1) ** n / n ** 2, 3: n % 2})
+                        for n in ns]}
+        for member_indices in (ns, None):
+            limit, log = measured_limit_builder(seq, member_indices=member_indices)
+            want_limit, want_log = reference_measured_loop(seq, member_indices)
+            assert limit == want_limit
+            assert repr(log) == repr(want_log)
