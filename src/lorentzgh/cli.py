@@ -321,8 +321,10 @@ def _member_from_manifest(entry, base, tol) -> CertificateMember:
     space = _resolve(entry["space"], base, lambda data: ser.space_from_dict(data, tol))
     nets = tuple(ser.net_from_dict(n) for n in entry["nets"])
     subset = tuple(entry["subset"]) if "subset" in entry else None
-    return CertificateMember(space=space, nets=nets, subset=subset,
-                             index=entry.get("index"))
+    index = entry.get("index")
+    if index is not None:
+        index = int(integer_values(index, "member index"))
+    return CertificateMember(space=space, nets=nets, subset=subset, index=index)
 
 
 def _certify_manifest(manifest, base, tol):
@@ -333,8 +335,8 @@ def _certify_manifest(manifest, base, tol):
     if isinstance(matchings, dict):
         matchings = {tuple(integer_values(key.split(","), "matching scale keys").tolist()):
                      _index_keys(val, "matching keys") for key, val in matchings.items()}
-    elif matchings != "slots":
-        matchings = None
+    elif matchings not in (None, "slots"):
+        raise ShapeMismatch(f'matchings must be "slots" or an object, got {matchings!r:.40}')
     return members, limit, matchings, manifest.get("convergence_tol")
 
 
@@ -457,8 +459,8 @@ def _covered_sequence(manifest, base):
     schedules = tuple(
         tuple(tuple(ser.net_from_dict(net) for net in per_k) for per_k in sched)
         for sched in manifest["schedules"])
-    indices = tuple(manifest["member_indices"]) if "member_indices" in manifest else None
-    return CoveredSequence(members=members, schedules=schedules, member_indices=indices)
+    return CoveredSequence(members=members, schedules=schedules,
+                           member_indices=manifest.get("member_indices"))
 
 
 def _cmd_converge(args):

@@ -242,11 +242,20 @@ def point_indices(n: int, indices: Sequence[int], what: str) -> np.ndarray:
     return idx
 
 
+def check_tol(value, what: str = "tol") -> None:
+    """The one tolerance rule: a finite number >= 0, else ShapeMismatch naming `what`."""
+    try:
+        ok = 0.0 <= value < np.inf
+    except (TypeError, ValueError):  # not a number, or an array
+        ok = False
+    if not ok:
+        raise ShapeMismatch(f"{what} must be finite and >= 0, got {value!r}")
+
+
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
-    """Validate labels, tol (finite, >= 0) and the axioms; return the space with its tables."""
+    """Validate labels, tol (`check_tol`) and the axioms; return the space with its tables."""
     check_labels(labels)
-    if not 0.0 <= tol < np.inf:
-        raise ShapeMismatch(f"tol must be finite and >= 0, got {tol!r}")
+    check_tol(tol)
     ell = _float_matrix(ell, "ell")
     if ell.ndim != 2 or ell.shape[0] != ell.shape[1]:
         raise ShapeMismatch(f"ell must be square, got shape {ell.shape}")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, integer_values, point_indices
+from .core import FiniteLorentzSpace, check_tol, integer_values, point_indices
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
 from .extended import INF_GAP, gap_matrix
@@ -323,8 +323,11 @@ def lgh_certificate(sequence: Sequence[CertificateMember], limit: CertificateMem
     above its start and, if given, at most convergence_tol.
 
     A limit subset point, a net vertex or a supplied matching's key or value
-    outside its space raises ShapeMismatch.
+    outside its space raises ShapeMismatch, and so does a convergence_tol
+    that fails `check_tol`.
     """
+    if convergence_tol is not None:
+        check_tol(convergence_tol, "convergence_tol")
     n_scales = len(limit.nets)
     n_members = len(sequence)
     matchings = matchings or {}

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, point_indices
+from .core import DEFAULT_TOL, FiniteLorentzSpace, check_tol, point_indices
 from .errors import ChartDomain, ShapeMismatch, SolverDiverged, Unrealizable
 from .extended import NEG_INF
 
@@ -243,9 +243,10 @@ def _sides(item, y: int, x: int, z1: int, z2: int) -> list[float]:
 
 
 def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
-                     tol: float = 1e-9) -> dict:
+                     tol: float = DEFAULT_TOL) -> dict:
     """Compare tau(z1, z2) against the model value; holds iff slack >= -tol."""
     _check_K(K)
+    check_tol(tol)
     if len(cfg.points) != 4:
         raise ShapeMismatch(f"a four-point configuration needs 4 points, got {len(cfg.points)}")
     point_indices(space.n, cfg.points, "configuration points")
@@ -267,7 +268,7 @@ def four_point_check(space: FiniteLorentzSpace, cfg: FourPointConfig, K: float,
 
 
 def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
-                         seed: int, tol: float = 1e-9) -> dict:
+                         seed: int, tol: float = DEFAULT_TOL) -> dict:
     """Sample admissible four-point configurations and report violations.
 
     Stagewise uniform drawing (y, then x in I+(y), then z1 in I+(x), then z2
@@ -275,6 +276,7 @@ def curvature_bound_scan(space: FiniteLorentzSpace, K: float, budget: int,
     of rng.choice(a). `tested` counts evaluated configurations.
     """
     _check_K(K)
+    check_tol(tol)
     if budget < 0:
         raise ShapeMismatch(f"budget must be >= 0, got {budget}")
     draw = np.random.default_rng(seed).integers

@@ -15,11 +15,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CoveredFiniteSpace, build_space, covered, point_indices, timelike_diameter
+from .core import (DEFAULT_TOL, CoveredFiniteSpace, build_space, check_tol, covered, point_indices,
+                   timelike_diameter)
 from .errors import (AxiomViolation, NoAdmissibleBasepoints, NonCauchy,
                      ScheduleViolation, SpecViolated, Uncoverable)
 from .extended import NEG_INF
-from .measured import _refine
+from .measured import _member_indices, _refine
 from .nets import DiamondNet, doubling_constant, greedy_net
 
 
@@ -41,7 +42,9 @@ class CoveredSequence:
             raise ScheduleViolation("empty sequence")
         if len(self.schedules) != len(self.members):
             raise ScheduleViolation("one schedule per member required")
-        if self.member_indices is not None and len(self.member_indices) != len(self.members):
+        idx = _member_indices(self.member_indices)
+        object.__setattr__(self, "member_indices", None if idx is None else tuple(idx))
+        if idx is not None and len(idx) != len(self.members):
             raise ScheduleViolation("member_indices length mismatch")
 
 
@@ -68,7 +71,7 @@ def _entry_limit(series, positions, member_indices, tol, entry, strict, log):
             raise NonCauchy(entry, len(series),
                             f"entry {entry} mixes unrelated and related members in the tail")
         log["non_cauchy"].append({"entry": entry, "spread": None})
-    elif spread > tol and not (value == NEG_INF and spread == 0.0):  # all -inf: exact at any tol
+    elif spread > tol:
         if strict:
             raise NonCauchy(entry, len(series))
         log["non_cauchy"].append({"entry": entry, "spread": spread})
@@ -89,11 +92,12 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
     slot holds it. Each point is labelled by its first slot,
     `v{k}.{l}.{i}.{p|q}` (the basepoint `o`), and enters the cover at that
     slot's k, which is its lowest level. Each ell entry is the extracted
-    subsequence limit (Cauchy within `tol` over the last
-    `measured.LIMIT_WINDOW` values, else NonCauchy when strict). A schedule
-    vertex outside its member's space raises ShapeMismatch. Returns
-    (CoveredFiniteSpace, provenance log).
+    subsequence limit (Cauchy within `tol`, checked by `check_tol` first,
+    over the last `measured.LIMIT_WINDOW` values, else NonCauchy when strict);
+    the space loads at max(tol, DEFAULT_TOL). A schedule vertex outside its
+    member's space raises ShapeMismatch. Returns (CoveredFiniteSpace, log).
     """
+    check_tol(tol)
     depth_k, depth_l, depth_n = depth
     if depth_n < 1:
         raise ScheduleViolation("depth selects no members")
@@ -143,7 +147,7 @@ def diagonal_limit(seq: CoveredSequence, depth: tuple[int, int, int],
 
     labels = ["o" if c == base_class else f"v{s[0]}.{s[1]}.{s[2]}.{'pq'[s[3]]}"
               for c, s in enumerate(slots)]
-    space = build_space(labels, ell, tol=max(tol, 1e-9))
+    space = build_space(labels, ell, tol=max(tol, DEFAULT_TOL))
     cover_levels = [{base_class} | {c for c, s in enumerate(slots) if s is not None and s[0] <= k}
                     for k in range(depth_k)]
     return covered(space, base_class, cover_levels), log

@@ -177,6 +177,16 @@ def _refine(series, positions: list[int], member_indices: Optional[Sequence[int]
     return limit, spread
 
 
+def _member_indices(values) -> Optional[list[int]]:
+    """The one member-index rule: None, or a 1-D list read by `integer_values`."""
+    if values is None:
+        return None
+    idx = integer_values(values, "member_indices")
+    if idx.ndim != 1:
+        raise ShapeMismatch(f"member_indices must be a list, got {values!r:.40}")
+    return idx.tolist()
+
+
 def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasure]],
                            bounds: Optional[dict[int, float]] = None,
                            member_indices: Optional[Sequence[int]] = None):
@@ -186,10 +196,11 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
     given, one index per member; other lengths raise ShapeMismatch. Per
     (k, l) the per-vertex weight sequences refine one shared subsequence by
     the diagonal step `_refine`, reused across increasing k so earlier cover
-    levels stay consistent. `bounds` holds the per-level mass bounds C_k;
-    members violating 1/C_k <= mass <= C_k raise UnboundedWeights.
-    Returns (limit measure, extraction log).
+    levels stay consistent. `bounds` holds the per-level mass bounds C_k,
+    each > 0 or else ShapeMismatch; members violating 1/C_k <= mass <= C_k
+    raise UnboundedWeights. Returns (limit measure, extraction log).
     """
+    member_indices = _member_indices(member_indices)
     keys = sorted(sequence.keys())
     if not keys:
         raise ShapeMismatch("empty measured sequence")
@@ -200,6 +211,9 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
         raise ShapeMismatch("measure lists and member_indices need one length per member, got "
                             + ", ".join(f"{name}: {n}" for name, n in lengths.items()))
     if bounds:
+        bad = sorted(k for k, ck in bounds.items() if not ck > 0)
+        if bad:
+            raise ShapeMismatch(f"mass bounds C_k at levels {bad} must be > 0")
         for (k, l), measures in sequence.items():
             ck = bounds.get(k)
             if ck is None:

@@ -412,9 +412,42 @@ INPUT_RULES = {
                                                  "gen-family.json", "--region", "0,0.5",
                                                  "--count", "5", "--seed", "1"],
                                                 "family index [10.9] are not integers"),
+    # converge's Cauchy tol and a manifest's convergence_tol pass the one tol rule
+    "converge-tol-negative": (["converge", "--manifest", str(SCHEMAS / "converge_manifest.json"),
+                               "--tol=-1"], "tol must be finite and >= 0, got -1.0"),
+    "converge-tol-inf-mixed-tail": (["converge", "--manifest", "converge-mixed.json",
+                                     "--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    "certify-convergence-tol-string": (["certify", "--manifest", "certify-tol-string.json"],
+                                       "convergence_tol must be finite and >= 0, got 'abc'"),
+    "certify-convergence-tol-list": (["certify", "--manifest", "certify-tol-list.json"],
+                                     "convergence_tol must be finite and >= 0, got [1]"),
+    "certify-convergence-tol-negative": (["certify", "--manifest", "certify-tol-negative.json"],
+                                         "convergence_tol must be finite and >= 0, got -1"),
+    # every other manifest field has its rule too
+    "certify-unknown-matchings": (["certify", "--manifest", "certify-slot.json"],
+                                  "matchings must be \"slots\" or an object, got 'slot'"),
+    "certify-string-member-index": (["certify", "--manifest", "certify-index.json"],
+                                    "member index ['zz'] are not integers"),
+    "converge-fractional-member-indices": (["converge", "--manifest", "converge-frac.json"],
+                                           "member_indices [0.5] are not integers"),
+    "converge-string-member-indices": (["converge", "--manifest", "converge-str.json"],
+                                       "member_indices ['a', 'b', 'c'] are not integers"),
+    "measure-limit-scalar-member-indices": (["measure", "limit", "--manifest", "limit-int.json"],
+                                            "member_indices must be a list, got 4"),
+    "measure-limit-string-member-indices": (["measure", "limit", "--manifest", "limit-str.json"],
+                                            "member_indices ['a', 'b', 'c', 'd'] are not"),
+    "measure-limit-fractional-member-indices": (["measure", "limit", "--manifest",
+                                                 "limit-frac.json"],
+                                                "member_indices [0.5] are not integers"),
+    "measure-limit-zero-bound": (["measure", "limit", "--manifest", "limit-bound-zero.json"],
+                                 "mass bounds C_k at levels [0] must be > 0"),
+    "measure-limit-negative-bound": (["measure", "limit", "--manifest",
+                                      "limit-bound-negative.json"],
+                                     "mass bounds C_k at levels [0] must be > 0"),
 }
 CERTIFY = json.loads((SCHEMAS / "certify_manifest.json").read_text())
 MEASURE_LIMIT = json.loads((SCHEMAS / "measure_limit_manifest.json").read_text())
+CONVERGE = json.loads((SCHEMAS / "converge_manifest.json").read_text())
 INPUT_FILES = {
     "corr.json": {"pairs": [[0, 0], [1, 1], [2, 2], [5, 1]], "n_left": 3, "n_right": 3},
     "causet.json": {"elements": [["x"], ["y"]], "covers": [[0, 1]]},
@@ -437,6 +470,23 @@ INPUT_FILES = {
     "limit-indices.json": {**MEASURE_LIMIT, "member_indices": [1, 2]},
     "gen-points.json": {"fiber_kind": "circle", "fiber_points": 8.7, "family_index": 10},
     "gen-family.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10.9},
+    # the last member's entry (0, 2) is -inf, the others' 2.0: a mixed tail
+    "converge-mixed.json": {**CONVERGE, "members": CONVERGE["members"][:2] + [
+        {**CONVERGE["members"][2], "ell": [[0, "-inf", "-inf"], ["-inf", 0, 1],
+                                           ["-inf", "-inf", 0]]}]},
+    "certify-tol-string.json": {**CERTIFY, "convergence_tol": "abc"},
+    "certify-tol-list.json": {**CERTIFY, "convergence_tol": [1]},
+    "certify-tol-negative.json": {**CERTIFY, "convergence_tol": -1},
+    "certify-slot.json": {**CERTIFY, "matchings": "slot"},
+    "certify-index.json": {**CERTIFY, "members": [{**CERTIFY["members"][0], "index": "zz"},
+                                                  *CERTIFY["members"][1:]]},
+    "converge-frac.json": {**CONVERGE, "member_indices": [0.5, 1, 2]},
+    "converge-str.json": {**CONVERGE, "member_indices": ["a", "b", "c"]},
+    "limit-int.json": {**MEASURE_LIMIT, "member_indices": 4},
+    "limit-str.json": {**MEASURE_LIMIT, "member_indices": ["a", "b", "c", "d"]},
+    "limit-frac.json": {**MEASURE_LIMIT, "member_indices": [0.5, 1, 2, 3]},
+    "limit-bound-zero.json": {**MEASURE_LIMIT, "bounds": {"0": 0}},
+    "limit-bound-negative.json": {**MEASURE_LIMIT, "bounds": {"0": -1}},
 }
 
 
@@ -587,6 +637,19 @@ class TestLimitsCommands:
                                   f"--depth={depth}"], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "schedule-violation", "message": message}
+
+    @pytest.mark.parametrize("indices, printed", [(None, "[0,1,2]"), ([1.0, 2.0, 3.0], "[1,2,3]")])
+    def test_converge_member_indices_read_by_rule(self, indices, printed, tmp_path, capsys):
+        """A null member_indices reads as an absent one, and integral floats as integers."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**CONVERGE, "member_indices": indices}))
+        absent = {k: v for k, v in CONVERGE.items() if k != "member_indices"}
+        (tmp_path / "absent.json").write_text(json.dumps(absent))
+        code, out, err = run_cli(["converge", "--manifest", str(path)], capsys)
+        assert code == 0, err
+        assert f'"final_subsequence":{printed},' in out
+        assert json.loads(out)["space"] == run_json(
+            ["converge", "--manifest", str(tmp_path / "absent.json")], capsys)["space"]
 
     def test_blowup_and_tangent(self, tmp_path, capsys):
         import numpy as np

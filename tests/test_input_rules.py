@@ -8,20 +8,24 @@ verify_net's and induce_net_measure's net vertices and subsets, and the
 fiber sites of sample_spacetime and grid_net_product.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 
 import numpy as np
 import pytest
 
 from conftest import chain_space
+import lorentzgh
 from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNet,
                        blow_up, build_causet, build_fiber, build_space, circle_fiber, covered,
                        diagonal_limit, faithful_embed_check, grid_net_product, lgh_certificate,
                        make_correspondence, measured_limit_builder, product_family,
                        select_blowup_spec, timelike_diameter, uncovered_samples)
 from lorentzgh.core import point_indices
-from lorentzgh.curvature import FourPointConfig, four_point_check
+from lorentzgh.curvature import FourPointConfig, curvature_bound_scan, four_point_check
 from lorentzgh.errors import ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.measured import atomic_measure
@@ -130,6 +134,20 @@ SHAPES = {
         {(0, 0): [HALVES] * 6}, member_indices=[1, 2]), "(0, 0): 6, member_indices: 2"),
     "measured_limit_builder-long-member_indices": (lambda: measured_limit_builder(
         {(0, 0): [HALVES] * 2}, member_indices=[1, 2, 3]), "(0, 0): 2, member_indices: 3"),
+    # member indices are one list of integers, and each mass bound C_k is > 0
+    "measured_limit_builder-scalar-member_indices": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, member_indices=2), "member_indices must be a list, got 2"),
+    "measured_limit_builder-nested-member_indices": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, member_indices=[[1], [2]]), "member_indices must be a list"),
+    "measured_limit_builder-fractional-member_indices": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, member_indices=[1, 2.5]), "member_indices [2.5] are not integers"),
+    "CoveredSequence-string-member_indices": (lambda: CoveredSequence(
+        members=_sequence((0, 2)).members, schedules=_sequence((0, 2)).schedules,
+        member_indices=("a", 2)), "member_indices ['a'] are not integers"),
+    "measured_limit_builder-zero-bound": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, bounds={0: 2.0, 1: 0.0}), "C_k at levels [1] must be > 0"),
+    "measured_limit_builder-nan-negative-bounds": (lambda: measured_limit_builder(
+        {(0, 0): [HALVES] * 2}, bounds={2: math.nan, 0: -1.0}), "levels [0, 2] must be > 0"),
 }
 
 
@@ -171,7 +189,51 @@ class TestLabelsRule:
         BUILDERS[builder](labels)
 
 
+# public entry -> (its tolerance parameter, call with that tolerance)
+TOL_ENTRIES = {
+    "core.build_space": ("tol", lambda tol: build_space(["a", "b"], [[0, 1], [NI, 0]], tol=tol)),
+    "limits.diagonal_limit": ("tol", lambda tol: diagonal_limit(_sequence((0, 2)), (1, 1, 2),
+                                                                tol=tol)),
+    "corr.lgh_certificate": ("convergence_tol", lambda tol: lgh_certificate(
+        [_member()], _member(), convergence_tol=tol)),
+    "curvature.four_point_check": ("tol", lambda tol: four_point_check(
+        S3, FourPointConfig("future", (0, 1, 2, 2)), 0.0, tol=tol)),
+    "curvature.curvature_bound_scan": ("tol", lambda tol: curvature_bound_scan(
+        S3, 0.0, 10, 0, tol=tol)),
+}
+# public callables with a tolerance parameter that do not apply the rule, and why
+TOL_EXEMPT = {
+    "core.FiniteLorentzSpace": "the unvalidated constructor, by contract; build_space validates",
+    "core.validate_matrix": "reached only through build_space, after its tol rule",
+    "serialize.space_from_dict": "passes tol to build_space",
+    "serialize.covered_from_dict": "passes tol to build_space",
+}
+
+
+def _tol_parameters():
+    """(module.name, parameter) for every `tol` or `*_tol` parameter of the
+    package's public functions, classes and public methods."""
+    for info in pkgutil.iter_modules(lorentzgh.__path__):
+        module = importlib.import_module(f"lorentzgh.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            found = [(name, obj)]
+            if inspect.isclass(obj):
+                found += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                          if not m.startswith("_") and inspect.isfunction(f)]
+            for qualname, f in found:
+                if not callable(f):
+                    continue
+                for param in inspect.signature(f).parameters:
+                    if param == "tol" or param.endswith("_tol"):
+                        yield f"{info.name}.{qualname}", param
+
+
 class TestTolRule:
+    """Every public entry that takes a tolerance applies `core.check_tol`: a
+    finite number >= 0, else one ShapeMismatch message naming the parameter."""
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
     def test_rejected(self, tol):
         with pytest.raises(ShapeMismatch, match="tol must be finite and >= 0"):
@@ -182,3 +244,23 @@ class TestTolRule:
     def test_zero_accepted(self):
         space = build_space(["a", "b"], [[0, 1], [NI, 0]], tol=0.0)
         assert space.tol == 0.0 and np.array_equal(space.ell, [[0, 1], [NI, 0]])
+
+    @pytest.mark.parametrize("entry", sorted(TOL_ENTRIES))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1, "abc"])
+    def test_entry_rejected(self, entry, value):
+        param, call = TOL_ENTRIES[entry]
+        message = re.escape(f"{param} must be finite and >= 0, got {value!r}")
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", sorted(TOL_ENTRIES))
+    def test_entry_zero_accepted(self, entry):
+        TOL_ENTRIES[entry][1](0)
+
+    def test_every_tol_parameter_is_ruled_or_exempt(self):
+        found = set(_tol_parameters())
+        unruled = sorted((name, param) for name, param in found
+                         if name not in TOL_ENTRIES and name not in TOL_EXEMPT)
+        assert not unruled, f"no rule row and no exemption: {unruled}"
+        assert {(name, row[0]) for name, row in TOL_ENTRIES.items()} <= found, "stale rows"
+        assert set(TOL_EXEMPT) <= {name for name, _ in found}, "stale exemptions"
