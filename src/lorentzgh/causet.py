@@ -17,7 +17,7 @@ from .core import FiniteLorentzSpace, build_space, check_labels, integer_values,
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
-from .geometry import Point, ProductGenerator, _ell_matrix, point_label
+from .geometry import Point, ProductGenerator, _ell_matrix, _in_range, point_label
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
               seed: int) -> tuple[list[Point], np.ndarray, CausalSet]:
     """The seeded draw of `sprinkle`: its points, their ell matrix and the causet of their order."""
     lo, hi = region
-    if not (gen.t_range[0] - 1e-12 <= lo < hi <= gen.t_range[1] + 1e-12):
+    if not (lo < hi and _in_range(gen, lo, hi)):
         raise EmptyRegion(f"region {region} outside generator range {gen.t_range}")
     if count < 1:
         raise EmptyRegion("count must be >= 1")

@@ -15,8 +15,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix,
-                   _reverse_triangle_witness, build_space, check_labels, point_indices)
+from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix, _reverse_triangle_witness,
+                   build_space, check_labels, integer_values, point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
@@ -121,7 +121,8 @@ class ProductGenerator:
     """Slab generator for ell((t,x),(t',x')) = sqrt(C^2 (t'-t)^2 - d(x,x')^2).
 
     cone_scale C is either explicit or (1 + 1/n) via `family_index` n; the
-    family limit n = inf gives C = 1.
+    family limit n = inf gives C = 1. The one generator rule: C is finite > 0,
+    t_range exactly two finite numbers lo < hi, kept as a tuple of the values.
     """
 
     fiber: FiniteMetricFiber
@@ -130,23 +131,37 @@ class ProductGenerator:
     family_index: Optional[Union[int, str]] = None
 
     def __post_init__(self):
-        if not (self.cone_scale > 0):
-            raise ShapeMismatch("cone_scale must be positive")
-        if not (self.t_range[0] < self.t_range[1]):
-            raise ShapeMismatch("t_range must be a nonempty interval")
+        if not _finite_increasing((0, self.cone_scale)):
+            raise ShapeMismatch(f"cone_scale must be a finite number > 0, got {self.cone_scale!r}")
+        if not _finite_increasing(self.t_range):
+            raise ShapeMismatch(f"t_range must be two finite numbers lo < hi, got {self.t_range!r}")
+        object.__setattr__(self, "t_range", tuple(self.t_range))
+
+
+def _finite_increasing(values) -> bool:
+    """-inf < lo < hi < inf for exactly two numbers (lo, hi); False for anything else."""
+    try:
+        lo, hi = values
+        return bool(-np.inf < lo < hi < np.inf)
+    except (TypeError, ValueError):  # not two numbers, or arrays
+        return False
+
+
+def _in_range(gen: ProductGenerator, lo: float, hi: float) -> bool:
+    """The one range rule for times: t0 - 1e-12 <= lo <= hi <= t1 + 1e-12 on gen.t_range."""
+    return gen.t_range[0] - 1e-12 <= lo <= hi <= gen.t_range[1] + 1e-12
 
 
 def product_family(fiber: FiniteMetricFiber, n: Union[int, str],
                    t_range: tuple[float, float] = (-1.0, 1.0)) -> ProductGenerator:
     """Member Y_n of the nested-cone family over a fixed fiber, cone scale 1 + 1/n
     (n = 'inf' -> 1)."""
-    if n == CONE_SCALE_LIMIT:
-        scale = 1.0
-    else:
-        if not (isinstance(n, int) and n >= 1):
-            raise ShapeMismatch("family index must be a positive integer or 'inf'")
-        scale = 1.0 + 1.0 / n
-    return ProductGenerator(fiber=fiber, cone_scale=scale, t_range=t_range, family_index=n)
+    if isinstance(n, str) and n == CONE_SCALE_LIMIT:
+        return ProductGenerator(fiber=fiber, cone_scale=1.0, t_range=t_range, family_index=n)
+    idx = integer_values(n, "family index")
+    if idx.ndim or int(idx) < 1:
+        raise ShapeMismatch(f"family index must be an integer >= 1 or 'inf', got {n!r}")
+    return ProductGenerator(fiber, 1.0 + 1.0 / int(idx), t_range, family_index=int(idx))
 
 
 Point = tuple[float, int]  # (time, fiber site index)
@@ -214,7 +229,7 @@ def _ell_matrix(gen: ProductGenerator, points: Sequence[Point]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Discretization: а time grid plus a choice of fiber sites.
+    """Discretization: a time grid plus a choice of fiber sites.
 
     A non-None seed jitters interior grid times uniformly within a fifth of
     the step (order preserving), for irregular-sample variants.
@@ -225,8 +240,8 @@ class SamplePlan:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.time_step > 0):
-            raise ShapeMismatch("time_step must be positive")
+        if not _finite_increasing((0, self.time_step)):
+            raise ShapeMismatch(f"time_step must be a finite number > 0, got {self.time_step!r}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +285,7 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
     adjoins e.g. grid-net vertices so nets embed into the sample.
     """
     lo, hi = t_window if t_window is not None else gen.t_range
-    if not (gen.t_range[0] - 1e-12 <= lo < hi <= gen.t_range[1] + 1e-12):
+    if not (lo < hi and _in_range(gen, lo, hi)):
         raise ShapeMismatch(f"window {(lo, hi)} outside generator range {gen.t_range}")
     m = int(math.floor((hi - lo) / plan.time_step + 1e-9)) + 1
     times = [lo + k * plan.time_step for k in range(m)]
@@ -283,12 +298,28 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
     if not times or not sites:
         raise EmptyPlan("plan resolves to no sample points")
     points = [(t, s) for t in times for s in sites]
-    for p in extra_points:
+    for p in _product_points(gen, extra_points, "extra point"):
         if _find_point(points, p) is None:
-            points.append((float(p[0]), int(p[1])))
+            points.append(p)
     labels = [point_label(gen, p) for p in points]
     space = build_space(labels, _ell_matrix(gen, points))
     return SampledSpace(space=space, points=tuple(points), generator=gen)
+
+
+def _product_points(gen: ProductGenerator, points: Sequence[Point], what: str) -> list[Point]:
+    """The one product-point rule: `points` as (float, int) pairs, sites read by
+    `integer_values` and `point_indices`, times by `_in_range` (NaN fails)."""
+    if not len(points):
+        return []
+    pts = _float_matrix(list(points), f"{what}s")
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeMismatch(f"{what}s must be (time, site) pairs, got shape {pts.shape}")
+    sites = integer_values(pts[:, 1], f"{what} sites")
+    point_indices(gen.fiber.n, sites, f"{what} sites")
+    bad = [t for t in pts[:, 0].tolist() if not _in_range(gen, t, t)]
+    if bad:
+        raise ShapeMismatch(f"{what} times {bad} outside generator range {gen.t_range}")
+    return list(zip(pts[:, 0].tolist(), sites.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +335,6 @@ class GridNet:
     pairs: tuple[tuple[int, int], ...]  # indices into vertex_points
     epsilon: float                       # exact in-generator tau of each diamond
     columns: int                         # diamonds per fiber site
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def _check_fiber_net(gen: ProductGenerator, fiber_net: Sequence[int], radius: float) -> None:
@@ -337,8 +365,8 @@ def slab_net(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
     """Grid net for an arbitrary slab inside t_range (vertices may dip below t_lo)."""
     if not (t_lo < t_hi):
         raise ShapeMismatch("need t_lo < t_hi")
-    if epsilon <= 0:
-        raise EpsilonTooLarge("epsilon must be positive")
+    if not epsilon > 0:  # NaN fails too
+        raise EpsilonTooLarge(f"epsilon must be positive, got {epsilon!r}")
     c = gen.cone_scale
     _check_fiber_net(gen, fiber_net, c * epsilon / 3.0)
     step = epsilon / 3.0
@@ -347,7 +375,7 @@ def slab_net(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
     # ceil((t_hi - t_lo)/step) columns
     columns = max(1, math.ceil((t_hi - t_lo) / step - 1e-12))
     net_sites = sorted(set(fiber_net))
-    if t_lo - step < gen.t_range[0] - 1e-12 or t_lo + (columns + 1) * step > gen.t_range[1] + 1e-12:
+    if not _in_range(gen, t_lo - step, t_lo + (columns + 1) * step):
         raise ShapeMismatch("grid vertices would leave the generator t_range")
     vertices: list[Point] = []
     index: dict[tuple[int, int], int] = {}
@@ -363,10 +391,9 @@ def slab_net(gen: ProductGenerator, t_lo: float, t_hi: float, epsilon: float,
 
 def uncovered_samples(gen: ProductGenerator, net: GridNet,
                       points: Sequence[Point]) -> list[int]:
-    """Indices of `points` not inside any net diamond (direct membership scan)."""
-    ts = np.array([p[0] for p in points])
-    sites = np.array([p[1] for p in points], dtype=int)
-    point_indices(gen.fiber.n, sites.tolist(), "sample sites")
+    """Indices of `points` (read by `_product_points`) not inside any net diamond."""
+    pts = np.array(_product_points(gen, points, "sample"), dtype=float).reshape(-1, 2)
+    ts, sites = pts[:, 0], pts[:, 1].astype(int)
     c = gen.cone_scale
     covered = np.zeros(len(points), dtype=bool)
     for a, b in net.pairs:

@@ -262,8 +262,11 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
                                           epsilon=net.epsilon)
                                for net, target in zip(s, targets)),)  # one cover level
                         for s in schedules)
-        seq = CoveredSequence(members=tuple(members), schedules=aligned,
-                              member_indices=tuple(int(r["lambda"]) for r in records))
+        lams = [r["lambda"] for r in records]  # the member indices, when all integral
+        if not all(float(lam).is_integer() for lam in lams):
+            lams = None
+            notes.append("fractional lambdas: limit fit without member indices")
+        seq = CoveredSequence(members=tuple(members), schedules=aligned, member_indices=lams)
         try:
             limit, _ = diagonal_limit(seq, (1, levels, len(members)), strict=False)
         except (ScheduleViolation, AxiomViolation) as exc:

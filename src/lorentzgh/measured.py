@@ -43,7 +43,9 @@ class AtomicMeasure:
 
 
 def atomic_measure(weights: dict[int, float]) -> AtomicMeasure:
-    items = tuple(sorted((int(i), float(w)) for i, w in weights.items() if w != 0.0))
+    """The atoms with nonzero weight, keys read by `integer_values`, sorted by point."""
+    atoms = integer_values(list(weights), "measure atoms").tolist()
+    items = tuple(sorted((i, float(w)) for i, w in zip(atoms, weights.values()) if w != 0.0))
     return AtomicMeasure(weights=items)
 
 

@@ -122,9 +122,7 @@ def generator_from_dict(data: dict) -> ProductGenerator:
         raise ShapeMismatch("generator spec needs a fiber")
     t_range = tuple(float(v) for v in data.get("t_range", (-1.0, 1.0)))
     if "family_index" in data:
-        n = data["family_index"]
-        return product_family(fiber, n if n == "inf" else int(integer_values(n, "family index")),
-                              t_range)
+        return product_family(fiber, data["family_index"], t_range)
     return ProductGenerator(fiber=fiber, cone_scale=float(data.get("cone_scale", 1)),
                             t_range=t_range)
 

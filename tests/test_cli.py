@@ -412,6 +412,24 @@ INPUT_RULES = {
                                                  "gen-family.json", "--region", "0,0.5",
                                                  "--count", "5", "--seed", "1"],
                                                 "family index [10.9] are not integers"),
+    # a generator's t_range is exactly two finite numbers lo < hi, its cone_scale finite > 0
+    "sample-t-range-one-value": (["sample", "--generator", "gen-t-one.json", "--step", "0.5"],
+                                 "t_range must be two finite numbers lo < hi, got (0.0,)"),
+    "sample-t-range-three-values": (["sample", "--generator", "gen-t-three.json", "--step", "0.5"],
+                                    "t_range must be two finite numbers lo < hi, "
+                                    "got (0.0, 1.0, 2.0)"),
+    "sample-t-range-infinite-end": (["sample", "--generator", "gen-t-inf.json", "--step", "0.5"],
+                                    "t_range must be two finite numbers lo < hi, got (0.0, inf)"),
+    "sample-infinite-cone-scale": (["sample", "--generator", "gen-cone-inf.json", "--step", "0.5"],
+                                   "cone_scale must be a finite number > 0, got inf"),
+    "causet-sprinkle-infinite-cone-scale": (["causet", "sprinkle", "--generator",
+                                             "gen-cone-inf.json", "--region", "0,0.5",
+                                             "--count", "5", "--seed", "1"],
+                                            "cone_scale must be a finite number > 0, got inf"),
+    "grid-net-infinite-cone-scale": (["grid-net", "--generator", "gen-cone-inf.json",
+                                      "--t-minus", "0.5", "--t-plus", "0.9", "--epsilon", "0.3",
+                                      "--fiber-net", "0,1,2,3,4,5,6,7"],
+                                     "cone_scale must be a finite number > 0, got inf"),
     # converge's Cauchy tol and a manifest's convergence_tol pass the one tol rule
     "converge-tol-negative": (["converge", "--manifest", str(SCHEMAS / "converge_manifest.json"),
                                "--tol=-1"], "tol must be finite and >= 0, got -1.0"),
@@ -470,6 +488,13 @@ INPUT_FILES = {
     "limit-indices.json": {**MEASURE_LIMIT, "member_indices": [1, 2]},
     "gen-points.json": {"fiber_kind": "circle", "fiber_points": 8.7, "family_index": 10},
     "gen-family.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10.9},
+    "gen-t-one.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10,
+                       "t_range": [0]},
+    "gen-t-three.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10,
+                         "t_range": [0, 1, 2]},
+    "gen-t-inf.json": {"fiber_kind": "circle", "fiber_points": 8, "family_index": 10,
+                       "t_range": [0, "inf"]},
+    "gen-cone-inf.json": {"fiber_kind": "circle", "fiber_points": 8, "cone_scale": "inf"},
     # the last member's entry (0, 2) is -inf, the others' 2.0: a mixed tail
     "converge-mixed.json": {**CONVERGE, "members": CONVERGE["members"][:2] + [
         {**CONVERGE["members"][2], "ell": [[0, "-inf", "-inf"], ["-inf", 0, 1],

@@ -1,4 +1,5 @@
-"""The input rules of `core`: one range rule for point indices, one labels rule, the tol rule.
+"""The input rules: one range rule for point indices, one labels rule, the tol rule,
+and the product generator, sample plan and product point rules of `geometry`.
 
 Every public entry that takes point indices rejects a negative and a
 too-large index with a ShapeMismatch that names it. The entries with their
@@ -20,13 +21,14 @@ import pytest
 from conftest import chain_space
 import lorentzgh
 from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNet,
-                       blow_up, build_causet, build_fiber, build_space, circle_fiber, covered,
-                       diagonal_limit, faithful_embed_check, grid_net_product, lgh_certificate,
-                       make_correspondence, measured_limit_builder, product_family,
-                       select_blowup_spec, timelike_diameter, uncovered_samples)
+                       ProductGenerator, SamplePlan, blow_up, build_causet, build_fiber,
+                       build_space, circle_fiber, covered, diagonal_limit, faithful_embed_check,
+                       grid_net_product, lgh_certificate, make_correspondence,
+                       measured_limit_builder, product_family, sample_spacetime,
+                       select_blowup_spec, slab_net, timelike_diameter, uncovered_samples)
 from lorentzgh.core import point_indices
 from lorentzgh.curvature import FourPointConfig, curvature_bound_scan, four_point_check
-from lorentzgh.errors import ShapeMismatch
+from lorentzgh.errors import EpsilonTooLarge, ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
 from lorentzgh.measured import atomic_measure
 
@@ -61,6 +63,8 @@ ENTRIES = {
         S3, FourPointConfig("future", (0, 1, 2, bad)), 0.0)),
     "uncovered_samples": (8, lambda bad: uncovered_samples(
         GEN, grid_net_product(GEN, 1.0, 2.0, 1.0, range(8)), [(1.5, 0), (1.5, bad)])),
+    "sample_spacetime-extra_points": (8, lambda bad: sample_spacetime(
+        GEN, SamplePlan(time_step=1.0), extra_points=[(1.5, 0), (1.5, bad)])),
     "lgh_certificate-limit_subset": (3, lambda bad: lgh_certificate(
         [_member()], _member(subset=(0, bad)))),
     "lgh_certificate-limit_net": (3, lambda bad: lgh_certificate(
@@ -264,3 +268,62 @@ class TestTolRule:
         assert not unruled, f"no rule row and no exemption: {unruled}"
         assert {(name, row[0]) for name, row in TOL_ENTRIES.items()} <= found, "stale rows"
         assert set(TOL_EXEMPT) <= {name for name, _ in found}, "stale exemptions"
+
+
+FIBER = circle_fiber(4)
+# entry -> (call with one malformed field, its error class, words the error must carry)
+PRODUCT_RULES = {
+    **{f"cone_scale-{value!r}": (lambda value=value: ProductGenerator(FIBER, value, (0.0, 1.0)),
+                                 ShapeMismatch, f"cone_scale must be a finite number > 0, "
+                                                f"got {value!r}")
+       for value in (math.inf, math.nan, 0, -1.0, "2")},
+    **{f"t_range-{value!r}": (lambda value=value: ProductGenerator(FIBER, 1.0, value),
+                              ShapeMismatch, f"t_range must be two finite numbers lo < hi, "
+                                             f"got {value!r}")
+       for value in ((0.0,), (0.0, 1.0, 2.0), (0.0, math.inf), (1.0, 0.0), 5)},
+    **{f"time_step-{value!r}": (lambda value=value: SamplePlan(time_step=value),
+                                ShapeMismatch, f"time_step must be a finite number > 0, "
+                                               f"got {value!r}")
+       for value in (math.inf, math.nan, 0.0)},
+    "slab_net-nan-epsilon": (lambda: slab_net(GEN, 1.0, 2.0, math.nan, range(8)),
+                             EpsilonTooLarge, "epsilon must be positive, got nan"),
+    "atomic_measure-fractional-atom": (lambda: atomic_measure({0: 0.5, 1.7: 0.5}),
+                                       ShapeMismatch, "measure atoms [1.7] are not integers"),
+    "sample_spacetime-fractional-extra-site": (lambda: sample_spacetime(
+        GEN, SamplePlan(time_step=1.0), extra_points=[(1.5, 1.7)]),
+        ShapeMismatch, "extra point sites [1.7] are not integers"),
+    "sample_spacetime-extra-time-outside": (lambda: sample_spacetime(
+        GEN, SamplePlan(time_step=1.0), extra_points=[(1.5, 0), (5.0, 1)]),
+        ShapeMismatch, "extra point times [5.0] outside generator range (0.0, 3.0)"),
+    "sample_spacetime-extra-point-not-a-pair": (lambda: sample_spacetime(
+        GEN, SamplePlan(time_step=1.0), extra_points=[(1.5, 0, 2)]),
+        ShapeMismatch, "extra points must be (time, site) pairs, got shape (1, 3)"),
+    "product_family-index-array": (lambda: product_family(FIBER, np.array([3, 4])),
+                                   ShapeMismatch, "family index must be an integer >= 1"),
+    "uncovered_samples-time-outside": (lambda: uncovered_samples(
+        GEN, grid_net_product(GEN, 1.0, 2.0, 1.0, range(8)), [(1.5, 0), (-0.5, 1)]),
+        ShapeMismatch, "sample times [-0.5] outside generator range (0.0, 3.0)"),
+}
+
+
+class TestProductRules:
+    """A generator, a sample plan and a product point are each checked once, where
+    they are made: a malformed field is one domain error naming it and its value."""
+
+    @pytest.mark.parametrize("entry", sorted(PRODUCT_RULES))
+    def test_rejected(self, entry):
+        call, error, message = PRODUCT_RULES[entry]
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize("t_range", [[0.0, 1.0], np.array([0.0, 1.0])])
+    def test_t_range_compares_and_hashes_by_value(self, t_range):
+        by_tuple = ProductGenerator(FIBER, 1.0, (0.0, 1.0))
+        by_value = ProductGenerator(FIBER, 1.0, t_range)
+        assert by_value == by_tuple and hash(by_value) == hash(by_tuple)
+        assert by_value.t_range == (0.0, 1.0) and isinstance(by_value.t_range, tuple)
+
+    @pytest.mark.parametrize("n", [np.int64(3), 3.0])
+    def test_family_index_of_any_integral_type(self, n):
+        gen = product_family(FIBER, n)
+        assert gen == product_family(FIBER, 3) and gen.family_index == 3

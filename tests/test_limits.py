@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import chain_space
+from lorentzgh import limits
 from lorentzgh import (BlowupSpec, CoveredSequence, DiamondNet, blow_up, covered,
                        causality_class, diagonal_limit, isometry_search, select_blowup_spec,
                        tangent_experiment, timelike_diameter, build_space, circle_fiber,
@@ -215,6 +216,21 @@ class TestTangent:
         cov = self._minkowski_cov()
         with pytest.raises(SpecViolated, match="lambda > 0"):
             select_blowup_spec(cov, cov.basepoint, lam)
+
+    def test_fractional_lambdas_give_no_member_indices(self, monkeypatch):
+        """Truncating lambda 0.5, 1.5, 1.9 to (0, 1, 1) would skew the a + b/n fit;
+        integral lambdas are the member indices (the recorded tangent pins)."""
+        seen = []
+
+        def spy(seq, *args, **kwargs):
+            seen.append(seq.member_indices)
+            return diagonal_limit(seq, *args, **kwargs)
+
+        monkeypatch.setattr(limits, "diagonal_limit", spy)
+        cov = self._minkowski_cov()
+        report = tangent_experiment(cov, cov.basepoint, [0.5, 1.5, 1.9], levels=2)
+        assert seen == [None] and report.limit is not None
+        assert "fractional lambdas: limit fit without member indices" in report.notes
 
 
 def reference_blowup_spec(cov, o, lam):
