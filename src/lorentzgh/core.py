@@ -372,23 +372,16 @@ def classify_special_points(space: FiniteLorentzSpace) -> dict[str, Optional[int
     """
     if not causality_class(space).pdp:
         raise PrePDPRequired("space must satisfy the point distinction property")
-    result: dict[str, Optional[int]] = {"i0": None, "n_plus": None, "n_minus": None}
     n, ell, tol = space.n, space.ell, space.tol
-    if n < 2:
-        return result
-    for p in range(n):
-        if ell[p, p] > tol:
-            continue
-        others = [x for x in range(n) if x != p]
-        col = ell[others, p]
-        row = ell[p, others]
-        if np.isneginf(col).all() and np.isneginf(row).all():
-            result["i0"] = p
-        elif (np.abs(col) <= tol).all() and np.isneginf(row).all():
-            result["n_plus"] = p
-        elif np.isneginf(col).all() and (np.abs(row) <= tol).all():
-            result["n_minus"] = p
-    return result
+    diag = np.eye(n, dtype=bool)  # the patterns read off-diagonal entries only
+    unrelated = np.isneginf(ell) | diag
+    null = (np.abs(ell) <= tol) | diag
+    ok = (np.diagonal(ell) <= tol) & (n > 1)
+    patterns = {"i0": unrelated.all(axis=0) & unrelated.all(axis=1),
+                "n_plus": null.all(axis=0) & unrelated.all(axis=1),
+                "n_minus": unrelated.all(axis=0) & null.all(axis=1)}
+    hits = {kind: np.flatnonzero(mask & ok) for kind, mask in patterns.items()}
+    return {kind: int(h[-1]) if h.size else None for kind, h in hits.items()}  # the last match
 
 
 def timelike_diameter(space: FiniteLorentzSpace, subset: Sequence[int]) -> float:

@@ -120,15 +120,14 @@ CONE_SCALE_LIMIT = "inf"
 class ProductGenerator:
     """Slab generator for ell((t,x),(t',x')) = sqrt(C^2 (t'-t)^2 - d(x,x')^2).
 
-    cone_scale C is either explicit or (1 + 1/n) via `family_index` n; the
-    family limit n = inf gives C = 1. The one generator rule: C is finite > 0,
+    Generators compare by (fiber, C, t_range); `product_family` alone knows
+    the family's C = 1 + 1/n. The one generator rule: C is finite > 0,
     t_range exactly two finite numbers lo < hi, kept as a tuple of the values.
     """
 
     fiber: FiniteMetricFiber
     cone_scale: float
     t_range: tuple[float, float]
-    family_index: Optional[Union[int, str]] = None
 
     def __post_init__(self):
         if not _finite_increasing((0, self.cone_scale)):
@@ -157,11 +156,11 @@ def product_family(fiber: FiniteMetricFiber, n: Union[int, str],
     """Member Y_n of the nested-cone family over a fixed fiber, cone scale 1 + 1/n
     (n = 'inf' -> 1)."""
     if isinstance(n, str) and n == CONE_SCALE_LIMIT:
-        return ProductGenerator(fiber=fiber, cone_scale=1.0, t_range=t_range, family_index=n)
+        return ProductGenerator(fiber, 1.0, t_range)
     idx = integer_values(n, "family index")
     if idx.ndim or int(idx) < 1:
         raise ShapeMismatch(f"family index must be an integer >= 1 or 'inf', got {n!r}")
-    return ProductGenerator(fiber, 1.0 + 1.0 / int(idx), t_range, family_index=int(idx))
+    return ProductGenerator(fiber, 1.0 + 1.0 / int(idx), t_range)
 
 
 Point = tuple[float, int]  # (time, fiber site index)
@@ -250,7 +249,6 @@ class SampledSpace:
 
     space: FiniteLorentzSpace
     points: tuple[Point, ...]
-    generator: ProductGenerator
 
     def index_of(self, point: Point) -> int:
         """Index of the sample point at `point` by `_find_point`; ShapeMismatch if none."""
@@ -303,7 +301,7 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
             points.append(p)
     labels = [point_label(gen, p) for p in points]
     space = build_space(labels, _ell_matrix(gen, points))
-    return SampledSpace(space=space, points=tuple(points), generator=gen)
+    return SampledSpace(space=space, points=tuple(points))
 
 
 def _product_points(gen: ProductGenerator, points: Sequence[Point], what: str) -> list[Point]:

@@ -35,9 +35,6 @@ class AtomicMeasure:
     def as_dict(self) -> dict[int, float]:
         return dict(self.weights)
 
-    def mass(self, i: int) -> float:
-        return dict(self.weights).get(i, 0.0)
-
     def total(self) -> float:
         return math.fsum(w for _, w in self.weights)
 
@@ -51,7 +48,6 @@ def atomic_measure(weights: dict[int, float]) -> AtomicMeasure:
 
 @dataclass(frozen=True)
 class MeasuredNet:
-    net: DiamondNet
     induced: AtomicMeasure
     residual_masses: tuple[float, ...]  # one per diamond, in net order
 
@@ -82,8 +78,7 @@ def induce_net_measure(space: FiniteLorentzSpace, m: AtomicMeasure,
         if w != 0.0:
             out[p] = out.get(p, 0.0) + w / 2.0
             out[q] = out.get(q, 0.0) + w / 2.0
-    return MeasuredNet(net=net, induced=atomic_measure(out),
-                       residual_masses=tuple(residuals))
+    return MeasuredNet(induced=atomic_measure(out), residual_masses=tuple(residuals))
 
 
 def pushforward(f: dict[int, int], m: AtomicMeasure) -> AtomicMeasure:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,16 +23,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import FiniteLorentzSpace, point_indices
-from .errors import Uncoverable
+from .errors import ShapeMismatch, Uncoverable
 
 ALL_CANDIDATES = "all"
 CHRONOLOGICAL_CANDIDATES = "chronological"
+
+
+def _check_epsilon(epsilon) -> None:
+    """The one epsilon rule of a net: a number >= 0 (+inf too, NaN not), else ShapeMismatch."""
+    if not (isinstance(epsilon, numbers.Real) and epsilon >= 0):
+        raise ShapeMismatch(f"net epsilon must be a number >= 0, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
 class DiamondNet:
     pairs: tuple[tuple[int, int], ...]
     epsilon: float
+
+    def __post_init__(self):
+        _check_epsilon(self.epsilon)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -102,8 +112,9 @@ def greedy_net(space: FiniteLorentzSpace, subset: Sequence[int], epsilon: float,
     """Greedy maximum-new-coverage cover of `subset` by admissible diamonds.
 
     Ties break by (p, q) ascending; output is deterministic.
-    A subset point outside range(space.n) raises ShapeMismatch.
+    A subset point outside range(space.n) or a bad epsilon raises ShapeMismatch.
     """
+    _check_epsilon(epsilon)
     subset_idx = point_indices(space.n, subset, "subset")
     candidates = default_candidates(space, epsilon, candidate_mode)
     masks = diamond_masks(space, candidates, subset_idx)
@@ -155,12 +166,12 @@ def exact_min_cover(masks: np.ndarray) -> Optional[list[int]]:
     full = (1 << masks.shape[1]) - 1
     if functools.reduce(operator.or_, bits, 0) != full:
         return None
-    for k in range(len(bits) + 1):  # k = 0: the empty family covers an empty universe
+    # k = 0 covers an empty universe; k = len(kept), the union checked above, returns
+    for k in range(len(bits) + 1):
         for combo, members in zip(itertools.combinations(kept, k),
                                   itertools.combinations(bits, k)):
             if functools.reduce(operator.or_, members, 0) == full:
                 return list(combo)
-    return None
 
 
 def doubling_constant(space: FiniteLorentzSpace, subset: Sequence[int],

@@ -100,13 +100,8 @@ def causet_from_dict(data: dict) -> CausalSet:
 
 
 def generator_to_dict(gen: ProductGenerator) -> dict:
-    out = {"fiber": fiber_to_dict(gen.fiber),
-           "t_range": [gen.t_range[0], gen.t_range[1]]}
-    if gen.family_index is not None:
-        out["family_index"] = gen.family_index
-    else:
-        out["cone_scale"] = gen.cone_scale
-    return out
+    return {"fiber": fiber_to_dict(gen.fiber), "cone_scale": gen.cone_scale,
+            "t_range": [gen.t_range[0], gen.t_range[1]]}
 
 
 def generator_from_dict(data: dict) -> ProductGenerator:

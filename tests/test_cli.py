@@ -462,6 +462,55 @@ INPUT_RULES = {
     "measure-limit-negative-bound": (["measure", "limit", "--manifest",
                                       "limit-bound-negative.json"],
                                      "mass bounds C_k at levels [0] must be > 0"),
+    # a net's epsilon is a number >= 0, from a flag or from a file
+    "net-epsilon-nan-empty-subset": (["net", "--space", str(SCHEMAS / "space.json"),
+                                      "--epsilon", "nan", "--subset", ","],
+                                     "net epsilon must be a number >= 0, got nan"),
+    "net-epsilon-negative-empty-subset": (["net", "--space", str(SCHEMAS / "space.json"),
+                                           "--epsilon=-1", "--subset", ","],
+                                          "net epsilon must be a number >= 0, got -1.0"),
+    "net-epsilon-nan": (["net", "--space", str(SCHEMAS / "space.json"), "--epsilon", "nan"],
+                        "net epsilon must be a number >= 0, got nan"),
+    "certify-net-epsilon-nan": (["certify", "--manifest", "certify-eps-nan.json"],
+                                "net epsilon must be a number >= 0, got nan"),
+    "verify-net-epsilon-nan": (["verify-net", "--space", str(SCHEMAS / "space.json"),
+                                "--net", "net-eps-nan.json"],
+                               "net epsilon must be a number >= 0, got nan"),
+    "measure-induce-epsilon-nan": (["measure", "induce", "--space", str(SCHEMAS / "space.json"),
+                                    "--measure", str(SCHEMAS / "measure.json"),
+                                    "--net", "net-eps-nan.json"],
+                                   "net epsilon must be a number >= 0, got nan"),
+    # the other malformed inputs a command reaches
+    "validate-ell-not-square": (["validate", "--space", "space-not-square.json"],
+                                "ell must be square, got shape (1, 2)"),
+    "blowup-no-cover-levels": (["blowup", "--covered", "covered-no-levels.json", "--o-minus",
+                                "0", "--o-plus", "2", "--lam", "0.4"],
+                               "cover must have at least one level"),
+    "causet-embed-no-image": (["causet", "embed", "--causet", str(SCHEMAS / "causet.json"),
+                               "--space", str(SCHEMAS / "space.json"), "--map", "map-short.json"],
+                              "elements [3] have no image"),
+    "causet-trial-fiber-labels": (["causet", "trial", "--a", str(SCHEMAS / "generator.json"),
+                                   "--b", "gen-four-sites.json", "--counts", "5", "--seed", "1"],
+                                  "generators must share a fiber label set for site transport"),
+    "sample-no-fiber": (["sample", "--generator", "gen-no-fiber.json", "--step", "0.5"],
+                        "generator spec needs a fiber"),
+    "sample-fiber-not-square": (["sample", "--generator", "gen-fiber-not-square.json",
+                                 "--step", "0.5"], "need a square matrix matching 2 labels"),
+    "sample-window-outside-t-range": (["sample", "--generator", str(SCHEMAS / "generator.json"),
+                                       "--step", "0.5", "--window=2,3"],
+                                      "window (2.0, 3.0) outside generator range (-1.0, 1.0)"),
+    "grid-net-empty-slab": (["grid-net", "--generator", str(SCHEMAS / "generator.json"),
+                             "--t-minus", "0.5", "--t-plus", "0.4", "--epsilon", "0.3"],
+                            "need t_lo < t_hi"),
+    "grid-net-vertices-leave-t-range": (["grid-net", "--generator",
+                                         str(SCHEMAS / "generator.json"), "--t-minus", "0.5",
+                                         "--t-plus", "0.99", "--epsilon", "0.3"],
+                                        "grid vertices would leave the generator t_range"),
+    "measure-gap-negative-weight": (["measure", "gap", "--a", "measure-negative.json",
+                                     "--b", str(SCHEMAS / "measure.json")],
+                                    "weight at atom 0 must be finite and >= 0"),
+    "measure-limit-empty-sequence": (["measure", "limit", "--manifest", "limit-empty.json"],
+                                     "empty measured sequence"),
 }
 CERTIFY = json.loads((SCHEMAS / "certify_manifest.json").read_text())
 MEASURE_LIMIT = json.loads((SCHEMAS / "measure_limit_manifest.json").read_text())
@@ -512,6 +561,19 @@ INPUT_FILES = {
     "limit-frac.json": {**MEASURE_LIMIT, "member_indices": [0.5, 1, 2, 3]},
     "limit-bound-zero.json": {**MEASURE_LIMIT, "bounds": {"0": 0}},
     "limit-bound-negative.json": {**MEASURE_LIMIT, "bounds": {"0": -1}},
+    "certify-eps-nan.json": {**CERTIFY, "members": [
+        {**CERTIFY["members"][0], "nets": [{"epsilon": "nan", "pairs": [[0, 2]]}]},
+        *CERTIFY["members"][1:]]},
+    "net-eps-nan.json": {"epsilon": "nan", "pairs": [[0, 2]]},
+    "space-not-square.json": {"labels": ["a"], "ell": [[0, 1]]},
+    "covered-no-levels.json": {**json.loads((SCHEMAS / "covered_space.json").read_text()),
+                               "cover": []},
+    "map-short.json": {"0": 0, "1": 1, "2": 2},
+    "gen-four-sites.json": {"fiber_kind": "circle", "fiber_points": 4, "family_index": 10},
+    "gen-no-fiber.json": {"cone_scale": 1.0},
+    "gen-fiber-not-square.json": {"fiber": {"labels": ["a", "b"], "d": [[0, 1]]}},
+    "measure-negative.json": {"weights": {"0": -1.0}},
+    "limit-empty.json": {**MEASURE_LIMIT, "sequence": []},
 }
 
 

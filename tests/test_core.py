@@ -414,6 +414,18 @@ class TestSpecialPoints:
         out = classify_special_points(s)
         assert out == {"i0": None, "n_plus": None, "n_minus": None}
 
+    def test_one_point_matches_no_pattern(self):
+        out = classify_special_points(build_space(["a"], [[0.0]]))
+        assert out == {"i0": None, "n_plus": None, "n_minus": None}
+
+    def test_chronology_violating_point_matches_no_pattern(self):
+        # unvalidated: z has ell(z, z) = 1 > tol, and the i0 pattern off the diagonal
+        ell = [[0, 1, NI], [NI, 0, NI], [NI, NI, 1.0]]
+        s = FiniteLorentzSpace(("x", "y", "z"), ell)
+        assert classify_special_points(s) == {"i0": None, "n_plus": None, "n_minus": None}
+        ell[2][2] = 0.0
+        assert classify_special_points(FiniteLorentzSpace(("x", "y", "z"), ell))["i0"] == 2
+
     def test_requires_pdp(self, rng):
         s = layered_space(rng, layers=2, width=2)
         with pytest.raises(PrePDPRequired):
@@ -607,9 +619,8 @@ class TestJsonRoundTrip:
             for gen in (ProductGenerator(fiber=f, cone_scale=scale, t_range=t_range),
                         product_family(f, family_index, t_range)):
                 back = _reload(ser.generator_to_dict, ser.generator_from_dict, gen)
-                assert _same_matrix(back.fiber.d, f.d)
-                assert repr((back.cone_scale, back.t_range, back.family_index)) == \
-                    repr((gen.cone_scale, gen.t_range, gen.family_index))
+                assert _same_matrix(back.fiber.d, f.d) and back == gen
+                assert repr((back.cone_scale, back.t_range)) == repr((gen.cone_scale, gen.t_range))
         net = DiamondNet(pairs=((0, 1), (2, 0)), epsilon=epsilon)
         assert repr(_reload(ser.net_to_dict, ser.net_from_dict, net)) == repr(net)
 

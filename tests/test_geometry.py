@@ -1,11 +1,12 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, circle_fiber,
+from lorentzgh import (ProductGenerator, SamplePlan, SampledSpace, build_fiber, circle_fiber,
                        cone_dominates, grid_net_product, product_ell, product_family,
                        sample_spacetime, segment_fiber, slab_net, uncovered_samples,
                        verify_net, embed_net)
@@ -118,8 +119,9 @@ class TestFiber:
                       ProductGenerator(fiber=a, cone_scale=1.0, t_range=(0.0, 2.0)),
                       product_family(a, 1, t_range=(0.0, 1.0))):
             assert gen != other
-        assert product_family(a, 1, (0.0, 1.0)) != ProductGenerator(
-            fiber=a, cone_scale=2.0, t_range=(0.0, 1.0))  # the family index counts
+        member = product_family(a, 1, (0.0, 1.0))
+        explicit = ProductGenerator(fiber=a, cone_scale=2.0, t_range=(0.0, 1.0))
+        assert member == explicit and hash(member) == hash(explicit)  # a family member is plain
 
 
 class TestProductTau:
@@ -185,6 +187,25 @@ def test_ell_matrix_matches_reference_bits(inputs):
     got, want = _ell_matrix(gen, points), _ell_matrix_reference(gen, points)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200)
+@given(ell_matrix_inputs())
+def test_ell_matrix_is_product_ell_bit_for_bit(inputs):
+    # the matrix kernel and the scalar formula are one rule: a change to
+    # either must be made to both
+    gen, points = inputs
+    scalar = np.array([[product_ell(gen, p, q) for q in points] for p in points],
+                      dtype=float).reshape(len(points), len(points))
+    assert _ell_matrix(gen, points).tobytes() == scalar.tobytes()
+
+
+def test_one_home_per_value():
+    # C lives in cone_scale alone, and a sample does not keep its generator
+    assert [f.name for f in fields(ProductGenerator)] == ["fiber", "cone_scale", "t_range"]
+    assert [f.name for f in fields(SampledSpace)] == ["space", "points"]
+    with pytest.raises(TypeError, match="family_index"):
+        ProductGenerator(circle_fiber(4), 2.0, (0.0, 1.0), family_index=3)
 
 
 class TestSampling:

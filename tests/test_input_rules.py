@@ -1,5 +1,6 @@
 """The input rules: one range rule for point indices, one labels rule, the tol rule,
-and the product generator, sample plan and product point rules of `geometry`.
+the net epsilon rule, and the product generator, sample plan and product point
+rules of `geometry`; and one pinned record for every other reachable raise.
 
 Every public entry that takes point indices rejects a negative and a
 too-large index with a ShapeMismatch that names it. The entries with their
@@ -22,15 +23,17 @@ from conftest import chain_space
 import lorentzgh
 from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNet,
                        ProductGenerator, SamplePlan, blow_up, build_causet, build_fiber,
-                       build_space, circle_fiber, covered, diagonal_limit, faithful_embed_check,
+                       build_space, circle_fiber, comparison_config, cone_dominates, covered,
+                       diagonal_limit, embed_net, faithful_embed_check, greedy_net,
                        grid_net_product, lgh_certificate, make_correspondence,
-                       measured_limit_builder, product_family, sample_spacetime,
-                       select_blowup_spec, slab_net, timelike_diameter, uncovered_samples)
+                       measured_limit_builder, min_distortion, product_family,
+                       sample_spacetime, select_blowup_spec, slab_net, slot_matching, sprinkle,
+                       tangent_experiment, timelike_diameter, uncovered_samples, weak_gap)
 from lorentzgh.core import point_indices
 from lorentzgh.curvature import FourPointConfig, curvature_bound_scan, four_point_check
-from lorentzgh.errors import EpsilonTooLarge, ShapeMismatch
+from lorentzgh.errors import DomainError, EpsilonTooLarge, ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
-from lorentzgh.measured import atomic_measure
+from lorentzgh.measured import atomic_measure, extract_limit
 
 S3 = chain_space([0, 1, 2])
 GEN = product_family(circle_fiber(8), "inf", t_range=(0.0, 3.0))
@@ -326,4 +329,169 @@ class TestProductRules:
     @pytest.mark.parametrize("n", [np.int64(3), 3.0])
     def test_family_index_of_any_integral_type(self, n):
         gen = product_family(FIBER, n)
-        assert gen == product_family(FIBER, 3) and gen.family_index == 3
+        assert gen == product_family(FIBER, 3) and gen.cone_scale == 1.0 + 1.0 / 3
+
+
+class TestNetEpsilonRule:
+    """A net's epsilon is a number >= 0 (+inf is an unbounded net); anything else is
+    one ShapeMismatch naming the value, from `DiamondNet` and before `greedy_net`
+    builds a candidate."""
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -1.0, -math.inf, "x", None, "2"])
+    def test_rejected(self, epsilon):
+        message = re.escape(f"net epsilon must be a number >= 0, got {epsilon!r}")
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            DiamondNet((), epsilon)
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            greedy_net(S3, [0, 1, 2], epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0, 2.5, math.inf, np.float64(1.0)])
+    def test_accepted(self, epsilon):
+        assert DiamondNet((), epsilon).epsilon == epsilon
+        assert greedy_net(S3, [], epsilon) == DiamondNet((), epsilon)
+
+
+COV3 = covered(S3, 0, [range(3)])
+# the second member leaves (0, 2) unrelated: a tail that mixes -inf and 2.0
+UNRELATED = covered(build_space(["a", "b", "c"], [[0, NI, NI], [NI, 0, 1], [NI, NI, 0]]), 0,
+                    [range(3)])
+
+
+def _net(*pairs):
+    return DiamondNet(pairs=pairs, epsilon=1.0)
+
+
+def _schedules(*per_member, members=None, member_indices=None):
+    return CoveredSequence(members=members or (COV3,) * len(per_member), schedules=per_member,
+                           member_indices=member_indices)
+
+
+# statement -> (call that reaches it, the record it raises); one row for each
+# reachable raise that no other test runs
+RECORDS = {
+    "causet.build_causet-self-loop": (
+        lambda: build_causet(["a", "b"], [(0, 1), (1, 1)]),
+        {"error": "cycle-detected", "message": "self-loop at element 1"}),
+    "causet.sprinkle-region-outside-t_range": (
+        lambda: sprinkle(GEN, (2.0, 4.0), 5, 0),
+        {"error": "empty-region", "message": "region (2.0, 4.0) outside generator range (0.0, 3.0)"}),
+    "core.build_space-neg-inf-diagonal": (
+        lambda: build_space(["a", "b"], [[0, 1], [NI, NI]]),
+        {"error": "axiom-violation", "message": "ell[1][1] must be >= 0", "kind": "diagonal",
+         "witness": 1}),
+    "corr.min_distortion-unknown-mode": (
+        lambda: min_distortion(S3, S3, mode="fast"),
+        {"error": "shape-mismatch", "message": "unknown mode 'fast'"}),
+    "corr.slot_matching-unequal-nets": (
+        lambda: slot_matching(_net((0, 1)), _net((0, 1), (1, 2))),
+        {"error": "shape-mismatch", "message": "slot matching needs equal net cardinalities"}),
+    "curvature.four_point_check-unknown-kind": (
+        lambda: four_point_check(S3, FourPointConfig("sideways", (0, 1, 2, 2)), 0.0),
+        {"error": "shape-mismatch", "message": "unknown configuration kind 'sideways'"}),
+    "curvature.four_point_check-not-a-configuration": (
+        lambda: four_point_check(S3, FourPointConfig("future", (2, 1, 0, 0)), 0.0),
+        {"error": "shape-mismatch",
+         "message": "points (2, 1, 0, 0) do not form a future four-point configuration"}),
+    "curvature.comparison_config-tau_yx-zero": (
+        lambda: comparison_config(0.0, (0.0, 1.0, 1.0, 1.0, 1.0)),
+        {"error": "unrealizable", "message": "y and x must be chronologically related",
+         "constraint": "tau_yx <= 0"}),
+    "curvature.comparison_config-negative-side": (
+        lambda: comparison_config(0.0, (1.0, 2.0, 2.0, -1.0, 1.0)),
+        {"error": "unrealizable", "message": "side constraint not realizable: tau_xz1 < 0",
+         "constraint": "tau_xz1 < 0"}),
+    "curvature.comparison_config-side-at-least-D_K": (
+        lambda: comparison_config(1.0, (1.0, 4.0, 2.0, 1.0, 1.0)),
+        {"error": "unrealizable", "message": "side constraint not realizable: tau_yz1 >= D_K",
+         "constraint": "tau_yz1 >= D_K"}),
+    # the reverse triangle holds with a margin of 2.4e-7, but t^2 - tau_yz^2
+    # cancels to below -1e-12 in the flat closed form
+    "curvature._flat_z-unrealizable": (
+        lambda: comparison_config(0.0, (116.77227652783134, 116.77227676539862,
+                                        116.77227676539862, 0.0, 0.0)),
+        {"error": "unrealizable", "message": "sides admit no model placement",
+         "constraint": "tau_yz < tau_yx + tau_xz"}),
+    # a subnormal tau_yx divides the placement's sine to an infinite coordinate
+    "curvature._solve_z-chart-domain": (
+        lambda: comparison_config(1.0, (1e-310, 1.0, 1.0, 0.5, 0.5)),
+        {"error": "chart-domain", "message": "comparison placement overflows the chart for K=1.0"}),
+    "geometry.build_fiber-nonzero-diagonal": (
+        lambda: build_fiber(["a", "b"], [[0, 1], [1, 0.5]]),
+        {"error": "axiom-violation", "message": "fiber metric must vanish on the diagonal",
+         "kind": "diagonal", "witness": 1}),
+    "geometry.grid_net_product-empty-fiber-net": (
+        lambda: grid_net_product(GEN, 1.0, 2.0, 1.0, []),
+        {"error": "not-a-fiber-net", "message": "empty fiber net", "witness": None}),
+    "geometry.embed_net-missing-vertex": (
+        lambda: embed_net(grid_net_product(GEN, 1.0, 2.0, 1.0, range(8)),
+                          sample_spacetime(GEN, SamplePlan(time_step=1.0))),
+        {"error": "shape-mismatch",
+         "message": "sample does not contain a net vertex; pass extra_points"}),
+    "geometry.cone_dominates-omega-zero": (
+        lambda: cone_dominates(1.0, 0.5, 0.0),
+        {"error": "unsupported-metric-family", "message": "omega must be positive, got 0.0"}),
+    "limits.CoveredSequence-no-members": (
+        lambda: _schedules(),
+        {"error": "schedule-violation", "message": "empty sequence"}),
+    "limits.CoveredSequence-schedule-count": (
+        lambda: _schedules(((_net((0, 2)),),), members=(COV3, COV3)),
+        {"error": "schedule-violation", "message": "one schedule per member required"}),
+    "limits.CoveredSequence-member_indices-length": (
+        lambda: _schedules(((_net((0, 2)),),), ((_net((0, 2)),),), member_indices=(1,)),
+        {"error": "schedule-violation", "message": "member_indices length mismatch"}),
+    "limits.diagonal_limit-not-nested-in-k": (
+        lambda: diagonal_limit(_schedules(*[((_net((0, 2)),), (_net((0, 1)),))] * 2),
+                               (2, 1, 2)),
+        {"error": "schedule-violation",
+         "message": "member 0: scale-0 net at level 0 not contained in level 1"}),
+    "limits.diagonal_limit-strict-mixed-tail": (
+        lambda: diagonal_limit(_schedules(((_net((0, 2)),),), ((_net((0, 2)),),),
+                                          members=(COV3, UNRELATED)), (1, 1, 2)),
+        {"error": "non-cauchy",
+         "message": "entry (0, 1) mixes unrelated and related members in the tail",
+         "entry": (0, 1), "depth": 2}),
+    "limits.blow_up-o-not-before-o_plus": (
+        lambda: blow_up(COV3, BlowupSpec(o=1, o_minus=0, o_plus=1, lam=0.4)),
+        {"error": "spec-violated", "message": "blow-up spec invariant violated: o << o_plus",
+         "which": "o << o_plus"}),
+    "measured.extract_limit-empty": (
+        lambda: extract_limit([]),
+        {"error": "shape-mismatch", "message": "cannot extract a limit from an empty sequence"}),
+}
+
+
+def _one_ulp_over_tol():
+    """A 1-point space whose diagonal passes the reverse triangle at one ulp over tol."""
+    return covered(build_space(["m"], [[float(np.nextafter(1e-9, 1.0))]], tol=1e-9), 0, [[0]])
+
+
+# branch -> (call that reaches it, the value it returns)
+OUTCOMES = {
+    # at level 59 the halving scale is below an ulp of tol, and the degenerate
+    # diamond (m, m) of tau tol + 1 ulp is no longer admissible
+    "limits.tangent_experiment-halving-nets-uncoverable": (
+        lambda: tangent_experiment(_one_ulp_over_tol(), 0, [1], levels=60).notes,
+        ("halving nets uncoverable at lambda=1; member dropped",)),
+    "limits.tangent_experiment-limit-construction-failed": (
+        lambda: tangent_experiment(covered(chain_space([0.0, 0.1, 0.2]), 1, [range(3)]), 1,
+                                   [1, 2], levels=0).notes,
+        ("limit construction failed: depth selects no net scales",)),
+    "measured.weak_gap-empty-measures": (
+        lambda: weak_gap(atomic_measure({}), atomic_measure({})), 0.0),
+}
+
+
+class TestEveryReachableStatement:
+    """Each raise and branch above runs in the suite, with the record or value it gives."""
+
+    @pytest.mark.parametrize("entry", sorted(RECORDS))
+    def test_record(self, entry):
+        call, record = RECORDS[entry]
+        with pytest.raises(DomainError) as err:
+            call()
+        assert err.value.record() == record
+
+    @pytest.mark.parametrize("entry", sorted(OUTCOMES))
+    def test_outcome(self, entry):
+        call, value = OUTCOMES[entry]
+        assert call() == value
