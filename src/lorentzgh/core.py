@@ -72,8 +72,9 @@ class FiniteLorentzSpace:
 
     def restrict(self, indices: Sequence[int]) -> "FiniteLorentzSpace":
         """Subspace on `indices` (order preserved); revalidation is unnecessary."""
-        idx = list(indices)
-        return FiniteLorentzSpace([self.labels[i] for i in idx], self.ell[np.ix_(idx, idx)], self.tol)
+        idx = np.asarray(indices, dtype=np.intp)
+        return FiniteLorentzSpace([self.labels[i] for i in idx.tolist()],
+                                  self.ell[idx[:, None], idx], self.tol)  # one gather
 
 
 def validate_matrix(ell: np.ndarray, tol: float) -> None:
@@ -82,22 +83,20 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
     Each check reports its first failure in row-major order; the triangle
     check costs sum_j |J-(j)| span(J+(j)) entries, span being the column
     range from the first to the last point of J+(j), where that is cheaper
-    than n^3 (see `_reverse_triangle_witness`).
+    than n^3 (see `_reverse_triangle_witness`). Each check is one whole-matrix
+    test, counted with `count_nonzero`; only a failure locates its entry.
     """
     below_inf = ell < np.inf  # False exactly at nan and +inf
-    if not below_inf.all():
-        bad = np.argwhere(~below_inf)[0]
-        raise AxiomViolation("codomain", tuple(int(v) for v in bad),
-                             "entries must lie in {-inf} union [0, inf)")
+    if np.count_nonzero(below_inf) != below_inf.size:
+        bad = np.argwhere(~below_inf)[0].tolist()
+        raise AxiomViolation("codomain", tuple(bad), "entries must lie in {-inf} union [0, inf)")
     neg = (ell < -tol) & (ell > NEG_INF)
-    if neg.any():
-        bad = np.argwhere(neg)[0]
-        raise AxiomViolation("codomain", tuple(int(v) for v in bad),
-                             "negative finite entry")
-    diag = np.diagonal(ell)
-    bad_diag = ~np.isfinite(diag) | (diag < -tol)
-    if bad_diag.any():
-        i = int(np.argmax(bad_diag))
+    if np.count_nonzero(neg):
+        bad = np.argwhere(neg)[0].tolist()
+        raise AxiomViolation("codomain", tuple(bad), "negative finite entry")
+    bad_diag = ell.diagonal() < -tol  # the codomain checks leave -inf as the one bad value
+    if np.count_nonzero(bad_diag):
+        i = int(bad_diag.argmax())
         raise AxiomViolation("diagonal", i, f"ell[{i}][{i}] must be >= 0")
     witness = _reverse_triangle_witness(ell, tol)
     if witness is not None:
@@ -113,7 +112,9 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
 # and sampled-slab matrices with n from 100 to 800, on a 2-vCPU x86-64 VM.
 _SWEEP_ENTRY_COST = 1.5
 _SWEEP_STEP_COST = 5_000
-_DENSE_CHUNK = 250_000  # entries of the (rows, n, n) broadcast per step of the dense scan
+# entries of one broadcast step: (rows, n, n) in the dense triangle scan,
+# (pairs, 2n) in the PDP check
+_DENSE_CHUNK = 250_000
 
 
 def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:
@@ -181,8 +182,8 @@ def _dense_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]
         lhs = ell[start:stop, :, None] + ell[None, :, :]
         rhs = ell[start:stop, None, :]
         viol = lhs > rhs + tol
-        if viol.any():
-            i, j, k = (int(v) for v in np.argwhere(viol)[0])
+        if np.count_nonzero(viol):
+            i, j, k = np.argwhere(viol)[0].tolist()
             return start + i, j, k
     return None
 
@@ -282,13 +283,36 @@ class CausalityReport:
 def _indistinguishable_pairs(space: FiniteLorentzSpace) -> list[tuple[int, int]]:
     """Pairs i<j with identical ell-rows and ell-columns (within tol), sorted.
 
-    Sort and verify: a match needs the same -inf pattern in the profile
-    [row | column] and finite-entry sums within 2n*tol of each other, so
-    profiles are sorted by (pattern, sum) and only neighbours inside that
-    window are compared entrywise.
+    Candidate then verify, on profiles [row | column]. While the whole
+    (n, n, 2n) comparison fits one `_DENSE_CHUNK` (2n^3 entries), every pair
+    is a candidate. Above that, a match needs the same -inf pattern and
+    finite-entry sums within 2n*tol of each other, so profiles are sorted by
+    (pattern, sum) and only neighbours inside that window are candidates.
+    Either way one gap-rule check, `gap_matrix <= tol` on every entry,
+    verifies all candidates.
     """
     ell, tol, n = space.ell, space.tol, space.n
-    prof = np.concatenate([ell, ell.T], axis=1)
+    prof = np.concatenate((ell, ell.T), axis=1)
+    if 2 * n ** 3 <= _DENSE_CHUNK:
+        i, j = np.nonzero(_profiles_match(prof[:, None], prof, tol))
+        keep = i < j
+        return list(zip(i[keep].tolist(), j[keep].tolist()))
+    i, j = _window_candidates(prof, tol)
+    keep = np.zeros(i.size, dtype=bool)
+    step = _DENSE_CHUNK // (2 * n)  # candidates per chunk of the check
+    for c in range(0, i.size, step):
+        keep[c:c + step] = _profiles_match(prof[i[c:c + step]], prof[j[c:c + step]], tol)
+    return sorted(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def _profiles_match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The gap rule over whole profiles: every entry of a within tol of b's."""
+    return (gap_matrix(a, b) <= tol).all(axis=-1)
+
+
+def _window_candidates(prof: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (i, j), i < j: the same -inf pattern and finite sums in one window."""
+    n = prof.shape[0]
     neg = np.isneginf(prof)
     finite = np.where(neg, 0.0, prof)
     sums = finite.sum(axis=1)
@@ -301,31 +325,31 @@ def _indistinguishable_pairs(space: FiniteLorentzSpace) -> list[tuple[int, int]]
     order = np.lexsort((sums, *pattern.T[::-1]))
     same = (pattern[order[1:]] == pattern[order[:-1]]).all(axis=1)
     s = sums[order]
-    out = []
-    for p in np.flatnonzero(same & (s[1:] - s[:-1] <= window)):
+    firsts, seconds = [], []
+    for p in np.flatnonzero(same & (s[1:] - s[:-1] <= window)).tolist():
         hi = p + 1
         while hi < n and same[hi - 1] and s[hi] - s[p] <= window:
             hi += 1
-        i, js = order[p], order[p + 1:hi]
-        for j in js[(gap_matrix(prof[js], prof[i]) <= tol).all(axis=1)]:
-            out.append((int(min(i, j)), int(max(i, j))))
-    return sorted(out)
+        firsts.append(np.full(hi - p - 1, order[p]))
+        seconds.append(order[p + 1:hi])
+    if not firsts:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
-def _causal_two_cycles(space: FiniteLorentzSpace) -> np.ndarray:
+def _causal_two_cycles(space: FiniteLorentzSpace) -> list[tuple[int, int]]:
     """Pairs i<j related causally both ways, in row-major order."""
-    return np.argwhere(np.triu(space.causal & space.causal.T, 1))
+    i, j = np.nonzero(space.causal & space.causal.T)
+    keep = i < j
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def causality_class(space: FiniteLorentzSpace) -> CausalityReport:
     """Exhaustive scan for the chronological / causal / PDP conditions."""
-    diag = np.diagonal(space.ell)
-    chron_bad = [int(i) for i in np.flatnonzero(diag > space.tol)]
-
-    causal_bad = [(int(i), int(j)) for i, j in _causal_two_cycles(space)]
-
+    chron_bad = np.flatnonzero(space.ell.diagonal() > space.tol).tolist()
+    causal_bad = _causal_two_cycles(space)
     pdp_bad = _indistinguishable_pairs(space)
-
     return CausalityReport(
         chronological=not chron_bad,
         causal=not causal_bad,
@@ -358,9 +382,10 @@ def quotient_tau_indistinguishable(space: FiniteLorentzSpace):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    roots = sorted({find(i) for i in range(n)})
+    rep = [find(i) for i in range(n)]  # rep[i] <= i: roots are the i with rep[i] == i
+    roots = [i for i in range(n) if rep[i] == i]
     class_of_root = {r: c for c, r in enumerate(roots)}
-    projection = np.array([class_of_root[find(i)] for i in range(n)], dtype=int)
+    projection = np.array([class_of_root[r] for r in rep], dtype=int)
     return space.restrict(roots), projection
 
 

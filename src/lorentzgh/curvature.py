@@ -106,15 +106,20 @@ def _axis(K: float, tau: float) -> tuple[float, float]:
 
 
 def _flat_z(a: float, t_yz: float, t_xz: float) -> tuple[float, float]:
-    """Closed-form Minkowski placement (positive-side branch)."""
+    """Closed-form Minkowski placement (positive-side branch).
+
+    `_solve_z` passes only t_yz > a + t_xz beyond its collinear band.
+    t^2 - t_yz^2 cancels when t_xz is small against the other sides; below
+    -1e-12 it is recomputed in product form,
+    (t_yz - a - t_xz)(t_yz - a + t_xz)/(2a) (t + t_yz), whose factors are
+    all positive, so every such side set is placed.
+    """
     t = (a * a + t_yz * t_yz - t_xz * t_xz) / (2 * a)
     under = t * t - t_yz * t_yz
-    if under < 0:
-        if under > -1e-12:  # collinear within roundoff
-            under = 0.0
-        else:
-            raise Unrealizable("tau_yz < tau_yx + tau_xz",
-                               "sides admit no model placement")
+    if under <= -1e-12:
+        under = (t_yz - a - t_xz) * (t_yz - a + t_xz) / (2 * a) * (t + t_yz)
+    elif under < 0:  # collinear within roundoff
+        under = 0.0
     return t, math.sqrt(under)
 
 

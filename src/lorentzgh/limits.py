@@ -235,11 +235,10 @@ def tangent_experiment(cov: CoveredFiniteSpace, o: int, lambdas: Sequence[float]
         blown = blow_up(cov, spec)
         every = list(range(blown.space.n))
         diam = timelike_diameter(blown.space, every)
-        try:
-            doubling, _ = doubling_constant(blown.space, every, exact_threshold=10)
-        except Uncoverable:
-            doubling = None
-            notes.append(f"doubling failed at lambda={lam}")
+        # never Uncoverable: build_space bounds each diagonal by tol, so (m, m) is a
+        # half-size candidate for every member m of a diamond with tau > 2 tol,
+        # and a diamond with tau <= 2 tol is its own
+        doubling, _ = doubling_constant(blown.space, every, exact_threshold=10)
         try:  # halving nets at scales diam/2^l, per the repeated-halving proof
             nets = [greedy_net(blown.space, every, max(diam, blown.space.tol) / 2 ** l)
                     for l in range(levels)]

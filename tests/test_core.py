@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,6 +266,86 @@ class TestTriangleScan:
         build_fiber(circle.labels, circle.d)
 
 
+def reference_validate_matrix(ell, tol):
+    """Reference: `validate_matrix` as it was before its checks were counted
+    with `count_nonzero`, on the chunked reference triangle scan."""
+    below_inf = ell < np.inf
+    if not below_inf.all():
+        bad = np.argwhere(~below_inf)[0]
+        raise AxiomViolation("codomain", tuple(int(v) for v in bad),
+                             "entries must lie in {-inf} union [0, inf)")
+    neg = (ell < -tol) & (ell > NI)
+    if neg.any():
+        bad = np.argwhere(neg)[0]
+        raise AxiomViolation("codomain", tuple(int(v) for v in bad),
+                             "negative finite entry")
+    diag = np.diagonal(ell)
+    bad_diag = ~np.isfinite(diag) | (diag < -tol)
+    if bad_diag.any():
+        i = int(np.argmax(bad_diag))
+        raise AxiomViolation("diagonal", i, f"ell[{i}][{i}] must be >= 0")
+    witness = chunked_reverse_triangle_witness(ell, tol)
+    if witness is not None:
+        i, j, k = witness
+        raise AxiomViolation("reverse-triangle", witness,
+                             f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
+
+
+AXIOM_DEFECTS = ("codomain", "negative", "diagonal", "reverse-triangle")
+
+
+@st.composite
+def axiom_inputs(draw):
+    """(ell, tol, defect): a matrix over the values {-inf, -2 tol, -tol, 0, tol,
+    0.5, 1, nan, +inf}. Small ones may be drawn entrywise from a random part
+    of that pool (defect None); the others are a valid chain, with one planted
+    defect of a named kind or none, and sometimes a few more entries
+    overwritten from the pool (defect None then)."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(68, 75), st.integers(95, 110)))
+    tol = draw(st.sampled_from([0.0, DEFAULT_TOL, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([NI, -2 * tol, -tol, 0.0, tol, 0.5, 1.0, np.nan, np.inf])
+    if n < 3 or (n <= 12 and draw(st.booleans())):
+        part = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, unique=True))
+        return pool[rng.choice(part, size=(n, n))], tol, None
+    defect = draw(st.sampled_from((None,) + AXIOM_DEFECTS))
+    t = np.sort(rng.uniform(0, 1, n))
+    ell = t[None, :] - t[:, None]
+    ell[ell < 0] = NI
+    np.fill_diagonal(ell, 0.0)
+    i, k = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+    if defect == "codomain":
+        ell[i, k] = pool[draw(st.sampled_from([7, 8]))]
+    elif defect == "negative" and tol > 0:
+        ell[k, i] = -2 * tol
+    elif defect == "diagonal":
+        ell[k, k] = NI
+    elif defect == "reverse-triangle":
+        ell[0, n - 1] = NI  # 0 -> 1 -> n - 1 is finite
+    else:
+        defect = None
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = (int(v) for v in rng.integers(0, n, size=2))
+            ell[a, b] = pool[int(rng.integers(len(pool)))]
+        defect = None
+    return ell, tol, defect
+
+
+class TestAxiomRecords:
+    """Every `validate_matrix` record, of every kind, is the reference's."""
+
+    @settings(max_examples=150)
+    @given(axiom_inputs())
+    def test_every_record_matches_reference(self, case):
+        ell, tol, defect = case
+        got = _record(validate_matrix, ell, tol)
+        assert repr(got) == repr(_record(reference_validate_matrix, ell, tol))
+        if defect is not None:  # one planted defect: its kind is the record's
+            kind = {"negative": "codomain"}.get(defect, defect)
+            assert got is not None and got["kind"] == kind
+
+
 class TestCausality:
     def test_chain_all_flags(self):
         s = chain_space([0, 1, 2])
@@ -316,10 +397,16 @@ PDP_POOL = np.array([NI, 0.0, PDP_TOL, 1.0, 1 + PDP_TOL / 2, 1 - PDP_TOL / 2,
                      1 + 2 * PDP_TOL, 1 - 2 * PDP_TOL])
 
 
+# 2 n^3 <= _DENSE_CHUNK up to n = 50: there every pair is a candidate, above it
+# the sort-and-window rule picks them
+SMALL_PDP_N = 50
+
+
 @st.composite
 def raw_profiles(draw):
-    """Unvalidated matrices from a small value pool, with (near-)duplicated points."""
-    n = draw(st.integers(1, 100))
+    """Unvalidated matrices from a small value pool, with (near-)duplicated
+    points, sized on both sides of the all-pairs candidate rule."""
+    n = draw(st.one_of(st.integers(1, SMALL_PDP_N), st.integers(SMALL_PDP_N + 1, 100)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ell = PDP_POOL[rng.integers(0, len(PDP_POOL), size=(n, n))]
     for _ in range(draw(st.integers(0, n))):
@@ -333,11 +420,78 @@ def raw_profiles(draw):
     return FiniteLorentzSpace([f"p{i}" for i in range(n)], ell, PDP_TOL)
 
 
+def reference_quotient(space):
+    """Reference: union-find over the brute-force pairs, the lowest index of a
+    class as its representative, and a two-index `np.ix_` restriction."""
+    parent = list(range(space.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in brute_force_pairs(space.ell, space.tol):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    roots = sorted({find(i) for i in range(space.n)})
+    projection = np.array([roots.index(find(i)) for i in range(space.n)], dtype=int)
+    restricted = FiniteLorentzSpace([space.labels[r] for r in roots],
+                                    space.ell[np.ix_(roots, roots)], space.tol)
+    return restricted, projection
+
+
+def reference_witnesses(space):
+    """Reference: `causality_class` witnesses by per-element loops over np.triu."""
+    diag = np.diagonal(space.ell)
+    return {"chronological": [int(i) for i in np.flatnonzero(diag > space.tol)],
+            "causal": [(int(i), int(j)) for i, j in
+                       np.argwhere(np.triu(space.causal & space.causal.T, 1))],
+            "pdp": brute_force_pairs(space.ell, space.tol)}
+
+
 class TestIndistinguishablePairs:
     @settings(max_examples=120)
     @given(raw_profiles())
     def test_matches_brute_force(self, space):
-        assert _indistinguishable_pairs(space) == brute_force_pairs(space.ell, space.tol)
+        with mock.patch.object(core, "_window_candidates",
+                               wraps=core._window_candidates) as window:
+            pairs = _indistinguishable_pairs(space)
+        assert window.called == (space.n > SMALL_PDP_N)
+        assert pairs == brute_force_pairs(space.ell, space.tol)
+
+    def test_candidates_checked_in_chunks(self):
+        # 60 copies of each point of a 2-point chain: 3,540 window candidates,
+        # four chunks of the check
+        ell = np.kron(np.ones((60, 60)), [[0.0, 1.0], [NI, 0.0]])
+        space = FiniteLorentzSpace([f"p{i}" for i in range(120)], ell)
+        assert _indistinguishable_pairs(space) == brute_force_pairs(ell, space.tol)
+
+    @settings(max_examples=80)
+    @given(raw_profiles())
+    def test_quotient_and_class_match_references(self, space):
+        q, proj = quotient_tau_indistinguishable(space)
+        want_q, want_proj = reference_quotient(space)
+        assert q == want_q and q.ell.tobytes() == want_q.ell.tobytes()
+        assert proj.dtype == want_proj.dtype and proj.tolist() == want_proj.tolist()
+        assert repr(causality_class(space).witnesses) == repr(reference_witnesses(space))
+
+    def test_restrict_gathers_in_one_step(self):
+        import tracemalloc
+        t = np.arange(600.0)
+        ell = t[None, :] - t[:, None]
+        ell[ell < 0] = NI
+        space = FiniteLorentzSpace([f"p{i}" for i in range(600)], ell)
+        keep = list(range(0, 600, 2))
+        tracemalloc.start()
+        try:
+            sub = space.restrict(keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.ell.shape == (300, 300)
+        # ell itself plus the two boolean tables; a row gather first would add
+        # a 300 x 600 block
+        assert peak < 1.5 * sub.ell.nbytes
 
 
 class TestQuotient:

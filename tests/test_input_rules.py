@@ -404,13 +404,6 @@ RECORDS = {
         lambda: comparison_config(1.0, (1.0, 4.0, 2.0, 1.0, 1.0)),
         {"error": "unrealizable", "message": "side constraint not realizable: tau_yz1 >= D_K",
          "constraint": "tau_yz1 >= D_K"}),
-    # the reverse triangle holds with a margin of 2.4e-7, but t^2 - tau_yz^2
-    # cancels to below -1e-12 in the flat closed form
-    "curvature._flat_z-unrealizable": (
-        lambda: comparison_config(0.0, (116.77227652783134, 116.77227676539862,
-                                        116.77227676539862, 0.0, 0.0)),
-        {"error": "unrealizable", "message": "sides admit no model placement",
-         "constraint": "tau_yz < tau_yx + tau_xz"}),
     # a subnormal tau_yx divides the placement's sine to an infinite coordinate
     "curvature._solve_z-chart-domain": (
         lambda: comparison_config(1.0, (1e-310, 1.0, 1.0, 0.5, 0.5)),
@@ -476,6 +469,12 @@ OUTCOMES = {
         lambda: tangent_experiment(covered(chain_space([0.0, 0.1, 0.2]), 1, [range(3)]), 1,
                                    [1, 2], levels=0).notes,
         ("limit construction failed: depth selects no net scales",)),
+    # the reverse triangle holds with a margin of 2.4e-7, but t^2 - tau_yz^2
+    # cancels to below -1e-12 in the flat closed form: the product form places z1
+    "curvature._flat_z-product-form": (
+        lambda: comparison_config(0.0, (116.77227652783134, 116.77227676539862,
+                                        116.77227676539862, 0.0, 0.0)).z1.coords,
+        (116.7722767653986, 2.375672780915076e-07)),
     "measured.weak_gap-empty-measures": (
         lambda: weak_gap(atomic_measure({}), atomic_measure({})), 0.0),
 }
