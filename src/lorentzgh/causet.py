@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, build_space, check_labels, integer_values, point_indices
+from .core import (FiniteLorentzSpace, build_space, check_labels, check_seed, integer_values,
+                   point_indices)
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
@@ -121,7 +122,7 @@ def _sprinkle(gen: ProductGenerator, region: tuple[float, float], count: int,
         raise EmptyRegion(f"region {region} outside generator range {gen.t_range}")
     if count < 1:
         raise EmptyRegion("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     ts = np.sort(rng.uniform(lo, hi, size=count))
     sites = rng.integers(0, gen.fiber.n, size=count)
     points: list[Point] = [(float(t), int(s)) for t, s in zip(ts, sites)]
@@ -184,7 +185,7 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     region = (max(gen_a.t_range[0], gen_b.t_range[0]),
               min(gen_a.t_range[1], gen_b.t_range[1]))
     rows = []
-    master = np.random.default_rng(seed)
+    master = np.random.default_rng(check_seed(seed))
     for count in counts:
         sub_seed = int(master.integers(0, 2**63 - 1))
         points, ell_a, causet = _sprinkle(gen_a, region, count, sub_seed)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import serialize as ser
 from .causet import chain_ell, faithful_embed_check, hauptvermutung_trial, sprinkle
-from .core import (DEFAULT_TOL, causality_class, classify_special_points, integer_values,
-                   isometry_search, quotient_tau_indistinguishable)
+from .core import (DEFAULT_TOL, causality_class, check_seed, classify_special_points,
+                   integer_values, isometry_search, quotient_tau_indistinguishable)
 from .corr import (CertificateMember, distortion, lgh_certificate,
                    min_distortion, slot_matching)
 from .curvature import curvature_bound_scan
@@ -81,6 +81,14 @@ def _ints(arg: str) -> list[int]:
 
 def _indices(arg: str, n: int) -> list[int]:
     return list(range(n)) if arg == "all" else _ints(arg)
+
+
+def _seed(arg: str) -> int:
+    """A seed flag: `check_seed`, failing as a usage error that names the flag."""
+    try:
+        return check_seed(int(arg))
+    except (ValueError, ShapeMismatch) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _floats(arg: str) -> list[float]:
@@ -145,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
         p.add_argument("--mode", choices=["exact", "heuristic"], default="heuristic")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--isometry", action="store_true",
                        help="also run the exact isometry search (equal sizes)")
 
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=float, required=True)
         p.add_argument("--window", help="t_lo,t_hi inside the generator range")
         p.add_argument("--sites", help="fiber site indices, default all")
-        p.add_argument("--jitter-seed", type=int, default=None)
+        p.add_argument("--jitter-seed", type=_seed, default=None)
 
     with _leaf(sub, "grid-net", _cmd_grid_net, tol=False,
                help="explicit slab-covering grid net") as p:
@@ -181,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", required=True)
         p.add_argument("--K", type=float, required=True)
         p.add_argument("--budget", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     with _leaf(sub, "scan", _cmd_scan, fmt=True,
                help="four-point scan over several K values") as p:
         p.add_argument("--space", required=True)
         p.add_argument("--K-list", required=True)
         p.add_argument("--budget", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     msub = sub.add_parser("measure", help="atomic measure operations").add_subparsers(
         dest="measure_command", required=True)
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--generator", required=True)
         p.add_argument("--region", required=True, help="t_lo,t_hi")
         p.add_argument("--count", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
 
     with _leaf(csub, "embed", _cmd_causet_embed) as p:
         p.add_argument("--causet", required=True)
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", required=True)
         p.add_argument("--b", required=True)
         p.add_argument("--counts", required=True)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
 
     return top
 

@@ -253,6 +253,13 @@ def check_tol(value, what: str = "tol") -> None:
         raise ShapeMismatch(f"{what} must be finite and >= 0, got {value!r}")
 
 
+def check_seed(seed) -> int:
+    """The one seed rule: an integer >= 0, else ShapeMismatch naming the value."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ShapeMismatch(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
     """Validate labels, tol (`check_tol`) and the axioms; return the space with its tables."""
     check_labels(labels)

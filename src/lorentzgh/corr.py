@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteLorentzSpace, check_tol, integer_values, point_indices
+from .core import FiniteLorentzSpace, check_seed, check_tol, integer_values, point_indices
 from .errors import (CapExceeded, CardinalityMismatch, EmptySubset, MiddleMismatch,
                      ShapeMismatch)
 from .extended import INF_GAP, gap_matrix
@@ -222,7 +222,7 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
 
 
 def _heuristic(a, b, seed, restarts):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     if max(a.n, b.n) > 150:
         restarts = 0  # random seeds are useless noise at this scale
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix, _reverse_triangle_witness,
-                   build_space, check_labels, integer_values, point_indices)
+                   build_space, check_labels, check_seed, integer_values, point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
@@ -241,6 +241,8 @@ class SamplePlan:
     def __post_init__(self):
         if not _finite_increasing((0, self.time_step)):
             raise ShapeMismatch(f"time_step must be a finite number > 0, got {self.time_step!r}")
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 @dataclass(frozen=True)

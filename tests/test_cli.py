@@ -51,6 +51,21 @@ class TestBasics:
         code, out, err = run_cli(["validate"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["match", "--a", "a.json", "--b", "b.json", "--seed"],
+        ["fourpoint", "--space", "s.json", "--K", "0", "--seed"],
+        ["scan", "--space", "s.json", "--K-list", "0", "--seed"],
+        ["causet", "sprinkle", "--generator", "g.json", "--region", "0,1", "--count", "5",
+         "--seed"],
+        ["causet", "trial", "--a", "a.json", "--b", "b.json", "--counts", "5", "--seed"],
+        ["sample", "--generator", "g.json", "--step", "0.5", "--jitter-seed"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_negative_seed_usage_error_names_flag(self, argv, capsys):
+        code, out, err = run_cli(argv + ["-1"], capsys)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument {argv[-1]}: seed must be an integer >= 0, "
+                            f"got -1\n")
+
     def test_class_report(self, capsys):
         payload = run_json(["class", "--space", str(SCHEMAS / "space.json")], capsys)
         assert payload["chronological"] and payload["causal"] and payload["pdp"]

@@ -283,6 +283,86 @@ def _outcome(call):
         return exc.record()
 
 
+def _last_inside(inside, lo, hi):
+    """The last float from `lo` towards `hi` where `inside` holds, for an
+    `inside` that holds at lo, fails at hi and switches once between them."""
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo
+
+
+def near_collinear_sides(rng, count):
+    """Side sets whose x-sides are null, or within a random gap of collinear,
+    down to 1e-15, inside the 1e-12 bands; a tenth of the gaps are unrealizable."""
+    corpus = []
+    for _ in range(count):
+        a = rng.uniform(0.1, 1.0)
+        yz, xz = [], []
+        for _ in range(2):
+            d = rng.uniform(0.0, 1.0)
+            gap = abs(rng.normal(0.0, 1e-3)) * 10.0 ** -rng.uniform(0, 12)
+            u = rng.random()
+            yz.append(a + d)
+            xz.append(0.0 if u < 0.1 else max(d - gap, 0.0) if u < 0.9 else d + gap)
+        corpus.append((a, *yz, *xz))
+    return corpus
+
+
+def _placed(K, sides):
+    """("placed", residual) or (error code, None) for `comparison_config(K, sides)`."""
+    try:
+        return "placed", comparison_config(K, sides).residual
+    except DomainError as exc:
+        return exc.code, None
+
+
+class TestScaleFree:
+    """Scaling every side by 2^k and K by 4^-k maps L2(K) onto itself and is
+    exact in floating point, so every outcome must be the same and every
+    residual and slack exactly 2^k times the unit-scale one."""
+
+    def test_comparison_config_is_dyadic(self):
+        corpus = near_collinear_sides(np.random.default_rng(31), 400)
+        for K in (0.0, -1.0, 0.25):
+            for sides in corpus:
+                kind, residual = _placed(K, sides)
+                for k in (-30, -10, 10, 20, 30):
+                    f = 2.0 ** k
+                    scaled = _placed(K / 4.0 ** k, tuple(f * v for v in sides))
+                    assert scaled == (kind, None if residual is None else f * residual), \
+                        (K, k, sides)
+
+    def test_scan_is_dyadic(self):
+        gen = ProductGenerator(fiber=circle_fiber(8), cone_scale=1.0, t_range=(0.0, 2.0))
+        sp = sample_spacetime(gen, SamplePlan(time_step=0.1, seed=4)).space
+        assert sp.n == 168
+        for K in (0.0, -1.0, 0.25):
+            unit = curvature_bound_scan(sp, K, 2000, 0)
+            for k in (-30, 20, 30):
+                f = 2.0 ** k
+                scaled = build_space(sp.labels, f * sp.ell, tol=f * sp.tol)
+                out = curvature_bound_scan(scaled, K / 4.0 ** k, 2000, 0, tol=f * 1e-9)
+                assert out == {"tested": unit["tested"],
+                               "violations": [{"points": v["points"], "slack": f * v["slack"]}
+                                              for v in unit["violations"]]}, (K, k)
+
+    @pytest.mark.parametrize("K", [0.0, -1.0, 0.25])
+    def test_collinear_band_from_both_sides(self, K):
+        # |t_yz - (t_yx + t_xz)| <= 1e-12 t_yz places z on the axis; one ulp
+        # beyond it z leaves the axis above, and the sides are unrealizable below
+        a, w = 0.375, 0.125
+        upper = _last_inside(lambda t: t - (a + w) <= 1e-12 * t, a + w, 1.0)
+        lower = _last_inside(lambda t: (a + w) - t <= 1e-12 * t, a + w, a)
+
+        def v(t_yz):
+            return comparison_config(K, (a, t_yz, t_yz, w, w)).z1.coords[1]
+        assert v(upper) == 0.0 and v(lower) == 0.0
+        assert v(math.nextafter(upper, 1.0)) > 0.0
+        with pytest.raises(Unrealizable, match="reverse triangle"):
+            v(math.nextafter(lower, a))
+
+
 @st.composite
 def past_configurations(draw):
     """A jittered product sample and a past four-point configuration (y, x, z1, z2)

@@ -1,5 +1,5 @@
 """The input rules: one range rule for point indices, one labels rule, the tol rule,
-the net epsilon rule, and the product generator, sample plan and product point
+the seed rule, the net epsilon rule, and the product generator, sample plan and product point
 rules of `geometry`; and one pinned record for every other reachable raise.
 
 Every public entry that takes point indices rejects a negative and a
@@ -25,11 +25,11 @@ from lorentzgh import (BlowupSpec, CertificateMember, CoveredSequence, DiamondNe
                        ProductGenerator, SamplePlan, blow_up, build_causet, build_fiber,
                        build_space, circle_fiber, comparison_config, cone_dominates, covered,
                        diagonal_limit, embed_net, faithful_embed_check, greedy_net,
-                       grid_net_product, lgh_certificate, make_correspondence,
-                       measured_limit_builder, min_distortion, product_family,
+                       grid_net_product, hauptvermutung_trial, lgh_certificate,
+                       make_correspondence, measured_limit_builder, min_distortion, product_family,
                        sample_spacetime, select_blowup_spec, slab_net, slot_matching, sprinkle,
                        tangent_experiment, timelike_diameter, uncovered_samples, weak_gap)
-from lorentzgh.core import point_indices
+from lorentzgh.core import check_seed, point_indices
 from lorentzgh.curvature import FourPointConfig, curvature_bound_scan, four_point_check
 from lorentzgh.errors import DomainError, EpsilonTooLarge, ShapeMismatch
 from lorentzgh.extended import NEG_INF as NI
@@ -217,9 +217,9 @@ TOL_EXEMPT = {
 }
 
 
-def _tol_parameters():
-    """(module.name, parameter) for every `tol` or `*_tol` parameter of the
-    package's public functions, classes and public methods."""
+def _parameters(wanted):
+    """(module.name, parameter) for every parameter named as `wanted` accepts
+    of the package's public functions, classes and public methods."""
     for info in pkgutil.iter_modules(lorentzgh.__path__):
         module = importlib.import_module(f"lorentzgh.{info.name}")
         for name, obj in vars(module).items():
@@ -233,7 +233,7 @@ def _tol_parameters():
                 if not callable(f):
                     continue
                 for param in inspect.signature(f).parameters:
-                    if param == "tol" or param.endswith("_tol"):
+                    if wanted(param):
                         yield f"{info.name}.{qualname}", param
 
 
@@ -265,12 +265,44 @@ class TestTolRule:
         TOL_ENTRIES[entry][1](0)
 
     def test_every_tol_parameter_is_ruled_or_exempt(self):
-        found = set(_tol_parameters())
+        found = set(_parameters(lambda param: param == "tol" or param.endswith("_tol")))
         unruled = sorted((name, param) for name, param in found
                          if name not in TOL_ENTRIES and name not in TOL_EXEMPT)
         assert not unruled, f"no rule row and no exemption: {unruled}"
         assert {(name, row[0]) for name, row in TOL_ENTRIES.items()} <= found, "stale rows"
         assert set(TOL_EXEMPT) <= {name for name, _ in found}, "stale exemptions"
+
+
+# entry -> call with one seed
+SEED_ENTRIES = {
+    "core.check_seed": check_seed,
+    "corr.min_distortion": lambda seed: min_distortion(S3, S3, seed=seed),
+    "curvature.curvature_bound_scan": lambda seed: curvature_bound_scan(S3, 0.0, 10, seed),
+    "causet.sprinkle": lambda seed: sprinkle(GEN, (0.0, 1.0), 3, seed),
+    "causet.hauptvermutung_trial": lambda seed: hauptvermutung_trial(GEN, GEN, [3], seed),
+    "geometry.SamplePlan": lambda seed: SamplePlan(time_step=1.0, seed=seed),
+}
+
+
+class TestSeedRule:
+    """Every public entry that takes a seed applies `core.check_seed`: an
+    integer >= 0, else one ShapeMismatch message naming the seed and its value."""
+
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+    @pytest.mark.parametrize("value", [-1, -2**63, 1.5, "3"])
+    def test_entry_rejected(self, entry, value):
+        message = re.escape(f"seed must be an integer >= 0, got {value!r}")
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            SEED_ENTRIES[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+    @pytest.mark.parametrize("value", [0, np.int64(7), 2**64])
+    def test_entry_accepted(self, entry, value):
+        SEED_ENTRIES[entry](value)
+
+    def test_every_seed_parameter_is_ruled(self):
+        assert set(_parameters(lambda param: "seed" in param)) == \
+            {(name, "seed") for name in SEED_ENTRIES}
 
 
 FIBER = circle_fiber(4)
@@ -404,6 +436,14 @@ RECORDS = {
         lambda: comparison_config(1.0, (1.0, 4.0, 2.0, 1.0, 1.0)),
         {"error": "unrealizable", "message": "side constraint not realizable: tau_yz1 >= D_K",
          "constraint": "tau_yz1 >= D_K"}),
+    # a null tau_xz1 is re-measured through the square root of a cancelled
+    # interval, so the placed z1 misses its tau_xz1 by more than 1e-10 times
+    # the largest side
+    "curvature._placement-solver-diverged": (
+        lambda: comparison_config(0.25, (0.8271467107628444, 1.3424722718049864,
+                                         1.1129480908509861, 0.0, 0.0)),
+        {"error": "solver-diverged",
+         "message": "comparison residual 1.825e-08 exceeds 1e-10 * max side"}),
     # a subnormal tau_yx divides the placement's sine to an infinite coordinate
     "curvature._solve_z-chart-domain": (
         lambda: comparison_config(1.0, (1e-310, 1.0, 1.0, 0.5, 0.5)),
@@ -469,12 +509,18 @@ OUTCOMES = {
         lambda: tangent_experiment(covered(chain_space([0.0, 0.1, 0.2]), 1, [range(3)]), 1,
                                    [1, 2], levels=0).notes,
         ("limit construction failed: depth selects no net scales",)),
-    # the reverse triangle holds with a margin of 2.4e-7, but t^2 - tau_yz^2
-    # cancels to below -1e-12 in the flat closed form: the product form places z1
-    "curvature._flat_z-product-form": (
+    # the reverse triangle holds with a margin of 2.4e-7 on sides of order 100,
+    # where the flat t^2 - tau_yz^2 would cancel: the product form places z1
+    "curvature._solve_z-product-form": (
         lambda: comparison_config(0.0, (116.77227652783134, 116.77227676539862,
                                         116.77227676539862, 0.0, 0.0)).z1.coords,
-        (116.7722767653986, 2.375672780915076e-07)),
+        (116.77227676539862, 2.3756727809150762e-07)),
+    # a margin of 1.9e-6 on sides of order 3000: the residual 2.8e-8 is within
+    # 1e-10 times the largest side, and z1 is off the axis
+    "curvature._solve_z-large-sides": (
+        lambda: comparison_config(0.0, (3119.002688652844, 3119.004629243366,
+                                        3119.004629243366, 0.0, 0.0)).z1.coords,
+        (3119.0046292439697, 0.0019405911255276184)),
     "measured.weak_gap-empty-measures": (
         lambda: weak_gap(atomic_measure({}), atomic_measure({})), 0.0),
 }
