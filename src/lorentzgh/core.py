@@ -105,12 +105,11 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
                              f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
 
 
-# Cost model for choosing the triangle scan, in entries of the dense (i, j, k)
-# cube: the sweep over middle points pays about _SWEEP_ENTRY_COST per visited
-# entry (a row gather over a column span) plus _SWEEP_STEP_COST per middle
-# point (Python loop). Fitted to timings of both scans on sprinkled, permuted
-# and sampled-slab matrices with n from 100 to 800, on a 2-vCPU x86-64 VM.
-_SWEEP_ENTRY_COST = 1.5
+# The triangle scan's size rule: one step of the sweep over middle points (a
+# Python loop turn) costs about _SWEEP_STEP_COST entries of the dense (i, j, k)
+# cube, so the sweep is taken once its n steps cost less than n^3, n^2 above
+# that value. Timed on sprinkled, permuted and sampled-slab matrices with n
+# from 100 to 800, on a 2-vCPU x86-64 VM.
 _SWEEP_STEP_COST = 5_000
 # entries of one broadcast step: (rows, n, n) in the dense triangle scan,
 # (pairs, 2n) in the PDP check
@@ -121,20 +120,14 @@ def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int
     """Lexicographically least (i, j, k) with ell[i,j] + ell[j,k] > ell[i,k] + tol, or None.
 
     -inf absorbs on the left, so a violation through the middle point j
-    needs i in J-(j) and k in J+(j): finite ell[i, j] and ell[j, k]. Where
-    the cost model says it pays, a sweep over j visits only the rows J-(j)
-    over the column span of J+(j), sum_j |J-(j)| span(J+(j)) entries, on
-    the success and the failure path. Small n and dense causal support
-    (finite input such as a negated metric) go to the dense scan over the
+    needs i in J-(j) and k in J+(j): finite ell[i, j] and ell[j, k]. Above
+    the size rule's n, a sweep over j visits only the rows J-(j) over the
+    column span of J+(j), sum_j |J-(j)| span(J+(j)) entries, on the success
+    and the failure path; smaller matrices go to the dense scan over the
     whole cube.
     """
-    n = ell.shape[0]
-    if n * n > _SWEEP_STEP_COST:  # otherwise the sweep's steps alone cost n^3 or more
-        causal = np.isfinite(ell)
-        first, stop = _future_spans(causal)
-        visits = int(causal.sum(axis=0) @ (stop - first))
-        if _SWEEP_ENTRY_COST * visits + _SWEEP_STEP_COST * n < n ** 3:
-            return _sweep_witness(ell, tol, causal)
+    if ell.shape[0] ** 2 > _SWEEP_STEP_COST:
+        return _sweep_witness(ell, tol, np.isfinite(ell))
     return _dense_witness(ell, tol)
 
 
@@ -253,10 +246,11 @@ def check_tol(value, what: str = "tol") -> None:
         raise ShapeMismatch(f"{what} must be finite and >= 0, got {value!r}")
 
 
-def check_seed(seed) -> int:
-    """The one seed rule: an integer >= 0, else ShapeMismatch naming the value."""
+def check_seed(seed, what: str = "seed") -> int:
+    """The one seed rule, for a count too: an integer >= 0, else ShapeMismatch
+    naming `what` and the value."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ShapeMismatch(f"seed must be an integer >= 0, got {seed!r}")
+        raise ShapeMismatch(f"{what} must be an integer >= 0, got {seed!r}")
     return seed
 
 

@@ -187,7 +187,8 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
                    seed: int = 0):
     """Minimal-distortion correspondence search.
 
-    exact: global minimizer (branch and bound), sizes capped at 8.
+    exact: global minimizer, sizes capped at 8: branch and bound below the
+    value of the heuristic, which runs first with the same seeds.
     heuristic: the best completed seed. Each seed is a partial left map f,
     and one greedy rule completes every seed: each left point past the end
     of f, then each right point outside f's image, gets the partner of least
@@ -211,20 +212,19 @@ def min_distortion(a: FiniteLorentzSpace, b: FiniteLorentzSpace, mode: str = "he
     if mode == "exact":
         if a.n > EXACT_SIZE_CAP or b.n > EXACT_SIZE_CAP:
             raise CapExceeded(f"exact mode size cap exceeded ({max(a.n, b.n)} > {EXACT_SIZE_CAP})")
-        corr0, val0 = _heuristic(a, b, seed, restarts=4)
+        corr0, val0 = _heuristic(a, b, seed)
         val, pairs = _exact_search(a, b, val0)
         if pairs is None:  # heuristic seed was already optimal
             return corr0, val0
         return make_correspondence(pairs, a.n, b.n), val
     if mode != "heuristic":
         raise ShapeMismatch(f"unknown mode {mode!r}")
-    return _heuristic(a, b, seed, restarts=8)
+    return _heuristic(a, b, seed)
 
 
-def _heuristic(a, b, seed, restarts):
+def _heuristic(a, b, seed):
     rng = np.random.default_rng(check_seed(seed))
-    if max(a.n, b.n) > 150:
-        restarts = 0  # random seeds are useless noise at this scale
+    restarts = 0 if max(a.n, b.n) > 150 else 8  # random seeds are useless noise at that scale
 
     def seed_maps():
         if a.n == b.n:

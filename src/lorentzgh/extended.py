@@ -10,7 +10,9 @@ Conventions baked in:
 +inf is not a legal time value (covered spaces have finite tau); INF_GAP
 re-uses float inf purely as the distortion sentinel.
 
-`gap_matrix` is the one encoding of the comparison convention, and `gap` is
+`gap_matrix` is the one encoding of the comparison convention, one masked
+subtraction: equal entries keep a gap of 0, which covers two NEG_INFs, and
+every other pair is |a - b|, which is INF_GAP for a mixed pair. `gap` is
 its scalar form: two values match within tol iff their gap is <= tol, so
 NEG_INF matches only NEG_INF and finite values match within tol. At tol 0
 that is exact equality: on {-inf} union [0, inf), gap(a, b) == 0 iff a == b.
@@ -33,13 +35,6 @@ def gap_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise `gap` for equal-shape arrays (broadcasting)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a_inf = a == NEG_INF
-    b_inf = b == NEG_INF
-    if not a_inf.any() and not b_inf.any():
-        return np.abs(a - b)
-    with np.errstate(invalid="ignore"):
-        out = np.abs(a - b)
-    both = a_inf & b_inf
-    out = np.where(both, 0.0, out)
-    out = np.where(a_inf ^ b_inf, INF_GAP, out)
-    return out
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a, b, out=out, where=a != b)  # equal entries, two NEG_INFs among them, keep 0
+    return np.abs(out, out=out)  # a mixed pair reads |NEG_INF - x| = INF_GAP

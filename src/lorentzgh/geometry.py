@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FiniteLorentzSpace, _float_matrix, _reverse_triangle_witness,
+from .core import (DEFAULT_TOL, FiniteLorentzSpace, _dense_witness, _float_matrix,
                    build_space, check_labels, check_seed, integer_values, point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
@@ -58,15 +58,16 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     """Validate the metric axioms exhaustively, within DEFAULT_TOL, and freeze the matrix.
 
     The triangle inequality of d is the reverse triangle inequality of -d, so
-    it shares `core.validate_matrix`'s triangle check; -d is finite everywhere,
-    so that check scans the whole (i, j, k) cube in chunks.
+    it shares `core.validate_matrix`'s dense triangle scan over the whole
+    (i, j, k) cube, in chunks: -d is finite everywhere, so a sweep over causal
+    spans would visit the same cube.
     """
     check_labels(labels)
     d = _float_matrix(d, "d")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
         raise ShapeMismatch(f"need a square matrix matching {len(labels)} labels")
     fiber = _pointwise_checked_fiber(labels, d)
-    witness = _reverse_triangle_witness(-d, DEFAULT_TOL)
+    witness = _dense_witness(-d, DEFAULT_TOL)
     if witness is not None:
         raise AxiomViolation("triangle", witness, "fiber triangle inequality violated")
     return fiber

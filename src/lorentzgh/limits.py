@@ -170,7 +170,10 @@ def _check_lambda(lam: float) -> None:
 def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     """Rescale ell by lambda on the chronological diamond I(o-, o+).
 
-    A point of the spec outside the space raises ShapeMismatch.
+    The blown-up space loads at tol * max(1, lambda): scaling ell scales
+    every reverse-triangle defect, so a space that loads at its tol loads
+    blown up at the scaled tol. A point of the spec outside the space raises
+    ShapeMismatch.
     """
     space = cov.space
     point_indices(space.n, (spec.o_minus, spec.o, spec.o_plus), "blow-up points")
@@ -185,7 +188,7 @@ def blow_up(cov: CoveredFiniteSpace, spec: BlowupSpec) -> CoveredFiniteSpace:
     keep = [int(i) for i in np.flatnonzero(mask)]  # holds o, by the two chron checks
     pos = {orig: new for new, orig in enumerate(keep)}
     ell = spec.lam * space.ell[np.ix_(keep, keep)]
-    sub = build_space([space.labels[i] for i in keep], ell, tol=space.tol)
+    sub = build_space([space.labels[i] for i in keep], ell, tol=space.tol * max(1.0, spec.lam))
     return covered(sub, pos[spec.o], [[pos[i] for i in level if i in pos] for level in cov.cover])
 
 

@@ -243,7 +243,7 @@ class TestGeometryCommands:
         ["fourpoint", "--K", "0", "--budget", "-5"],
     ], ids=" ".join)
     def test_scan_bad_K_or_budget_exit_1(self, argv, capsys):
-        message = "budget must be >= 0" if "--budget" in argv else "K must be finite"
+        message = "budget must be an integer >= 0" if "--budget" in argv else "K must be finite"
         code, out, err = run_cli(argv + ["--space", str(ROOT / "tests" / "data" /
                                                         "planted_space.json")], capsys)
         assert (code, out) == (1, ""), err

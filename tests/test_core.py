@@ -13,7 +13,7 @@ from lorentzgh import (CertificateMember, DiamondNet, ProductGenerator, SamplePl
                        quotient_tau_indistinguishable, sample_spacetime, segment_fiber,
                        timelike_diameter)
 from lorentzgh import core
-from lorentzgh.causet import sprinkle
+from lorentzgh.causet import build_causet, chain_ell, sprinkle
 from lorentzgh.core import (DEFAULT_TOL, CoveredFiniteSpace, FiniteLorentzSpace,
                             _indistinguishable_pairs, _sweep_witness, validate_matrix)
 from lorentzgh.errors import (AxiomViolation, CapExceeded, EmptySubset,
@@ -353,6 +353,11 @@ class TestCausality:
         assert rep.chronological and rep.causal and rep.pdp
         assert not any(rep.witnesses.values())
 
+    def test_report_equals_only_reports(self):
+        rep = causality_class(chain_space([0, 1]))
+        assert rep.__eq__(rep.chronological) is NotImplemented
+        assert rep != (rep.chronological, rep.causal, rep.pdp)
+
     def test_symmetric_zero_pair_not_causal(self):
         s = build_space(["a", "b"], [[0, 0], [0, 0]])
         rep = causality_class(s)
@@ -646,6 +651,23 @@ class TestIsometry:
         s = chain_space(np.arange(25.0))
         with pytest.raises(CapExceeded, match=r"\(25 > 24\)"):
             isometry_search(s, s)
+
+    @staticmethod
+    def crowns(*sizes):
+        """chain_ell of disjoint crowns: in a k-crown, minimum i is covered by
+        maxima i and i + 1 mod k."""
+        covers, base = [], 0
+        for k in sizes:
+            covers += [(base + i, base + k + (i + d) % k) for i in range(k) for d in (0, 1)]
+            base += 2 * k
+        return chain_ell(build_causet([f"e{i}" for i in range(base)], covers))
+
+    def test_crowns_backtrack_to_none(self):
+        # every minimum, and every maximum, has the same sorted row and column
+        # in both spaces, so only the search tells a 6-crown from two 3-crowns
+        a, b = self.crowns(6), self.crowns(3, 3)
+        assert a.n == b.n == 12 and isometry_search(a, a) is not None
+        assert isometry_search(a, b) is None
 
     def test_isometric_spaces_share_causality_class(self, rng):
         for _ in range(30):

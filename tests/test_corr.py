@@ -339,12 +339,12 @@ class TestBestOfSeeds:
 
 class TestSeedCount:
     """Seeds completed on a pair that no seed matches at 0: greedy, then 8
-    random maps in heuristic mode, 4 ahead of exact branch and bound, and
-    none above 150 points. Chains of different sizes sit at INF_GAP."""
+    random maps, in heuristic mode and ahead of exact branch and bound alike,
+    and none above 150 points. Chains of different sizes sit at INF_GAP."""
 
     @pytest.mark.parametrize("sizes, mode, calls", [
         ((3, 4), "heuristic", 1 + 8),
-        ((3, 4), "exact", 1 + 4),
+        ((3, 4), "exact", 1 + 8),
         ((151, 152), "heuristic", 1),
     ])
     def test_completions(self, sizes, mode, calls, monkeypatch):

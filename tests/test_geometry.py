@@ -85,7 +85,7 @@ class TestFiber:
         def no_scan(*args):
             raise AssertionError("triangle scan ran")
 
-        monkeypatch.setattr(geometry, "_reverse_triangle_witness", no_scan)
+        monkeypatch.setattr(geometry, "_dense_witness", no_scan)
         assert circle_fiber(64, 0.37).n == 64
         assert segment_fiber(64, 2.5).n == 64
         with pytest.raises(AssertionError, match="triangle scan ran"):

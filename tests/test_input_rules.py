@@ -424,6 +424,18 @@ RECORDS = {
         lambda: four_point_check(S3, FourPointConfig("future", (2, 1, 0, 0)), 0.0),
         {"error": "shape-mismatch",
          "message": "points (2, 1, 0, 0) do not form a future four-point configuration"}),
+    # a side >= D_K is rejected by the placement: tau(y, z2) = 2 >= pi/2
+    "curvature.four_point_check-side-at-least-D_K": (
+        lambda: four_point_check(chain_space([0, 0.5, 1, 2]),
+                                 FourPointConfig("future", (0, 1, 2, 3)), 4.0),
+        {"error": "unrealizable", "message": "side constraint not realizable: tau_yz2 >= D_K",
+         "constraint": "tau_yz2 >= D_K"}),
+    "curvature.curvature_bound_scan-fractional-budget": (
+        lambda: curvature_bound_scan(S3, 0.0, 2.5, 0),
+        {"error": "shape-mismatch", "message": "budget must be an integer >= 0, got 2.5"}),
+    "curvature.curvature_bound_scan-nan-budget": (
+        lambda: curvature_bound_scan(S3, 0.0, math.nan, 0),
+        {"error": "shape-mismatch", "message": "budget must be an integer >= 0, got nan"}),
     "curvature.comparison_config-tau_yx-zero": (
         lambda: comparison_config(0.0, (0.0, 1.0, 1.0, 1.0, 1.0)),
         {"error": "unrealizable", "message": "y and x must be chronologically related",

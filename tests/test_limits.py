@@ -145,6 +145,18 @@ class TestBlowUp:
         with pytest.raises(SpecViolated):
             blow_up(cov, BlowupSpec(o=2, o_minus=0, o_plus=4, lam=6.0))
 
+    def test_blown_up_space_loads_at_scaled_tol(self):
+        # ell[1][3] sits 5e-9 below ell[1][2] + ell[2][3]: within tol 1e-8,
+        # and 4e-8 below it once scaled by 8, within tol * 8
+        ell = chain_space([0, 0.02, 0.04, 0.06, 0.08]).ell.copy()
+        ell[1, 3] -= 5e-9
+        cov = covered(build_space([f"p{i}" for i in range(5)], ell, tol=1e-8), 2, [range(5)])
+        out = blow_up(cov, BlowupSpec(o=2, o_minus=0, o_plus=4, lam=8.0))
+        assert out.space.tol == 8e-8
+        assert (out.space.ell == 8.0 * ell[1:4, 1:4]).all()
+        shrunk = blow_up(cov, BlowupSpec(o=2, o_minus=0, o_plus=4, lam=0.5))
+        assert shrunk.space.tol == 1e-8  # lambda < 1 shrinks every defect: tol stays
+
     def test_composition_dyadic_exact(self, rng):
         # blow_up(lam) o blow_up(mu) == blow_up(lam * mu) as ell matrices
         for _ in range(30):

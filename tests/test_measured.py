@@ -173,6 +173,14 @@ class TestLimitBuilder:
         with pytest.raises(UnboundedWeights):
             measured_limit_builder({(1, 0): ms}, bounds={1: 2.0})
 
+    def test_bounds_apply_only_to_their_levels(self):
+        # C_0 = 2 bounds level 0; level 1, with mass 10 and no bound, is not checked
+        seq = {(0, 0): [atomic_measure({0: 1.0})] * 3, (1, 0): [atomic_measure({0: 10.0})] * 3}
+        limit, _ = measured_limit_builder(seq, bounds={0: 2.0})
+        assert limit.as_dict() == {0: 1.0}
+        with pytest.raises(UnboundedWeights):
+            measured_limit_builder(seq, bounds={0: 2.0, 1: 2.0})
+
     def test_restriction_consistency_across_levels(self):
         # the level-k limit restricted to level-(k-1) atoms equals the
         # level-(k-1) extraction
