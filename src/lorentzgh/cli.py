@@ -448,7 +448,7 @@ def _cmd_measure_limit(args):
     sequence, bounds, member_indices = _load(args.manifest, _measure_limit_manifest)
     measure, log = measured_limit_builder(sequence, bounds, member_indices)
     _emit(args, {"measure": ser.measure_to_dict(measure),
-                 "final_subsequence": log["final_positions"]})
+                 "final_subsequence": log["final_subsequence"]})
 
 
 def _measure_limit_manifest(manifest):

@@ -30,7 +30,9 @@ class FiniteLorentzSpace:
     frozen in place as a float array, and derives the `chron` and `causal`
     tables; `build_space` validates. Equality is by labels, tol and ell.
     `tol` is the equality tolerance for finite entries; constructed
-    (exact) matrices work with any tol, float-sampled ones need slack.
+    (exact) matrices work with any tol, float-sampled ones need slack. The
+    PDP scan needs a finite tol, which `build_space` checks and this
+    constructor does not.
     """
 
     labels: tuple[str, ...]
@@ -274,69 +276,36 @@ class CausalityReport:
     pdp: bool
     witnesses: dict
 
-    def __eq__(self, other):
-        if not isinstance(other, CausalityReport):
-            return NotImplemented
-        return (self.chronological, self.causal, self.pdp) == \
-               (other.chronological, other.causal, other.pdp)
-
 
 def _indistinguishable_pairs(space: FiniteLorentzSpace) -> list[tuple[int, int]]:
-    """Pairs i<j with identical ell-rows and ell-columns (within tol), sorted.
+    """Pairs i<j with identical ell-rows and ell-columns (within tol), row-major.
 
-    Candidate then verify, on profiles [row | column]. While the whole
-    (n, n, 2n) comparison fits one `_DENSE_CHUNK` (2n^3 entries), every pair
-    is a candidate. Above that, a match needs the same -inf pattern and
-    finite-entry sums within 2n*tol of each other, so profiles are sorted by
-    (pattern, sum) and only neighbours inside that window are candidates.
-    Either way one gap-rule check, `gap_matrix <= tol` on every entry,
-    verifies all candidates.
+    Candidate then verify, on profiles [row | column], for a finite tol. An
+    entry that is not finite then matches only an equal entry, so matching
+    profiles are finite at the same places, and at (i, i), (j, i), (i, j)
+    and (j, j) that makes the 2 x 2 block of `causal` constant. Those pairs
+    are the candidates: on a validated space, whose diagonal is finite, the
+    causal two-cycles, so a causal space needs no profile comparison. One
+    gap-rule check, `gap_matrix <= tol` on every entry, verifies them.
     """
-    ell, tol, n = space.ell, space.tol, space.n
-    prof = np.concatenate((ell, ell.T), axis=1)
-    if 2 * n ** 3 <= _DENSE_CHUNK:
-        i, j = np.nonzero(_profiles_match(prof[:, None], prof, tol))
-        keep = i < j
-        return list(zip(i[keep].tolist(), j[keep].tolist()))
-    i, j = _window_candidates(prof, tol)
-    keep = np.zeros(i.size, dtype=bool)
-    step = _DENSE_CHUNK // (2 * n)  # candidates per chunk of the check
-    for c in range(0, i.size, step):
-        keep[c:c + step] = _profiles_match(prof[i[c:c + step]], prof[j[c:c + step]], tol)
-    return sorted(zip(i[keep].tolist(), j[keep].tolist()))
+    c = space.causal
+    d = c.diagonal()
+    same = c == d[:, None]  # (i, j) is finite exactly when (i, i) is
+    i, j = np.nonzero(same & same.T & (d[:, None] == d))
+    upper = i < j
+    i, j = i[upper], j[upper]
+    if not i.size:
+        return []
+    prof = np.concatenate((space.ell, space.ell.T), axis=1)
+    step = _DENSE_CHUNK // (2 * space.n)  # candidates per chunk of the check
+    keep = np.concatenate([_profiles_match(prof[i[k:k + step]], prof[j[k:k + step]], space.tol)
+                           for k in range(0, i.size, step)])
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def _profiles_match(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """The gap rule over whole profiles: every entry of a within tol of b's."""
     return (gap_matrix(a, b) <= tol).all(axis=-1)
-
-
-def _window_candidates(prof: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs (i, j), i < j: the same -inf pattern and finite sums in one window."""
-    n = prof.shape[0]
-    neg = np.isneginf(prof)
-    finite = np.where(neg, 0.0, prof)
-    sums = finite.sum(axis=1)
-    # a true match has |sum_i - sum_j| <= 2n*tol; each computed sum of 2n
-    # terms is off by at most n*eps*sum|x|, so the window adds 2n*eps*amax
-    # for the two sums, padded 4x for the rounding of the window itself
-    amax = float(np.abs(finite, out=finite).sum(axis=1).max(initial=0.0))
-    window = 2 * n * (tol + 4 * np.finfo(float).eps * (amax + tol))
-    pattern = np.packbits(neg, axis=1)
-    order = np.lexsort((sums, *pattern.T[::-1]))
-    same = (pattern[order[1:]] == pattern[order[:-1]]).all(axis=1)
-    s = sums[order]
-    firsts, seconds = [], []
-    for p in np.flatnonzero(same & (s[1:] - s[:-1] <= window)).tolist():
-        hi = p + 1
-        while hi < n and same[hi - 1] and s[hi] - s[p] <= window:
-            hi += 1
-        firsts.append(np.full(hi - p - 1, order[p]))
-        seconds.append(order[p + 1:hi])
-    if not firsts:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    a, b = np.concatenate(firsts), np.concatenate(seconds)
-    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _causal_two_cycles(space: FiniteLorentzSpace) -> list[tuple[int, int]]:
@@ -396,7 +365,7 @@ def classify_special_points(space: FiniteLorentzSpace) -> dict[str, Optional[int
     Requires (PDP); each pattern can match at most one point then. A
     1-point space returns all None (the patterns are vacuous there).
     """
-    if not causality_class(space).pdp:
+    if _indistinguishable_pairs(space):
         raise PrePDPRequired("space must satisfy the point distinction property")
     n, ell, tol = space.n, space.ell, space.tol
     diag = np.eye(n, dtype=bool)  # the patterns read off-diagonal entries only

@@ -195,7 +195,9 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
     the diagonal step `_refine`, reused across increasing k so earlier cover
     levels stay consistent. `bounds` holds the per-level mass bounds C_k,
     each > 0 or else ShapeMismatch; members violating 1/C_k <= mass <= C_k
-    raise UnboundedWeights. Returns (limit measure, extraction log).
+    raise UnboundedWeights. Returns (limit measure, extraction log); as in
+    `diagonal_limit`, the log's final_subsequence lists the kept members by
+    member index when indices are given, else by position.
     """
     member_indices = _member_indices(member_indices)
     keys = sorted(sequence.keys())
@@ -233,5 +235,6 @@ def measured_limit_builder(sequence: dict[tuple[int, int], Sequence[AtomicMeasur
             key_log[atom] = {"limit": limit, "kept": list(positions), "spread": spread}
             limit_weights.setdefault(atom, limit)
         log["per_key"][key] = key_log
-    log["final_positions"] = list(positions)
+    log["final_subsequence"] = (positions if member_indices is None
+                                else [member_indices[p] for p in positions])
     return atomic_measure(limit_weights), log

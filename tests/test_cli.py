@@ -712,6 +712,8 @@ class TestMeasureCommands:
         payload = run_json(["measure", "limit", "--manifest",
                             str(SCHEMAS / "measure_limit_manifest.json")], capsys)
         assert payload["measure"]["weights"] == {"0": 0.5, "1": 0.5}
+        # kept members by member index, as `converge` prints them
+        assert payload["final_subsequence"] == MEASURE_LIMIT["member_indices"] == [1, 2, 3, 4]
 
 
 class TestLimitsCommands:

@@ -353,11 +353,6 @@ class TestCausality:
         assert rep.chronological and rep.causal and rep.pdp
         assert not any(rep.witnesses.values())
 
-    def test_report_equals_only_reports(self):
-        rep = causality_class(chain_space([0, 1]))
-        assert rep.__eq__(rep.chronological) is NotImplemented
-        assert rep != (rep.chronological, rep.causal, rep.pdp)
-
     def test_symmetric_zero_pair_not_causal(self):
         s = build_space(["a", "b"], [[0, 0], [0, 0]])
         rep = causality_class(s)
@@ -386,13 +381,12 @@ class TestCausality:
 
 
 def brute_force_pairs(ell, tol):
-    """Oracle: compare every (i, j) profile entry by broadcasting over (n, n, 2n)."""
+    """Oracle: compare every (i, j) profile entry by broadcasting over (n, n, 2n);
+    two entries match when they are equal or differ by at most tol."""
     prof = np.concatenate([ell, ell.T], axis=1)
     a, b = prof[:, None, :], prof[None, :, :]
-    a_inf, b_inf = np.isneginf(a), np.isneginf(b)
     with np.errstate(invalid="ignore"):
-        close = np.abs(a - b) <= tol
-    match = np.where(a_inf | b_inf, a_inf & b_inf, close).all(axis=2)
+        match = ((a == b) | (np.abs(a - b) <= tol)).all(axis=2)
     return [(int(i), int(j)) for i, j in np.argwhere(np.triu(match, 1))]
 
 
@@ -400,28 +394,31 @@ PDP_TOL = 1e-9
 # 0 against PDP_TOL sits exactly on the "gap <= tol" boundary
 PDP_POOL = np.array([NI, 0.0, PDP_TOL, 1.0, 1 + PDP_TOL / 2, 1 - PDP_TOL / 2,
                      1 + 2 * PDP_TOL, 1 - 2 * PDP_TOL])
+# values outside the codomain: +inf matches only +inf, nan matches nothing
+PDP_NON_FINITE_POOL = np.append(PDP_POOL, [np.inf, np.nan])
 
 
-# 2 n^3 <= _DENSE_CHUNK up to n = 50: there every pair is a candidate, above it
-# the sort-and-window rule picks them
+# up to n = 50 every candidate pair fits one chunk of the check (2 n^3 <=
+# _DENSE_CHUNK); above it the candidates, the pairs whose 2 x 2 causal block is
+# constant, can span several chunks
 SMALL_PDP_N = 50
 
 
 @st.composite
-def raw_profiles(draw):
+def raw_profiles(draw, pool=PDP_POOL):
     """Unvalidated matrices from a small value pool, with (near-)duplicated
-    points, sized on both sides of the all-pairs candidate rule."""
+    points, sized on both sides of one chunk of the check."""
     n = draw(st.one_of(st.integers(1, SMALL_PDP_N), st.integers(SMALL_PDP_N + 1, 100)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ell = PDP_POOL[rng.integers(0, len(PDP_POOL), size=(n, n))]
+    ell = pool[rng.integers(0, len(pool), size=(n, n))]
     for _ in range(draw(st.integers(0, n))):
         i, j = (int(v) for v in rng.integers(0, n, size=2))
         ell[j, :] = ell[i, :]
         ell[:, j] = ell[:, i]
-        # nudge a few finite entries of the copy to another finite pool value
+        # nudge a few finite entries of the copy to another pool value, never -inf
         for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
             if k not in (i, j) and np.isfinite(ell[j, k]):
-                ell[j, k] = PDP_POOL[int(rng.integers(1, len(PDP_POOL)))]
+                ell[j, k] = pool[int(rng.integers(1, len(pool)))]
     return FiniteLorentzSpace([f"p{i}" for i in range(n)], ell, PDP_TOL)
 
 
@@ -458,15 +455,28 @@ class TestIndistinguishablePairs:
     @settings(max_examples=120)
     @given(raw_profiles())
     def test_matches_brute_force(self, space):
-        with mock.patch.object(core, "_window_candidates",
-                               wraps=core._window_candidates) as window:
-            pairs = _indistinguishable_pairs(space)
-        assert window.called == (space.n > SMALL_PDP_N)
-        assert pairs == brute_force_pairs(space.ell, space.tol)
+        assert _indistinguishable_pairs(space) == brute_force_pairs(space.ell, space.tol)
+
+    @settings(max_examples=60)
+    @given(raw_profiles(PDP_NON_FINITE_POOL))
+    def test_non_finite_entries_match_only_equal_entries(self, space):
+        assert _indistinguishable_pairs(space) == brute_force_pairs(space.ell, space.tol)
+
+    def test_causal_space_compares_no_profiles(self):
+        gen = product_family(circle_fiber(8), "inf", t_range=(-1.0, 1.0))
+        slab = sample_spacetime(gen, SamplePlan(time_step=1 / 8), t_window=(0.0, 0.5)).space
+        causet = chain_ell(build_causet([f"e{i}" for i in range(6)],
+                                        [(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]))
+        for space in (slab, causet):
+            with mock.patch.object(core, "_profiles_match",
+                                   wraps=core._profiles_match) as match:
+                rep = causality_class(space)
+            assert rep.causal and rep.pdp
+            assert not match.called
 
     def test_candidates_checked_in_chunks(self):
-        # 60 copies of each point of a 2-point chain: 3,540 window candidates,
-        # four chunks of the check
+        # 60 copies of each point of a 2-point chain: the copies of a point are
+        # causal two-cycles, 3,540 candidates in four chunks of the check
         ell = np.kron(np.ones((60, 60)), [[0.0, 1.0], [NI, 0.0]])
         space = FiniteLorentzSpace([f"p{i}" for i in range(120)], ell)
         assert _indistinguishable_pairs(space) == brute_force_pairs(ell, space.tol)
@@ -675,7 +685,9 @@ class TestIsometry:
             perm = rng.permutation(a.n)
             b = build_space([f"r{i}" for i in range(a.n)], a.ell[np.ix_(perm, perm)])
             if isometry_search(a, b) is not None:
-                assert causality_class(a) == causality_class(b)
+                flags = [(r.chronological, r.causal, r.pdp)
+                         for r in (causality_class(a), causality_class(b))]
+                assert flags[0] == flags[1]
 
 
 class TestSpaceValue:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,52 @@ class TestCertificate:
         report = lgh_certificate([CertificateMember(space=a, nets=net_a)],
                                  CertificateMember(space=b, nets=net_b))
         assert report.stages[0]["distortion"] == pytest.approx(0.2)
+
+
+class TestCertificateBandsFromBothSides:
+    """lgh_certificate's two `+ tol` bands, at the limit's tol 0.25. Each
+    member differs from the limit in one entry, d against 0, so a matching
+    that keeps the points has distortion exactly d: at d = tol the band
+    holds, one ulp past it fails."""
+
+    TOL = 0.25
+    PAST = math.nextafter(0.25, 1.0)
+
+    def space(self, d):
+        # a -> b at time 1; a -> c at time d (0 in the limit)
+        return build_space(["a", "b", "c"], [[0.0, 1.0, d], [NI, 0.0, NI], [NI, NI, 0.0]],
+                           tol=self.TOL)
+
+    def settled_report(self, d):
+        # one scale over a, c with stage distortions 0 then d: settled iff d <= 0 + tol
+        nets = (DiamondNet(pairs=((0, 2),), epsilon=1.0),)
+        members = [CertificateMember(space=self.space(v), nets=nets) for v in (0.0, d)]
+        limit = CertificateMember(space=self.space(0.0), nets=nets)
+        matchings = {(0, n): {0: 0, 2: 2} for n in range(2)}
+        return lgh_certificate(members, limit, matchings=matchings)
+
+    def test_settled_at_the_band(self):
+        assert self.settled_report(self.TOL).strong
+
+    def test_not_settled_one_ulp_past_the_band(self):
+        assert not self.settled_report(self.PAST).strong
+
+    def extension_records(self, d):
+        # scale 0 maps a, b at distortion 0, scale 1 adds c: the union has
+        # distortion d, which extends at n' = 0 iff d <= 0 + tol
+        nets = (DiamondNet(pairs=((0, 1),), epsilon=1.0),
+                DiamondNet(pairs=((0, 2),), epsilon=1.0))
+        member = CertificateMember(space=self.space(d), nets=nets)
+        limit = CertificateMember(space=self.space(0.0), nets=nets)
+        matchings = {(0, 0): {0: 0, 1: 1}, (1, 0): {0: 0, 2: 2}}
+        return lgh_certificate([member], limit, matchings=matchings).extension_records
+
+    def test_extends_at_the_band(self):
+        assert self.extension_records(self.TOL) == ({"l": 0, "n": 0, "n_prime": 0},)
+
+    def test_extends_beyond_the_truncation_one_ulp_past_the_band(self):
+        assert self.extension_records(self.PAST) == (
+            {"l": 0, "n": 0, "n_prime": "beyond", "union_distortions": [self.PAST]},)
 
 
 class TestPinnedMatcher:

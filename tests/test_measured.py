@@ -242,7 +242,8 @@ def reference_measured_loop(sequence, member_indices):
             key_log[atom] = {"limit": limit, "kept": list(current_positions), "spread": spread}
             limit_weights.setdefault(atom, limit)
         log["per_key"][key] = key_log
-    log["final_positions"] = list(current_positions)
+    log["final_subsequence"] = (current_positions if member_indices is None
+                                else [member_indices[p] for p in current_positions])
     return atomic_measure(limit_weights), log
 
 

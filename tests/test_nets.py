@@ -48,6 +48,24 @@ class TestVerifyNet:
         assert verify_net(sampled.space, subset, net).ok
 
 
+class TestNetBoundFromBothSides:
+    """The paper's net bound tau <= epsilon + tol, at tol 0 on a 2-point chain
+    with tau 1: J(a, b) is admissible at epsilon 1 and not one ulp below."""
+
+    SPACE = build_space(["a", "b"], [[0.0, 1.0], [NI, 0.0]], tol=0.0)
+    NET_PAIR = (0, 1)
+
+    def test_diamond_at_the_bound_is_admissible(self):
+        assert self.NET_PAIR in map(tuple, default_candidates(self.SPACE, 1.0).tolist())
+        assert verify_net(self.SPACE, [0, 1], DiamondNet(pairs=(self.NET_PAIR,), epsilon=1.0)).ok
+
+    def test_diamond_one_ulp_past_the_bound_is_not(self):
+        epsilon = math.nextafter(1.0, 0.0)
+        assert self.NET_PAIR not in map(tuple, default_candidates(self.SPACE, epsilon).tolist())
+        check = verify_net(self.SPACE, [0, 1], DiamondNet(pairs=(self.NET_PAIR,), epsilon=epsilon))
+        assert check.oversized == (self.NET_PAIR,)
+
+
 class TestSubsetRange:
     """Subset indices outside range(space.n) are a domain error, not a numpy
     IndexError or a wrap-around to the last point."""
