@@ -13,12 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (FiniteLorentzSpace, build_space, check_labels, check_seed, integer_values,
+from .core import (FiniteLorentzSpace, check_labels, check_seed, integer_values,
                    point_indices)
 from .corr import min_distortion
 from .errors import CycleDetected, EmptyRegion, ShapeMismatch
 from .extended import NEG_INF
-from .geometry import Point, ProductGenerator, _ell_matrix, _in_range, point_label
+from .geometry import (Point, ProductGenerator, _ell_matrix, _in_range, _product_space,
+                       point_label)
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,13 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     the two sampled-spacetime restrictions and between the chain-ell spaces;
     distortion tending to zero is evidence for isometry, a floor against.
 
-    Each distinct matrix is built, validated and chained once. A's ell
-    matrix gives both its order and its space; when B's matrix equals A's,
-    B's space is A's, and when B's causal relation equals A's, B's chain
-    space is A's. Both rules look at the data, not at the generators.
+    Each distinct matrix is built, certified or validated, and chained once.
+    A's ell matrix gives both its order and its space; when B's matrix
+    equals A's, B's space is A's, and when B's causal relation equals A's,
+    B's chain space is A's. Both rules look at the data, not at the
+    generators. Each space is `build_space`'s, built by
+    `geometry._product_space`, which skips the reverse-triangle sweep where
+    `geometry._triangle_bound` proves it would find nothing.
     """
     if gen_a.fiber.labels != gen_b.fiber.labels:
         raise ShapeMismatch("generators must share a fiber label set for site transport")
@@ -189,11 +193,11 @@ def hauptvermutung_trial(gen_a: ProductGenerator, gen_b: ProductGenerator,
     for count in counts:
         sub_seed = int(master.integers(0, 2**63 - 1))
         points, ell_a, causet = _sprinkle(gen_a, region, count, sub_seed)
-        space_a = build_space(causet.elements, ell_a)
+        space_a = _product_space(gen_a, points, causet.elements, ell_a)
         del ell_a
         ell_b = _ell_matrix(gen_b, points)
         space_b = space_a if np.array_equal(ell_b, space_a.ell) else \
-            build_space(causet.elements, ell_b)
+            _product_space(gen_b, points, causet.elements, ell_b)
         del ell_b
         _, tau_dis = min_distortion(space_a, space_b, mode="heuristic", seed=sub_seed)
 

@@ -88,6 +88,16 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
     than n^3 (see `_reverse_triangle_witness`). Each check is one whole-matrix
     test, counted with `count_nonzero`; only a failure locates its entry.
     """
+    _check_pointwise_axioms(ell, tol)
+    witness = _reverse_triangle_witness(ell, tol)
+    if witness is not None:
+        i, j, k = witness
+        raise AxiomViolation("reverse-triangle", witness,
+                             f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
+
+
+def _check_pointwise_axioms(ell: np.ndarray, tol: float) -> None:
+    """The codomain and diagonal checks of `validate_matrix`, O(n^2), in its order."""
     below_inf = ell < np.inf  # False exactly at nan and +inf
     if np.count_nonzero(below_inf) != below_inf.size:
         bad = np.argwhere(~below_inf)[0].tolist()
@@ -100,11 +110,6 @@ def validate_matrix(ell: np.ndarray, tol: float) -> None:
     if np.count_nonzero(bad_diag):
         i = int(bad_diag.argmax())
         raise AxiomViolation("diagonal", i, f"ell[{i}][{i}] must be >= 0")
-    witness = _reverse_triangle_witness(ell, tol)
-    if witness is not None:
-        i, j, k = witness
-        raise AxiomViolation("reverse-triangle", witness,
-                             f"ell[{i}][{j}] + ell[{j}][{k}] > ell[{i}][{k}]")
 
 
 # The triangle scan's size rule: one step of the sweep over middle points (a
@@ -258,6 +263,17 @@ def check_seed(seed, what: str = "seed") -> int:
 
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
     """Validate labels, tol (`check_tol`) and the axioms; return the space with its tables."""
+    return _checked_space(labels, ell, tol, validate_matrix)
+
+
+def _checked_space(labels: Sequence[str], ell, tol: float, check_axioms) -> FiniteLorentzSpace:
+    """`build_space` with its axiom check passed in: labels, tol, a square float
+    matrix matching the labels, then `check_axioms(ell, tol)`.
+
+    `build_space` passes `validate_matrix`; `geometry._product_space` passes
+    `_check_pointwise_axioms` where a certificate has proven that the
+    reverse-triangle check would find nothing.
+    """
     check_labels(labels)
     check_tol(tol)
     ell = _float_matrix(ell, "ell")
@@ -265,7 +281,7 @@ def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteL
         raise ShapeMismatch(f"ell must be square, got shape {ell.shape}")
     if ell.shape[0] != len(labels):
         raise ShapeMismatch(f"{len(labels)} labels but {ell.shape[0]}x{ell.shape[1]} matrix")
-    validate_matrix(ell, tol)
+    check_axioms(ell, tol)
     return FiniteLorentzSpace(labels, ell, tol)
 
 

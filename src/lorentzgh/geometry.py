@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, FiniteLorentzSpace, _dense_witness, _float_matrix,
+from .core import (_DENSE_CHUNK, _SWEEP_STEP_COST, DEFAULT_TOL, FiniteLorentzSpace,
+                   _check_pointwise_axioms, _checked_space, _dense_witness, _float_matrix,
                    build_space, check_labels, check_seed, integer_values, point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
@@ -227,6 +228,107 @@ def _ell_matrix(gen: ProductGenerator, points: Sequence[Point]) -> np.ndarray:
     return out
 
 
+def _triangle_bound(gen: ProductGenerator, points: Sequence[Point], ell: np.ndarray) -> float:
+    """A bound B such that `core._reverse_triangle_witness(ell, tol)` finds nothing
+    when B <= tol, for `ell = _ell_matrix(gen, points)`; inf or NaN where a premise fails.
+
+    Write u = eps/2, v for a finite off-diagonal entry ell[i, j] (a pair), d
+    for its fiber distance d[s_i, s_j], v_min for the least v, d_max for the
+    largest d among the sites that occur, and span = max t - min t.
+    Premises, each checked on the data:
+      (a) every pair has v > 0: none is snapped null, so no two points
+          coincide and no causal two-cycle exists (one needs dt = 0, whose
+          margin -d is snapped to 0 or sent to -inf);
+      (b) the fiber distances among the sites that occur are >= 0, with
+          triangle slack d[a,c] - d[a,b] - d[b,c] at most sigma = max(0,
+          largest computed slack) + 4u d_max; two roundings err by < 3.01u d_max;
+      (c) the margins beat sigma: 8 C span sigma <= v_min^2;
+      (d) no rounding of `_ell_matrix` underflows on a pair: u times each of
+          v_min^2, C^2 and C v_min / 2 (lower bounds of tau^2, C^2 and dt C^2
+          below) is at least the smallest normal float;
+      (e) E_max <= v_min / 2 for E below, so every tau >= v / 2.
+
+    Lemma. For a pair write T = C (t_j - t_i) and d as exact reals,
+    tau = sqrt(T^2 - d^2), and gamma_k = ku / (1 - ku) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3).
+      1. Rounding. The pair is not snapped, so its computed margin
+         m = fl(fl(C dt) - d) exceeds the band s = 8 eps max(fl(C dt), d);
+         m carries three roundings, |m - (T - d)| <= gamma_3 max(fl(C dt), d)
+         < s / 5, so T - d > 0. `_ell_matrix` then rounds dt, C^2, dt C^2,
+         its product with dt, d^2, their difference and the sqrt: the
+         radicand r has |r - tau^2| <= gamma_6 T^2 + gamma_2 d^2, and solved
+         for tau, |v - tau| <= gamma_9 v + gamma_10 d^2 / v <= E = 11u (v + d^2 / v).
+      2. Transitivity. T - d = tau^2 / (T + d) >= (v_min / 2)^2 / (2 C span)
+         by (e), so for pairs (i, j) and (j, k) (c) and (b) give T_ik - d_ik >=
+         (T_ij - d_ij) + (T_jk - d_jk) - sigma > 0: the computed margin of
+         (i, k) lies above -s_ik / 5, so ell[i, k] is finite, > 0 by (a), and i != k.
+      3. Reverse Minkowski. With T >= d >= 0 on both legs,
+         (T_ij + T_jk)^2 - (d_ij + d_jk)^2 >= (tau_ij + tau_jk)^2, and
+         d_ik <= d_ij + d_jk + sigma by (b), so tau_ik >= tau_ij + tau_jk -
+         sigma (2 (d_ij + d_jk) + sigma) / (tau_ij + tau_jk).
+      4. By (e), 2 (d_ij + d_jk) / (tau_ij + tau_jk) <= 4 max d / v and
+         tau_ij + tau_jk >= v_min, so ell[i, j] + ell[j, k] <= ell[i, k] + B with
+         B = 3 E_max + sigma (4 max d / v + sigma / v_min).
+    Rounding is monotone, so the sweep's two float additions keep
+    fl(ell[i,j] + ell[j,k]) <= fl(ell[i,k] + tol) wherever the exact sums
+    obey it, and cost nothing. A triple with a repeated index never fails:
+    the diagonal is 0 (d[a, a] = 0) or -inf, and i = k needs a two-cycle.
+    Each constant rounds its gamma_k up, and the factor 1 + 16u covers the
+    roundings of evaluating B, a sum of products and quotients of
+    nonnegative numbers. In exact arithmetic this is the reverse triangle
+    inequality of Lorentzian products over a metric fiber
+    (Alexander-Graf-Kunzinger-Saemann, *Generalized cones as Lorentzian
+    length spaces*, 2019).
+    """
+    u = np.finfo(float).eps / 2
+    off = np.isfinite(ell)
+    np.fill_diagonal(off, False)
+    pairs = np.flatnonzero(off)  # flat indices of the pairs
+    v = ell.take(pairs)
+    if not (v > 0.0).all():  # (a)
+        return math.inf
+    sites = np.array([p[1] for p in points], dtype=int)
+    present = np.flatnonzero(np.bincount(sites, minlength=gen.fiber.n))
+    fd = gen.fiber.d.take(present, axis=0).take(present, axis=1)
+    if not (fd >= 0.0).all():  # (b); NaN fails too
+        return math.inf
+    d_max = float(fd.max())
+    block = max(1, _DENSE_CHUNK // fd.size)
+    slack = max(float((fd[a:a + block, None, :] - fd[a:a + block, :, None] - fd).max())
+                for a in range(0, present.size, block))  # [a, b, c]: d[a,c] - d[a,b] - d[b,c]
+    sigma = max(slack, 0.0) + 4 * u * d_max
+    ratio = gen.fiber.d.take(sites, axis=0).take(sites, axis=1).take(pairs)  # d per pair
+    ratio /= v
+    d2_v = ratio * ratio
+    d2_v *= v  # d^2 / v
+    c = gen.cone_scale
+    times = [p[0] for p in points]
+    v_min = float(v.min(initial=np.inf))
+    # ell.max() is the largest v, or NaN or inf where ell holds one
+    e_max = 11 * u * (float(ell.max()) + float(d2_v.max(initial=0.0)))
+    if not (8 * c * (max(times) - min(times)) * sigma <= v_min * v_min  # (c)
+            and u * min(v_min * v_min, c * c, c * v_min / 2) >= np.finfo(float).tiny  # (d)
+            and e_max <= v_min / 2):  # (e)
+        return math.inf
+    return (3 * e_max + sigma * (4 * float(ratio.max(initial=0.0)) + sigma / v_min)) \
+        * (1 + 16 * u)
+
+
+def _product_space(gen: ProductGenerator, points: Sequence[Point], labels: Sequence[str],
+                   ell: np.ndarray, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
+    """`build_space(labels, ell, tol)` for `ell = _ell_matrix(gen, points)`: the same
+    space or the same AxiomViolation.
+
+    Where `core._reverse_triangle_witness` would sweep (n^2 > `_SWEEP_STEP_COST`)
+    and `_triangle_bound` <= tol proves that the sweep finds nothing, the sweep
+    is skipped and every other check of `build_space` runs; otherwise
+    `build_space` runs whole.
+    """
+    if ell.shape[0] ** 2 > _SWEEP_STEP_COST and _triangle_bound(gen, points, ell) <= tol:
+        return _checked_space(labels, ell, tol, _check_pointwise_axioms)
+    return build_space(labels, ell, tol)
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Discretization: a time grid plus a choice of fiber sites.
@@ -283,7 +385,10 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
     """Sample the time grid x fiber sites and validate the resulting space.
 
     `t_window` restricts the grid inside the generator range; `extra_points`
-    adjoins e.g. grid-net vertices so nets embed into the sample.
+    adjoins e.g. grid-net vertices so nets embed into the sample. The space is
+    `build_space`'s, built by `_product_space`: its reverse-triangle sweep is
+    skipped where `_triangle_bound` proves it would find nothing, so a grid
+    whose pairs sit on the null cone is still swept.
     """
     lo, hi = t_window if t_window is not None else gen.t_range
     if not (lo < hi and _in_range(gen, lo, hi)):
@@ -303,7 +408,7 @@ def sample_spacetime(gen: ProductGenerator, plan: SamplePlan,
         if _find_point(points, p) is None:
             points.append(p)
     labels = [point_label(gen, p) for p in points]
-    space = build_space(labels, _ell_matrix(gen, points))
+    space = _product_space(gen, points, labels, _ell_matrix(gen, points))
     return SampledSpace(space=space, points=tuple(points))
 
 

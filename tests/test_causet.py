@@ -292,7 +292,7 @@ class TestTrial:
         counts = [30, 80]
         want = trial_reference(gen_a, gen_b, counts, seed=11)
 
-        calls = {"validate": 0, "chain": 0}
+        calls = {"build": 0, "validate": 0, "chain": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -300,13 +300,17 @@ class TestTrial:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(causet_mod, "_product_space",
+                            counted("build", causet_mod._product_space))
         monkeypatch.setattr(core, "validate_matrix", counted("validate", core.validate_matrix))
         monkeypatch.setattr(causet_mod, "chain_ell", counted("chain", causet_mod.chain_ell))
         assert hauptvermutung_trial(gen_a, gen_b, counts, seed=11) == want
-        # one validation per distinct ell matrix, one chain per distinct order
+        # one certificate-or-validation per distinct ell matrix, one chain per
+        # distinct order; the 30-point matrices are below the sweep's size rule,
+        # so only they are validated, and the 80-point ones are certified
         distinct_ell, distinct_order = {"equal": (1, 1), "scaled": (2, 2),
                                         "same-order": (2, 1)}[case]
-        assert calls == {"validate": distinct_ell * len(counts),
+        assert calls == {"build": distinct_ell * len(counts), "validate": distinct_ell,
                          "chain": distinct_order * len(counts)}
         if case == "same-order":
             assert want["rows"][-1]["tau_distortion"] > 0

@@ -198,6 +198,19 @@ class TestGeometryCommands:
         payload = run_json(["validate", "--space", str(space_file)], capsys)
         assert payload["ok"]
 
+    def test_null_grid_rejected_record(self, tmp_path, capsys):
+        # a segment grid sampled one site spacing apart: a null pair off the
+        # snap reads tau = 3.3e-9 (ROADMAP item 13); the sample keeps this record
+        gen = tmp_path / "g21.json"
+        gen.write_text(json.dumps({"fiber_kind": "segment", "fiber_points": 21,
+                                   "fiber_length": 1.0, "cone_scale": 1, "t_range": [-1, 2]}))
+        code, out, err = run_cli(["sample", "--generator", str(gen), "--step", "0.05",
+                                  "--window=0,1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ('{"error":"axiom-violation","kind":"reverse-triangle",'
+                       '"message":"ell[1][243] + ell[243][265] > ell[1][265]",'
+                       '"witness":[1,243,265]}\n')
+
     def test_cones(self, capsys):
         payload = run_json(["cones", "--generator", str(SCHEMAS / "generator.json"),
                             "--beta", "1.0", "--omega", "1.0"], capsys)

@@ -488,6 +488,28 @@ class TestFourPoint:
         assert back.ell.tobytes() == broken.ell.tobytes()
 
 
+class TestVerdictFromBothSides:
+    """A configuration with slack s < 0 holds at tol = -s and fails one ulp
+    below it, in `four_point_check` and in the scan's violation count."""
+
+    def test_planted_configuration(self):
+        broken, cfg = planted_violation_space()
+        config = FourPointConfig("future", cfg)
+        s = four_point_check(broken, config, 0.0, tol=0.0)["slack"]
+        assert s < 0
+        assert four_point_check(broken, config, 0.0, tol=-s)["holds"]
+        assert not four_point_check(broken, config, 0.0, tol=math.nextafter(-s, 0.0))["holds"]
+
+    def test_scan_count(self):
+        broken, _ = planted_violation_space()
+        worst = min(v["slack"] for v in curvature_bound_scan(broken, 0.0, 300, 5, tol=0.0)
+                    ["violations"])
+        assert worst < 0
+        assert curvature_bound_scan(broken, 0.0, 300, 5, tol=-worst)["violations"] == []
+        out = curvature_bound_scan(broken, 0.0, 300, 5, tol=math.nextafter(-worst, 0.0))
+        assert out["violations"] and {v["slack"] for v in out["violations"]} == {worst}
+
+
 class TestPinnedPlacement:
     """The closed-form placement reproduces the recorded Newton results."""
 
