@@ -123,6 +123,11 @@ _SWEEP_STEP_COST = 5_000
 _DENSE_CHUNK = 250_000
 
 
+def _takes_sweep(n: int) -> bool:
+    """The size rule: the triangle scan of an n-point matrix takes the sweep."""
+    return n * n > _SWEEP_STEP_COST
+
+
 def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]:
     """Lexicographically least (i, j, k) with ell[i,j] + ell[j,k] > ell[i,k] + tol, or None.
 
@@ -133,7 +138,7 @@ def _reverse_triangle_witness(ell: np.ndarray, tol: float) -> Optional[tuple[int
     and the failure path; smaller matrices go to the dense scan over the
     whole cube.
     """
-    if ell.shape[0] ** 2 > _SWEEP_STEP_COST:
+    if _takes_sweep(ell.shape[0]):
         return _sweep_witness(ell, tol, np.isfinite(ell))
     return _dense_witness(ell, tol)
 
@@ -263,16 +268,18 @@ def check_seed(seed, what: str = "seed") -> int:
 
 def build_space(labels: Sequence[str], ell, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
     """Validate labels, tol (`check_tol`) and the axioms; return the space with its tables."""
-    return _checked_space(labels, ell, tol, validate_matrix)
+    return _checked_space(labels, ell, tol)
 
 
-def _checked_space(labels: Sequence[str], ell, tol: float, check_axioms) -> FiniteLorentzSpace:
-    """`build_space` with its axiom check passed in: labels, tol, a square float
-    matrix matching the labels, then `check_axioms(ell, tol)`.
+def _checked_space(labels: Sequence[str], ell, tol: float,
+                   triangle_certified=None) -> FiniteLorentzSpace:
+    """`build_space`, where a certificate may stand in for the reverse-triangle sweep.
 
-    `build_space` passes `validate_matrix`; `geometry._product_space` passes
-    `_check_pointwise_axioms` where a certificate has proven that the
-    reverse-triangle check would find nothing.
+    Where the triangle scan would take the sweep (`_takes_sweep`) and
+    `triangle_certified()` returns True, a proof that the sweep finds nothing,
+    only the pointwise checks of `validate_matrix` run; the space or the
+    AxiomViolation is `build_space`'s either way. `geometry._product_space`
+    passes its rounding certificate.
     """
     check_labels(labels)
     check_tol(tol)
@@ -281,7 +288,10 @@ def _checked_space(labels: Sequence[str], ell, tol: float, check_axioms) -> Fini
         raise ShapeMismatch(f"ell must be square, got shape {ell.shape}")
     if ell.shape[0] != len(labels):
         raise ShapeMismatch(f"{len(labels)} labels but {ell.shape[0]}x{ell.shape[1]} matrix")
-    check_axioms(ell, tol)
+    if triangle_certified is not None and _takes_sweep(ell.shape[0]) and triangle_certified():
+        _check_pointwise_axioms(ell, tol)
+    else:
+        validate_matrix(ell, tol)
     return FiniteLorentzSpace(labels, ell, tol)
 
 

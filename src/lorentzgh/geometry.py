@@ -10,14 +10,14 @@ analytic certificate; their tau is never computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (_DENSE_CHUNK, _SWEEP_STEP_COST, DEFAULT_TOL, FiniteLorentzSpace,
-                   _check_pointwise_axioms, _checked_space, _dense_witness, _float_matrix,
-                   build_space, check_labels, check_seed, integer_values, point_indices)
+from .core import (_DENSE_CHUNK, DEFAULT_TOL, FiniteLorentzSpace, _checked_space,
+                   _dense_witness, _float_matrix, check_labels, check_seed, integer_values,
+                   point_indices)
 from .errors import (AxiomViolation, EmptyPlan, EpsilonTooLarge, NotAFiberNet,
                      ShapeMismatch, UnsupportedMetricFamily)
 from .extended import NEG_INF
@@ -26,10 +26,18 @@ from .nets import DiamondNet
 
 @dataclass(frozen=True)
 class FiniteMetricFiber:
-    """Point labels plus a distance matrix `d`, which the constructor takes and freezes."""
+    """Point labels plus a distance matrix `d`, which the constructor takes and freezes.
+
+    `triangle_slack` is a sigma with every d >= 0 and d[a, c] <= d[a, b] +
+    d[b, c] + sigma in exact arithmetic on the stored floats, or inf where no
+    such bound is known. `build_fiber` and the closed forms set it, so a
+    product sample's triangle certificate (`_triangle_bound`) reads it in O(1);
+    the constructor's default is inf, and samples over such a fiber are swept.
+    """
 
     labels: tuple[str, ...]
     d: np.ndarray
+    triangle_slack: float = field(default=math.inf, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -61,21 +69,22 @@ def build_fiber(labels: Sequence[str], d) -> FiniteMetricFiber:
     The triangle inequality of d is the reverse triangle inequality of -d, so
     it shares `core.validate_matrix`'s dense triangle scan over the whole
     (i, j, k) cube, in chunks: -d is finite everywhere, so a sweep over causal
-    spans would visit the same cube.
+    spans would visit the same cube. A second chunked pass over the cube
+    measures the fiber's `triangle_slack`.
     """
     check_labels(labels)
     d = _float_matrix(d, "d")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] != len(labels):
         raise ShapeMismatch(f"need a square matrix matching {len(labels)} labels")
-    fiber = _pointwise_checked_fiber(labels, d)
+    _check_fiber_pointwise(d)
     witness = _dense_witness(-d, DEFAULT_TOL)
     if witness is not None:
         raise AxiomViolation("triangle", witness, "fiber triangle inequality violated")
-    return fiber
+    return FiniteMetricFiber(labels, d, _measured_slack(d))
 
 
-def _pointwise_checked_fiber(labels: Sequence[str], d: np.ndarray) -> FiniteMetricFiber:
-    """Check codomain, diagonal and symmetry of d, O(n^2), and make the fiber.
+def _check_fiber_pointwise(d: np.ndarray) -> None:
+    """Check codomain, diagonal and symmetry of d, O(n^2).
 
     The triangle inequality is left to the caller: `build_fiber` scans for
     it, the closed forms below hold it by construction.
@@ -89,7 +98,38 @@ def _pointwise_checked_fiber(labels: Sequence[str], d: np.ndarray) -> FiniteMetr
     if (np.abs(d - d.T) > tol).any():
         i, j = (int(v) for v in np.argwhere(np.abs(d - d.T) > tol)[0])
         raise AxiomViolation("symmetry", (i, j), "fiber metric must be symmetric")
-    return FiniteMetricFiber(labels=labels, d=d)
+
+
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _slack_bound(d: np.ndarray, computed: float) -> float:
+    """max(0, computed) + 6u max d: a `triangle_slack` for d, given a computed one.
+
+    inf unless every d >= 0. `_measured_slack` passes the largest computed
+    slack fl(d[a,c] - fl(d[a,b] + d[b,c])), at most max d, whose two
+    roundings err by at most 4u (1 + u) max d. The closed forms pass 0: each
+    of their entries is one rounding, |d - e| <= u e, of an exact metric e,
+    so d[a,c] - d[a,b] - d[b,c] <= u (e[a,c] + e[a,b] + e[b,c]) <= 3u max d
+    / (1 - u). The remaining 2u max d covers the rounding of the sum.
+    """
+    if not (d >= 0.0).all():
+        return math.inf
+    return max(computed, 0.0) + 6 * _U * float(d.max(initial=0.0))
+
+
+def _measured_slack(d: np.ndarray) -> float:
+    """`_slack_bound` of d from its computed slack: for each (a, c), d[a, c]
+    less the least d[a, b] + d[b, c], by a scan of the cube in chunks."""
+    block = max(1, _DENSE_CHUNK // max(d.size, 1))
+    computed = max((float((d[a:a + block] - (d[a:a + block, :, None] + d).min(axis=1)).max())
+                    for a in range(0, d.shape[0], block)), default=0.0)
+    return _slack_bound(d, computed)
+
+
+def _closed_form_fiber(n: int, d: np.ndarray) -> FiniteMetricFiber:
+    _check_fiber_pointwise(d)
+    return FiniteMetricFiber([f"s{i}" for i in range(n)], d, _slack_bound(d, 0.0))
 
 
 def _check_fiber_points(n: int) -> None:
@@ -98,21 +138,26 @@ def _check_fiber_points(n: int) -> None:
 
 
 def circle_fiber(n: int, radius: float = 1.0) -> FiniteMetricFiber:
-    """n equally spaced points on a circle with the geodesic (arc) metric."""
+    """n equally spaced points on a circle with the geodesic (arc) metric.
+
+    Each entry is fl(k step) for the cycle metric k, one rounding of a metric.
+    """
     _check_fiber_points(n)
     step = 2 * math.pi * radius / n
     idx = np.arange(n)
     k = np.abs(idx[:, None] - idx[None, :])
     k = np.minimum(k, n - k)
-    return _pointwise_checked_fiber([f"s{i}" for i in range(n)], k * step)
+    return _closed_form_fiber(n, k * step)
 
 
 def segment_fiber(n: int, length: float = 1.0) -> FiniteMetricFiber:
-    """n equally spaced points on a geodesic segment of the given length."""
+    """n equally spaced points on a geodesic segment of the given length.
+
+    Each entry is fl(|x_a - x_b|), one rounding of the line metric on the xs.
+    """
     _check_fiber_points(n)
     xs = np.linspace(0.0, length, n)
-    return _pointwise_checked_fiber([f"s{i}" for i in range(n)],
-                                    np.abs(xs[:, None] - xs[None, :]))
+    return _closed_form_fiber(n, np.abs(xs[:, None] - xs[None, :]))
 
 
 CONE_SCALE_LIMIT = "inf"
@@ -228,25 +273,32 @@ def _ell_matrix(gen: ProductGenerator, points: Sequence[Point]) -> np.ndarray:
     return out
 
 
+# entries of ell per block of rows in `_triangle_bound`'s pass over the pairs: its
+# temporaries stay near 256 KB each, small next to the n x n matrices around it
+# (made for the whole matrix at once, about 4 MB at n = 500, they raised the
+# resident peak of the causal-set trials)
+_PAIR_BLOCK = 2 ** 15
+
+
 def _triangle_bound(gen: ProductGenerator, points: Sequence[Point], ell: np.ndarray) -> float:
     """A bound B such that `core._reverse_triangle_witness(ell, tol)` finds nothing
     when B <= tol, for `ell = _ell_matrix(gen, points)`; inf or NaN where a premise fails.
 
+    It costs O(n^2) plus O(1) per pair, whatever the fiber's size: the fiber's
+    triangle slack was bounded once, when the fiber was built.
     Write u = eps/2, v for a finite off-diagonal entry ell[i, j] (a pair), d
-    for its fiber distance d[s_i, s_j], v_min for the least v, d_max for the
-    largest d among the sites that occur, and span = max t - min t.
-    Premises, each checked on the data:
+    for its fiber distance d[s_i, s_j], v_min for the least v, and span =
+    max t - min t. Premises, each checked on the data, in this order:
       (a) every pair has v > 0: none is snapped null, so no two points
           coincide and no causal two-cycle exists (one needs dt = 0, whose
           margin -d is snapped to 0 or sent to -inf);
-      (b) the fiber distances among the sites that occur are >= 0, with
-          triangle slack d[a,c] - d[a,b] - d[b,c] at most sigma = max(0,
-          largest computed slack) + 4u d_max; two roundings err by < 3.01u d_max;
-      (c) the margins beat sigma: 8 C span sigma <= v_min^2;
-      (d) no rounding of `_ell_matrix` underflows on a pair: u times each of
+      (b) no rounding of `_ell_matrix` underflows on a pair: u times each of
           v_min^2, C^2 and C v_min / 2 (lower bounds of tau^2, C^2 and dt C^2
           below) is at least the smallest normal float;
-      (e) E_max <= v_min / 2 for E below, so every tau >= v / 2.
+      (c) E_max <= v_min / 2 for E below, so every tau >= v / 2;
+      (d) the fiber's `triangle_slack` sigma is finite: every fiber distance
+          is >= 0 and d[a,c] <= d[a,b] + d[b,c] + sigma (`FiniteMetricFiber`);
+      (e) the margins beat sigma: 8 C span sigma <= v_min^2.
 
     Lemma. For a pair write T = C (t_j - t_i) and d as exact reals,
     tau = sqrt(T^2 - d^2), and gamma_k = ku / (1 - ku) (Higham, *Accuracy and
@@ -259,14 +311,14 @@ def _triangle_bound(gen: ProductGenerator, points: Sequence[Point], ell: np.ndar
          radicand r has |r - tau^2| <= gamma_6 T^2 + gamma_2 d^2, and solved
          for tau, |v - tau| <= gamma_9 v + gamma_10 d^2 / v <= E = 11u (v + d^2 / v).
       2. Transitivity. T - d = tau^2 / (T + d) >= (v_min / 2)^2 / (2 C span)
-         by (e), so for pairs (i, j) and (j, k) (c) and (b) give T_ik - d_ik >=
+         by (c), so for pairs (i, j) and (j, k) (e) and (d) give T_ik - d_ik >=
          (T_ij - d_ij) + (T_jk - d_jk) - sigma > 0: the computed margin of
          (i, k) lies above -s_ik / 5, so ell[i, k] is finite, > 0 by (a), and i != k.
       3. Reverse Minkowski. With T >= d >= 0 on both legs,
          (T_ij + T_jk)^2 - (d_ij + d_jk)^2 >= (tau_ij + tau_jk)^2, and
-         d_ik <= d_ij + d_jk + sigma by (b), so tau_ik >= tau_ij + tau_jk -
+         d_ik <= d_ij + d_jk + sigma by (d), so tau_ik >= tau_ij + tau_jk -
          sigma (2 (d_ij + d_jk) + sigma) / (tau_ij + tau_jk).
-      4. By (e), 2 (d_ij + d_jk) / (tau_ij + tau_jk) <= 4 max d / v and
+      4. By (c), 2 (d_ij + d_jk) / (tau_ij + tau_jk) <= 4 max d / v and
          tau_ij + tau_jk >= v_min, so ell[i, j] + ell[j, k] <= ell[i, k] + B with
          B = 3 E_max + sigma (4 max d / v + sigma / v_min).
     Rounding is monotone, so the sweep's two float additions keep
@@ -280,53 +332,51 @@ def _triangle_bound(gen: ProductGenerator, points: Sequence[Point], ell: np.ndar
     (Alexander-Graf-Kunzinger-Saemann, *Generalized cones as Lorentzian
     length spaces*, 2019).
     """
-    u = np.finfo(float).eps / 2
-    off = np.isfinite(ell)
-    np.fill_diagonal(off, False)
-    pairs = np.flatnonzero(off)  # flat indices of the pairs
-    v = ell.take(pairs)
-    if not (v > 0.0).all():  # (a)
-        return math.inf
+    n, m = ell.shape[0], gen.fiber.n
     sites = np.array([p[1] for p in points], dtype=int)
-    present = np.flatnonzero(np.bincount(sites, minlength=gen.fiber.n))
-    fd = gen.fiber.d.take(present, axis=0).take(present, axis=1)
-    if not (fd >= 0.0).all():  # (b); NaN fails too
-        return math.inf
-    d_max = float(fd.max())
-    block = max(1, _DENSE_CHUNK // fd.size)
-    slack = max(float((fd[a:a + block, None, :] - fd[a:a + block, :, None] - fd).max())
-                for a in range(0, present.size, block))  # [a, b, c]: d[a,c] - d[a,b] - d[b,c]
-    sigma = max(slack, 0.0) + 4 * u * d_max
-    ratio = gen.fiber.d.take(sites, axis=0).take(sites, axis=1).take(pairs)  # d per pair
-    ratio /= v
-    d2_v = ratio * ratio
-    d2_v *= v  # d^2 / v
+    v_min, ratio_max, d2_v_max = math.inf, 0.0, 0.0  # least v, largest d / v and d^2 / v
+    block = max(1, _PAIR_BLOCK // n)
+    for a in range(0, n, block):
+        rows = ell[a:a + block]
+        off = np.isfinite(rows)
+        np.fill_diagonal(off[:, a:], False)
+        pairs = np.flatnonzero(off)  # flat indices of the pairs in these rows
+        v = rows.ravel().take(pairs)
+        if not (v > 0.0).all():  # (a)
+            return math.inf
+        i, j = np.divmod(pairs, n)
+        ratio = gen.fiber.d.ravel().take(sites[a:a + block].take(i) * m + sites.take(j))  # d
+        d2_v = ratio * ratio
+        d2_v /= v
+        ratio /= v
+        v_min = min(v_min, float(v.min(initial=np.inf)))
+        ratio_max = max(ratio_max, float(ratio.max(initial=0.0)))
+        d2_v_max = max(d2_v_max, float(d2_v.max(initial=0.0)))
     c = gen.cone_scale
-    times = [p[0] for p in points]
-    v_min = float(v.min(initial=np.inf))
     # ell.max() is the largest v, or NaN or inf where ell holds one
-    e_max = 11 * u * (float(ell.max()) + float(d2_v.max(initial=0.0)))
-    if not (8 * c * (max(times) - min(times)) * sigma <= v_min * v_min  # (c)
-            and u * min(v_min * v_min, c * c, c * v_min / 2) >= np.finfo(float).tiny  # (d)
-            and e_max <= v_min / 2):  # (e)
+    e_max = 11 * _U * (float(ell.max()) + d2_v_max)
+    if not (_U * min(v_min * v_min, c * c, c * v_min / 2) >= np.finfo(float).tiny  # (b)
+            and e_max <= v_min / 2):  # (c)
         return math.inf
-    return (3 * e_max + sigma * (4 * float(ratio.max(initial=0.0)) + sigma / v_min)) \
-        * (1 + 16 * u)
+    sigma = gen.fiber.triangle_slack  # (d): inf fails (e)
+    times = [p[0] for p in points]
+    if not 8 * c * (max(times) - min(times)) * sigma <= v_min * v_min:  # (e)
+        return math.inf
+    return (3 * e_max + sigma * (4 * ratio_max + sigma / v_min)) \
+        * (1 + 16 * _U)
 
 
 def _product_space(gen: ProductGenerator, points: Sequence[Point], labels: Sequence[str],
-                   ell: np.ndarray, tol: float = DEFAULT_TOL) -> FiniteLorentzSpace:
-    """`build_space(labels, ell, tol)` for `ell = _ell_matrix(gen, points)`: the same
+                   ell: np.ndarray) -> FiniteLorentzSpace:
+    """`build_space(labels, ell)` for `ell = _ell_matrix(gen, points)`: the same
     space or the same AxiomViolation.
 
-    Where `core._reverse_triangle_witness` would sweep (n^2 > `_SWEEP_STEP_COST`)
-    and `_triangle_bound` <= tol proves that the sweep finds nothing, the sweep
-    is skipped and every other check of `build_space` runs; otherwise
-    `build_space` runs whole.
+    `_triangle_bound` <= DEFAULT_TOL is the certificate that `core._checked_space`
+    asks for where `build_space` would take the reverse-triangle sweep; there it
+    skips the sweep and runs every other check of `build_space`.
     """
-    if ell.shape[0] ** 2 > _SWEEP_STEP_COST and _triangle_bound(gen, points, ell) <= tol:
-        return _checked_space(labels, ell, tol, _check_pointwise_axioms)
-    return build_space(labels, ell, tol)
+    return _checked_space(labels, ell, DEFAULT_TOL,
+                          lambda: _triangle_bound(gen, points, ell) <= DEFAULT_TOL)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from lorentzgh import (ProductGenerator, SamplePlan, build_fiber, build_space, c
                        product_ell, product_family, sample_spacetime, segment_fiber)
 from lorentzgh import core, geometry
 from lorentzgh.causet import _sprinkle
-from lorentzgh.core import DEFAULT_TOL, _SWEEP_STEP_COST, _reverse_triangle_witness
+from lorentzgh.core import DEFAULT_TOL, _checked_space, _reverse_triangle_witness, _takes_sweep
 from lorentzgh.errors import AxiomViolation
-from lorentzgh.geometry import (FiniteMetricFiber, _ell_matrix, _product_space,
+from lorentzgh.geometry import (FiniteMetricFiber, _ell_matrix, _measured_slack, _product_space,
                                 _triangle_bound)
 
 U = 2.0 ** -53  # unit roundoff of float64
@@ -35,8 +35,13 @@ def record(fn, *args):
 
 
 def dyadic_fiber(fiber, scale):
-    """fiber.d times a power of two: exact, so the fiber's slack scales with it."""
-    return FiniteMetricFiber(fiber.labels, fiber.d * scale)
+    """fiber.d times a power of two: exact, so the fiber's slack bound scales with it."""
+    return FiniteMetricFiber(fiber.labels, fiber.d * scale, fiber.triangle_slack * scale)
+
+
+def certified_space(gen, points, labels, ell, tol):
+    """`_product_space` at any tol: `_checked_space` with the certificate at that tol."""
+    return _checked_space(labels, ell, tol, lambda: _triangle_bound(gen, points, ell) <= tol)
 
 
 @st.composite
@@ -86,14 +91,16 @@ def test_certified_samples_have_no_witness(inputs):
     gen, points, tol = inputs
     ell = _ell_matrix(gen, points)
     labels = [f"p{i}" for i in range(len(points))]
-    assert ell.shape[0] ** 2 > _SWEEP_STEP_COST
+    assert _takes_sweep(ell.shape[0])
     bound = _triangle_bound(gen, points, ell)
     if bound <= tol:
         assert _reverse_triangle_witness(ell, tol) is None
     if math.isfinite(bound):  # the bound itself is a tol the sweep passes
         assert _reverse_triangle_witness(ell, bound) is None
-    assert record(_product_space, gen, points, labels, ell, tol) == \
-        record(build_space, labels, ell, tol)
+    want = record(build_space, labels, ell, tol)
+    assert record(certified_space, gen, points, labels, ell, tol) == want
+    if tol == DEFAULT_TOL:
+        assert record(_product_space, gen, points, labels, ell) == want
 
 
 def trial_sample(count=200, fiber=None):
@@ -120,9 +127,21 @@ class TestProductSpace:
         calls = self.sweeps(monkeypatch)
         for tol, swept in ((bound, []), (math.nextafter(bound, 0), [len(points)])):
             calls.clear()
-            got = _product_space(gen, points, labels, ell, tol)
+            got = certified_space(gen, points, labels, ell, tol)
             assert calls == swept
             assert got == build_space(labels, ell, tol)
+
+    def test_product_space_certifies_at_default_tol(self, monkeypatch):
+        # `_product_space` compares the bound with DEFAULT_TOL by <=: a bound
+        # of exactly DEFAULT_TOL skips the sweep, one ulp above it does not
+        gen, points, ell, labels = trial_sample()
+        want = build_space(labels, ell)
+        calls = self.sweeps(monkeypatch)
+        for bound, swept in ((DEFAULT_TOL, []), (math.nextafter(DEFAULT_TOL, 1.0), [len(points)])):
+            calls.clear()
+            monkeypatch.setattr(geometry, "_triangle_bound", lambda *args: bound)
+            assert _product_space(gen, points, labels, ell) == want
+            assert calls == swept
 
     @pytest.mark.parametrize("n, certified", [(70, False), (71, True)])
     def test_size_rule_is_the_sweeps(self, n, certified, monkeypatch):
@@ -155,12 +174,15 @@ class TestProductSpace:
 
 
 def test_fiber_slack_enters_the_bound():
-    # sites a, b, c with d(a, c) = d(a, b) + d(b, c) + 1e-9 and three points on
-    # one straight line: tau(x, z) falls short of tau(x, y) + tau(y, z) by
-    # 0.75e-9, which only the fiber-slack term of the bound covers
-    delta = 1e-9
+    # sites a, b, c with d(a, c) = d(a, b) + d(b, c) + 0.9e-9, which build_fiber
+    # admits, and three points on one straight line: tau(x, z) falls short of
+    # tau(x, y) + tau(y, z) by 0.75 of that, which only the fiber-slack term of
+    # the bound covers
+    delta = 0.9e-9
     d = [[0.0, 0.3, 0.6 + delta], [0.3, 0.0, 0.3], [0.6 + delta, 0.3, 0.0]]
-    gen = ProductGenerator(FiniteMetricFiber(("a", "b", "c"), d), 1.0, (0.0, 1.0))
+    fiber = build_fiber(["a", "b", "c"], d)
+    assert delta < fiber.triangle_slack < 1.01 * delta
+    gen = ProductGenerator(fiber, 1.0, (0.0, 1.0))
     points = [(0.0, 0), (0.5, 1), (1.0, 2)]
     ell = _ell_matrix(gen, points)
     excess = ell[0, 1] + ell[1, 2] - ell[0, 2]
@@ -179,18 +201,31 @@ class TestPremises:
         assert _triangle_bound(gen, points, _ell_matrix(gen, points)) == math.inf
 
     def test_negative_fiber_distance(self):
-        d = circle_fiber(4, 0.3).d.copy()
-        d[0, 1] = d[1, 0] = -1e-12
-        gen = ProductGenerator(FiniteMetricFiber(circle_fiber(4).labels, d), 1.0, (0.0, 2.0))
+        # build_fiber admits d(a, b) = -1e-12 (within DEFAULT_TOL of a metric),
+        # and a fiber distance below 0 leaves no slack bound
+        d = [[0.0, -1e-12, 0.3], [-1e-12, 0.0, 0.3], [0.3, 0.3, 0.0]]
+        fiber = build_fiber(["a", "b", "c"], d)
+        assert fiber.triangle_slack == math.inf
+        gen = ProductGenerator(fiber, 1.0, (0.0, 2.0))
         points, ell, _ = _sprinkle(gen, (0.0, 2.0), 80, 3)
         assert _triangle_bound(gen, points, ell) == math.inf
+
+    def test_fiber_without_a_slack_bound(self):
+        # the constructor alone records no bound: the same sample certifies
+        # over the closed form and is swept over the bare fiber
+        gen, points, ell, _ = trial_sample(count=80)
+        bare = ProductGenerator(FiniteMetricFiber(gen.fiber.labels, gen.fiber.d), 1.0, (0.0, 2.0))
+        assert _triangle_bound(gen, points, ell) < DEFAULT_TOL
+        assert _triangle_bound(bare, points, ell) == math.inf
 
     def test_margins_must_beat_the_fiber_slack(self):
         # one distance well past the triangle inequality: the slack exceeds
         # every margin, and the sweep finds the violation the bound refuses
         d = segment_fiber(3, 0.2).d.copy()
         d[0, 2] = d[2, 0] = 0.5
-        gen = ProductGenerator(FiniteMetricFiber(segment_fiber(3).labels, d), 1.0, (0.0, 2.0))
+        fiber = FiniteMetricFiber(segment_fiber(3).labels, d, _measured_slack(d))
+        assert 0.3 < fiber.triangle_slack < 0.31
+        gen = ProductGenerator(fiber, 1.0, (0.0, 2.0))
         points, ell, _ = _sprinkle(gen, (0.0, 2.0), 90, 4)
         assert _triangle_bound(gen, points, ell) == math.inf
         assert _reverse_triangle_witness(ell, DEFAULT_TOL) is not None
@@ -208,6 +243,41 @@ class TestPremises:
         gen, points, ell, _ = trial_sample(count=80)
         ell[0, 1] = np.inf
         assert not _triangle_bound(gen, points, ell) <= DEFAULT_TOL
+
+
+def exact_slack(d):
+    """max over (a, b, c) of d[a,c] - d[a,b] - d[b,c] in rational arithmetic."""
+    q = [[Fraction(x) for x in row] for row in d.tolist()]
+    m = len(q)
+    return max(q[a][c] - q[a][b] - q[b][c] for a in range(m) for b in range(m) for c in range(m))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["circle", "segment", "scaled", "built"]), st.integers(1, 9),
+       st.floats(1e-3, 1e3), st.floats(0.0, DEFAULT_TOL * (1 - 1e-4)))
+def test_fiber_slack_bounds_the_exact_slack(kind, k, size, raise_by):
+    """`triangle_slack` bounds the triangle slack of the stored floats exactly,
+    for the closed forms (one rounding of a metric per entry), `.scaled` and
+    `build_fiber` with an entry raised within DEFAULT_TOL."""
+    fiber = (segment_fiber if kind == "segment" else circle_fiber)(k, size)
+    if kind == "scaled":
+        fiber = fiber.scaled(1.1)
+    if kind == "built" and k > 1:
+        d = fiber.d.copy()
+        d[0, k - 1] = d[k - 1, 0] = d[0, k - 1] + raise_by
+        fiber = build_fiber(fiber.labels, d)
+    assert math.isfinite(fiber.triangle_slack)
+    assert exact_slack(fiber.d) <= Fraction(fiber.triangle_slack)
+    if kind in ("circle", "segment"):  # the closed forms' bound: 6u max d
+        assert fiber.triangle_slack == 6 * U * fiber.d.max()
+
+
+def test_certificate_reads_the_fiber_slack(monkeypatch):
+    # the certificate costs the same over any fiber: it reads the slack bound
+    # made with the fiber and never scans the fiber's (a, b, c) cube itself
+    gen, points, ell, labels = trial_sample(count=200, fiber=circle_fiber(8, 0.3).scaled(1.1))
+    monkeypatch.setattr(geometry, "_measured_slack", None)
+    assert _triangle_bound(gen, points, ell) < DEFAULT_TOL
 
 
 @st.composite
